@@ -34,7 +34,7 @@ def main() -> int:
     print(np.round(h * first.W[0], 12))
     print(np.round(h * first.W[1], 12))
     tail = max(np.abs(first.W[n]).max() for n in range(2, 17))
-    print(f"largest remaining weight: {tail:.2e} (pure round-off)\n")
+    print(f"largest remaining weight: {tail:.2e} (integer orders are exact)\n")
 
     half = compute_weights(tab, -0.5, h, 16)
     norms = [np.abs(W).max() for W in half.W]

@@ -2,17 +2,20 @@
 
 A positive exponent discretizes the fractional integral of that order, a
 negative exponent the fractional derivative of order |exponent|.  Matrix
-weights come from a Runge-Kutta generating matrix evaluated on a contour
-inside the unit disc; scalar midpoint-rule weights come from an exact
-power-series recurrence.
+weights come from a Runge-Kutta generating matrix: as exact polynomial
+coefficients for integer derivative orders, otherwise from an FFT over a
+contour inside the unit disc; scalar midpoint-rule weights come from an
+exact power-series recurrence.
 """
 
+import math
+import numbers
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tableau import ButcherTableau
+from .tableau import ButcherTableau, gamma
 
 __all__ = [
     "WeightSequence",
@@ -27,8 +30,6 @@ __all__ = [
 
 #: eigenvector condition number beyond which a contour point counts as degenerate
 _COND_LIMIT = 1e12
-#: rows of the Fourier matrix evaluated per block in the direct contour sum
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -123,90 +124,91 @@ _cache: dict = {}
 _cache_lock = threading.Lock()
 
 
+def _check_weight_args(exponent, h, N) -> int:
+    """Return N as an int after rejecting a bad h, exponent or N by its value."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
+    if not math.isfinite(exponent):
+        raise ValueError(f"exponent must be finite, got {exponent!r}")
+    if not isinstance(N, numbers.Integral) or N < 0:
+        raise ValueError(f"N must be an integer >= 0, got {N!r}")
+    return int(N)
+
+
 def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int,
                     radius: float | None = None, eps: float = 1e-16,
-                    contour_points: int | None = None,
-                    use_fft: bool = False) -> WeightSequence:
+                    contour_points: int | None = None) -> WeightSequence:
     """Convolution weights W_0..W_N of K(s) = s^(-exponent) for the given tableau.
 
-    The weights are Taylor coefficients of K(gamma(z)/h) and are recovered by a
-    trapezoidal rule on the circle |z| = radius:
+    The weights are the Taylor coefficients of K(gamma(z)/h).  For a stiffly
+    accurate tableau (b^T A^-1 1 = 1) and a non-negative integer order
+    m = -exponent they are the coefficients of the degree-m matrix polynomial
+    ((A^-1 - z (A^-1 1)(b^T A^-1))/h)^m, formed directly: W_0 = I for m = 0;
+    W_0 = A^-1/h, W_1 = -(A^-1 1)(b^T A^-1)/h for m = 1; W_n = 0 for n > m.
+    Every other kernel is summed by the trapezoidal rule on |z| = radius as
+    one inverse FFT over M points, W_n = radius^(-n) ifft(K(gamma(z_l)/h))_n
+    with z_l = radius exp(-2 pi i l / M).
 
-        W_n = radius^(-n)/M * sum_l K(gamma(z_l)/h) exp(+2 pi i l n / M),
-        z_l = radius * exp(-2 pi i l / M).
-
-    The radius defaults to eps^(1/(M+N)), which balances the aliasing error
-    radius^M against the round-off amplification radius^(-N) eps; both land
-    at eps^(M/(M+N)).  M defaults to 2(N+1) contour points, pushing that
-    level from ~sqrt(eps) (the minimal M = N+1 rule, reproduced by passing
-    contour_points=N+1) down to ~eps^(2/3).  K is applied as a
-    matrix function through a complex eigendecomposition of gamma(z_l); if an
-    eigenvector matrix is ill-conditioned the whole contour is retried once at
-    0.98*radius.  Results are cached per parameter set.
+    The radius defaults to eps^(1/(M+N)), where the aliasing error radius^M
+    and the round-off amplification radius^(-N) eps both equal eps^(M/(M+N)).
+    M defaults to 2(N+1), putting that level near eps^(2/3) (contour_points =
+    N+1 gives the minimal rule, ~sqrt(eps)).  K is applied through a complex
+    eigendecomposition of gamma(z_l); an ill-conditioned eigenvector matrix
+    makes the contour retry once at 0.98*radius.  The exact path reports the
+    radius and M the contour would start from and a zero imaginary residue.
+    Results are cached per parameter set and tableau coefficients.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    key = (tab.label, float(exponent), float(h), int(N), radius, float(eps),
-           contour_points, bool(use_fft))
+    N = _check_weight_args(exponent, h, N)
+    key = (tab.label, tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(),
+           float(exponent), float(h), N, radius, float(eps), contour_points)
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None:
         return hit
-    seq = _compute_weights(tab, exponent, h, N, radius, eps, contour_points, use_fft)
+    M = 2 * (N + 1) if contour_points is None else int(contour_points)
+    if M < N + 1:
+        raise ValueError("contour_points must be at least N+1")
+    lam = eps ** (1.0 / (M + N)) if radius is None else float(radius)
+    order = -float(exponent)
+    if abs(tab.bT_Ainv_one - 1.0) < 1e-13 and order >= 0 and order.is_integer():
+        W, max_imag = _polynomial_weights(tab, int(order), h, N), 0.0
+    else:
+        W, lam, max_imag = _compute_weights(tab, exponent, h, N, M, lam)
+    seq = WeightSequence(exponent=float(exponent), h=float(h), W=W,
+                         tableau_label=tab.label, max_imag_residue=max_imag,
+                         radius=lam, eps=float(eps), contour_points=M)
     with _cache_lock:
         _cache[key] = seq
     return seq
 
 
-def _compute_weights(tab, exponent, h, N, radius, eps, contour_points, use_fft,
-                     _retried=False):
-    M = 2 * (N + 1) if contour_points is None else int(contour_points)
-    if M < N + 1:
-        raise ValueError("contour_points must be at least N+1")
-    lam = eps ** (1.0 / (M + N)) if radius is None else float(radius)
+def _polynomial_weights(tab, m, h, N):
+    """Coefficients of (gamma(z)/h)^m, gamma(z) = A^-1 - z (A^-1 1)(b^T A^-1), up to z^N."""
+    const, slope = tab.Ainv / h, -np.outer(tab.Ainv_one, tab.bT_Ainv) / h
+    W = np.zeros((N + 1, tab.r, tab.r))
+    W[0] = np.eye(tab.r)
+    for _ in range(m):  # multiply the truncated series by const + z * slope
+        W[1:] = W[1:] @ const + W[:-1] @ slope
+        W[0] = W[0] @ const
+    return W
 
-    ell = np.arange(M)
-    z = lam * np.exp(-2j * np.pi * ell / M)
-    # rank-one form of (A + z/(1-z) 1 b^T)^{-1}; denominator is 1 for
-    # stiffly accurate tableaux
-    scale = z / (1.0 + (tab.bT_Ainv_one - 1.0) * z)
-    gam = tab.Ainv[None, :, :].astype(complex) \
-        - scale[:, None, None] * np.outer(tab.Ainv_one, tab.bT_Ainv)[None, :, :]
 
-    vals, vecs = np.linalg.eig(gam)
+def _compute_weights(tab, exponent, h, N, M, lam, _retried=False):
+    """Contour sum on |z| = lam: real W (N+1, r, r), the radius used, max |imag| dropped."""
+    vals, vecs = np.linalg.eig(gamma(tab, lam * np.exp(-2j * np.pi * np.arange(M) / M)))
     conds = np.linalg.cond(vecs)
     bad = np.nonzero(~(conds < _COND_LIMIT))[0]
     if bad.size:
         if not _retried:
-            return _compute_weights(tab, exponent, h, N, 0.98 * lam, eps,
-                                    contour_points, use_fft, _retried=True)
+            return _compute_weights(tab, exponent, h, N, M, 0.98 * lam, _retried=True)
         raise RuntimeError(
             f"contour degeneracy at node l={int(bad[0])} (cond={conds[bad[0]]:.3e}) "
             f"even after radius retry")
     kvals = (vals / h) ** (-exponent)
     kmat = (vecs * kvals[:, None, :]) @ np.linalg.inv(vecs)
-
-    r = tab.r
-    kflat = kmat.reshape(M, r * r)
-    n_all = np.arange(N + 1)
-    if use_fft:
-        wflat = np.fft.ifft(kflat, axis=0)[: N + 1]
-    else:
-        # direct Fourier sum, fixed chunked order (deterministic, O(N*M*r^2))
-        wflat = np.empty((N + 1, r * r), dtype=complex)
-        for lo in range(0, N + 1, _CHUNK):
-            hi = min(lo + _CHUNK, N + 1)
-            phase = np.exp((2j * np.pi / M) * np.outer(n_all[lo:hi], ell))
-            wflat[lo:hi] = phase @ kflat / M
-    wflat *= (lam ** -n_all.astype(float))[:, None]
-    W = wflat.reshape(N + 1, r, r)
-    max_imag = float(np.abs(W.imag).max()) if W.size else 0.0
-    return WeightSequence(exponent=float(exponent), h=float(h),
-                          W=np.ascontiguousarray(W.real),
-                          tableau_label=tab.label, max_imag_residue=max_imag,
-                          radius=lam, eps=float(eps), contour_points=M)
+    W = np.fft.ifft(kmat, axis=0)[: N + 1]
+    W *= (lam ** -np.arange(N + 1, dtype=float))[:, None, None]
+    return np.ascontiguousarray(W.real), lam, float(np.abs(W.imag).max())
 
 
 def apply_retarded(w: WeightSequence, f: StageTrajectory, k: int) -> np.ndarray:
@@ -239,10 +241,7 @@ def midcq_weights(exponent: float, h: float, N: int) -> ScalarWeightSequence:
     Computed by the exact binomial recurrences for (1-z)^beta and (1+z)^(-beta)
     (beta = -exponent) and one Cauchy product; no contour quadrature.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    N = _check_weight_args(exponent, h, N)
     beta = -float(exponent)
     a = np.empty(N + 1)
     d = np.empty(N + 1)

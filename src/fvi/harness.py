@@ -9,7 +9,6 @@ environment-dependent, so identical manifests imply byte-identical outputs.
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -178,13 +177,13 @@ def _exact_magnitudes(spec: BenchmarkSpec, horizon: float,
 
 
 def converge(spec_name, method: str, steps: Sequence[int],
-             horizon: Optional[float] = None, newton_tol: float = 1e-12,
-             max_workers: Optional[int] = None) -> ConvergenceReport:
+             horizon: Optional[float] = None,
+             newton_tol: float = 1e-12) -> ConvergenceReport:
     """Run the method at each step count and fit convergence slopes.
 
-    The independent step counts run concurrently.  Stepper failures carry the
-    offending N in the message.  Position and momentum maxima over the main
-    nodes are fitted separately; midcq reports positions only.
+    The step counts run one after another, coarsest first.  Stepper failures
+    carry the offending N in the message.  Position and momentum maxima over
+    the main nodes are fitted separately; midcq reports positions only.
     """
     spec = spec_name if isinstance(spec_name, BenchmarkSpec) else by_name(spec_name)
     _tableau_for(method)
@@ -203,8 +202,7 @@ def converge(spec_name, method: str, steps: Sequence[int],
                 f"{method} on {spec.name} failed at N={n}: {exc}") from exc
         return node_errors(spec, sol)
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        errors = list(pool.map(case, steps))
+    errors = [case(n) for n in steps]
 
     hs = np.array([horizon / n for n in steps])
     err_x = np.array([e[0] for e in errors])

@@ -116,13 +116,14 @@ def stability(tab: ButcherTableau, z: complex) -> complex:
     return complex(1.0 + z * (tab.b @ u))
 
 
-def gamma(tab: ButcherTableau, z: complex) -> np.ndarray:
+def gamma(tab: ButcherTableau, z) -> np.ndarray:
     """Generating matrix gamma(z) = (A + z/(1-z) 1 b^T)^{-1} in closed form.
 
     Sherman-Morrison turns the inverse into the rank-one update
     A^{-1} - z / (1 + (s - 1) z) A^{-1} 1 b^T A^{-1} with s = b^T A^{-1} 1,
     so no z-dependent inversion is needed.  Stiffly accurate tableaux have
-    s = 1 and the denominator collapses to one.
+    s = 1 and the denominator collapses to one.  An array of points gives
+    one r x r matrix per point, stacked along the leading axes.
     """
     denom = 1.0 + (tab.bT_Ainv_one - 1.0) * z
-    return tab.Ainv - (z / denom) * np.outer(tab.Ainv_one, tab.bT_Ainv)
+    return tab.Ainv - np.multiply.outer(z / denom, np.outer(tab.Ainv_one, tab.bT_Ainv))

@@ -6,13 +6,14 @@ from fvi.cq import (
     ScalarWeightSequence,
     StageTrajectory,
     WeightSequence,
+    _compute_weights,
     apply_advanced,
     apply_midcq,
     apply_retarded,
     compute_weights,
     midcq_weights,
 )
-from fvi.tableau import lobatto_iiic, midpoint
+from fvi.tableau import ButcherTableau, lobatto_iiic, midpoint
 
 SQRT2 = 1.41421356237309504880
 # J^(1/2) t^2 = HALF_INTEGRAL_T2_COEF * t^(5/2); the coefficient is Gamma(3)/Gamma(7/2)
@@ -60,7 +61,7 @@ def test_first_weight_is_matrix_root(r):
 
 
 @pytest.mark.parametrize("r", [2, 3])
-@pytest.mark.parametrize("pair", [(-0.25, -0.5), (-0.5, -1.0)])
+@pytest.mark.parametrize("pair", [(-0.25, -0.5), (-0.5, -1.0), (-1.0, -2.0)])
 def test_weight_semigroup(r, pair):
     """Self-convolved weights of exponent e equal the weights of 2e."""
     e, e2 = pair
@@ -146,11 +147,68 @@ def test_half_integral_convergence_order(r, bound):
     assert slope <= tab.p + 0.3
 
 
-def test_fft_path_matches_direct_sum():
-    tab = lobatto_iiic(3)
-    wd = compute_weights(tab, -0.5, 0.1, 40, use_fft=False)
-    wf = compute_weights(tab, -0.5, 0.1, 40, use_fft=True)
-    assert np.abs(wd.W - wf.W).max() < 1e-8 * np.abs(wd.W).max()
+def _closed_form_weights(tab, order, h, N):
+    """W_0..W_N of (gamma(z)/h)^order for order 0 or 1 on a stiffly accurate tableau."""
+    W = np.zeros((N + 1, tab.r, tab.r))
+    if order == 0:
+        W[0] = np.eye(tab.r)
+    else:
+        W[0] = tab.Ainv / h
+        W[1] = -np.outer(tab.Ainv_one, tab.bT_Ainv) / h
+    return W
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_integer_order_weights_are_exact(r, order):
+    tab = lobatto_iiic(r)
+    h, N = 0.05, 16
+    w = compute_weights(tab, -float(order), h, N)
+    np.testing.assert_array_equal(w.W, _closed_form_weights(tab, order, h, N))
+    assert not w.W[order + 1:].any()
+    assert w.max_imag_residue == 0.0
+    assert w.contour_points == 2 * (N + 1)
+    assert w.radius == 1e-16 ** (1.0 / (w.contour_points + N))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("N,M", [(64, 2 * 65), (4096, 4 * 4097)])
+def test_contour_sum_matches_closed_form(N, M, r):
+    """The FFT contour sum, called directly, reproduces the exact order-1 weights."""
+    tab = lobatto_iiic(r)
+    h = 0.05
+    lam = 1e-16 ** (1.0 / (M + N))
+    W, radius, max_imag = _compute_weights(tab, -1.0, h, N, M, lam)
+    exact = _closed_form_weights(tab, 1, h, N)
+    assert radius == lam
+    assert np.abs(W - exact).max() < 1e-10 * np.abs(exact).max()
+    assert max_imag < 1e-10 * np.abs(exact).max()
+
+
+def test_cache_tells_tableaux_apart_by_coefficients():
+    """A tableau reusing another's label still gets weights of its own size."""
+    t3 = lobatto_iiic(3)
+    impostor = ButcherTableau(A=t3.A, b=t3.b, c=t3.c, p=t3.p, q=t3.q,
+                              label="lobatto_iiic_2")
+    assert compute_weights(lobatto_iiic(2), -0.5, 0.1, 8).W.shape == (9, 2, 2)
+    assert compute_weights(impostor, -0.5, 0.1, 8).W.shape == (9, 3, 3)
+
+
+@pytest.mark.parametrize("weights", [
+    lambda e, h, N: compute_weights(lobatto_iiic(2), e, h, N),
+    midcq_weights,
+], ids=["compute_weights", "midcq_weights"])
+@pytest.mark.parametrize("args,match", [
+    ((-0.5, float("nan"), 4), "h must be positive and finite, got nan"),
+    ((-0.5, float("inf"), 4), "got inf"),
+    ((float("nan"), 0.1, 4), "exponent must be finite, got nan"),
+    ((-float("inf"), 0.1, 4), "got -inf"),
+    ((-0.5, 0.1, 2.5), "N must be an integer >= 0, got 2.5"),
+    ((-0.5, 0.1, 4.0), "got 4.0"),
+], ids=["nan-h", "inf-h", "nan-exponent", "inf-exponent", "fractional-N", "float-N"])
+def test_non_finite_or_non_integer_arguments_rejected(weights, args, match):
+    with pytest.raises(ValueError, match=match):
+        weights(*args)
 
 
 def test_weights_are_cached():

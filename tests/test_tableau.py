@@ -121,6 +121,15 @@ def test_gamma_matches_rank_one_inverse(tab):
         np.testing.assert_allclose(gamma(tab, z), direct, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("tab", ALL_TABLEAUX, ids=lambda t: t.label)
+def test_gamma_stacks_one_matrix_per_point(tab):
+    zs = np.array([0.0, 0.5j, -0.3 + 0.2j])
+    stacked = gamma(tab, zs)
+    assert stacked.shape == (3, tab.r, tab.r)
+    for z, g in zip(zs, stacked):
+        np.testing.assert_array_equal(g, gamma(tab, complex(z)))
+
+
 def test_gamma_closed_forms():
     z = 0.3 + 0.1j
     np.testing.assert_allclose(gamma(lobatto_iiic(2), z),
