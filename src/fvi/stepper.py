@@ -1,13 +1,19 @@
 """Variational integrators for fractionally damped mechanical systems.
 
-The Lobatto scheme solves the discrete Euler-Lagrange equations with a
-fractional force assembled by matrix convolution quadrature; the midpoint
-variant uses the scalar midpoint weights.  The damping operator is applied to
-the increment x - x(0), which reproduces the classical damped update in the
-half-order-squared limit and removes the start-up jump a zero-extended
-history would inject for nonzero initial positions.
+One stepping loop serves every method.  Block k holds the n control points of
+the Galerkin interpolant on step k, the first shared with block k-1.  Weights
+V_0..V_N (n x n) give R_k = D L_d(block_k) - rho h (V_0 (block_k - x0) + H_k)
+with the damping history H_k = sum_{j<k} V_{k-j} (block_j - x0).  Points 2..n
+solve p_in + R_k[0] = 0 and R_k[i] = 0 at the inner points, p_in being p0 at
+k = 0 and R_{k-1}[-1] after.  Lobatto IIIC uses V_n = diag(b) W_n with the
+matrix convolution weights; the midpoint variant is the same closure on its
+two control points with V_n = w_n 11^T / 4.  Damping acts on x - x0, which
+reproduces the classical damped update in the half-order-squared limit and
+avoids the start-up jump of a zero-extended history at nonzero x0.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +53,6 @@ __all__ = [
 ]
 
 _JACOBIAN_MODES = ("analytic", "finite-difference")
-_PREDICTORS = ("previous-stage-values", "constant-extrapolation")
 
 
 @dataclass(frozen=True)
@@ -59,19 +64,18 @@ class FviConfig:
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
     jacobian_mode: str = "analytic"
-    predictor: str = "previous-stage-values"
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
+        for name in ("h", "newton_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name, low in (("N", 1), ("newton_max_iter", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.jacobian_mode not in _JACOBIAN_MODES:
             raise ValueError(f"jacobian_mode must be one of {_JACOBIAN_MODES}")
-        if self.predictor not in _PREDICTORS:
-            raise ValueError(f"predictor must be one of {_PREDICTORS}")
 
 
 @dataclass(frozen=True)
@@ -153,19 +157,47 @@ def _check_weights(prob, tab, cfg, weights):
         raise ValueError("weights were computed for another tableau")
 
 
-def _analytic_jacobian(prob, tab, basis, stages_full, t_k, h, W0, negate_first):
-    """Stage Jacobian of the nonlinear system; rows follow the equation order."""
-    s = tab.r - 1
-    d = prob.d
-    hess = hessian_blocks(prob, tab, basis, stages_full, t_k, h)
-    eye = np.eye(d)
-    J = np.empty((s * d, s * d))
-    for e in range(s):
-        sign = -1.0 if (negate_first and e == 0) else 1.0
-        for m in range(s):
-            block = hess[e, m + 1] - prob.rho * h * tab.b[e] * W0[e, m + 1] * eye
-            J[e * d:(e + 1) * d, m * d:(m + 1) * d] = sign * block
-    return J
+def _block_solver(prob, tab, cfg, V0, x0):
+    """solve(t_k, first, p_in, hist, guess) -> (stages, R, (solves, residual)).
+
+    Newton on one block with its first control point fixed at `first` and
+    hist = H_k; R is the residual at the returned stages.  Without a guess
+    Newton starts on the line from `first` with velocity M^-1 p_in.
+    """
+    basis = basis_for(tab)
+    n, d, h = basis.control_count, prob.d, cfg.h
+    rho_h = prob.rho * h
+    damp = rho_h * np.kron(V0[:-1, 1:], np.eye(d))
+    analytic = cfg.jacobian_mode == "analytic" and prob.hess_potential is not None
+
+    def solve(t_k, first, p_in, hist, guess=None):
+        if guess is None:
+            v = np.linalg.solve(prob.mass_matrix, p_in)
+            guess = (first + basis.nodes[1:, None] * h * v).ravel()
+        R = None  # _newton's last residual call is at the iterate it returns
+
+        def build(u):
+            return np.vstack([first, u.reshape(n - 1, d)])
+
+        def residual(u):
+            nonlocal R
+            stages = build(u)
+            R = d_all_lagrangian(prob, tab, basis, stages, t_k, h) \
+                - rho_h * (V0 @ (stages - x0) + hist)
+            eqs = R[:-1].copy()
+            eqs[0] += p_in
+            return eqs.ravel()
+
+        def jacobian(u):
+            hess = hessian_blocks(prob, tab, basis, build(u), t_k, h)[:-1, 1:]
+            return hess.transpose(0, 2, 1, 3).reshape(damp.shape) - damp
+
+        jac = jacobian if analytic else (lambda u: _fd_jacobian(residual, u))
+        u, solves, norm = _newton(residual, jac, guess, cfg.newton_tol,
+                                  cfg.newton_max_iter)
+        return build(u), R, (solves, norm)
+
+    return solve
 
 
 def init_step(prob: LagrangianProblem, tab: ButcherTableau,
@@ -175,47 +207,18 @@ def init_step(prob: LagrangianProblem, tab: ButcherTableau,
 
     Solves p0 = -D_1 L_d + rho h b_1 [CQ x]^1 together with the inner stage
     equations i = 2..s for the unknowns x_0^2..x_0^{s+1}; x_0^1 = x0 is fixed.
+    This is block 0 of the stepping loop of `run`.
     """
     if tab.r < 2:
         raise ValueError("init_step needs at least two stages")
     _check_weights(prob, tab, cfg, weights)
     x0 = np.asarray(x0, dtype=float).ravel()
     p0 = np.asarray(p0, dtype=float).ravel()
-    basis = basis_for(tab)
-    s = tab.r - 1
-    d = prob.d
-    h = cfg.h
-    rho = prob.rho
-    W0 = weights.W[0]
-    b = tab.b
-
-    def build(u):
-        return np.vstack([x0, u.reshape(s, d)])
-
-    def residual(u):
-        stages = build(u)
-        dL = d_all_lagrangian(prob, tab, basis, stages, 0.0, h)
-        dcq = W0 @ (stages - x0)
-        rows = [-dL[0] + rho * h * b[0] * dcq[0] - p0]
-        for i in range(2, s + 1):
-            rows.append(dL[i - 1] - rho * h * b[i - 1] * dcq[i - 1])
-        return np.concatenate(rows)
-
-    def jacobian(u):
-        return _analytic_jacobian(prob, tab, basis, build(u), 0.0, h, W0,
-                                  negate_first=True)
-
-    v0 = np.linalg.solve(prob.mass_matrix, p0)
-    guess = (x0[None, :] + tab.c[1:, None] * h * v0[None, :]).ravel()
-    if cfg.jacobian_mode == "analytic" and prob.hess_potential is not None:
-        jac = jacobian
-    else:
-        jac = lambda u: _fd_jacobian(residual, u)
-    u, solves, norm = _newton(residual, jac, guess, cfg.newton_tol,
-                              cfg.newton_max_iter)
+    solve = _block_solver(prob, tab, cfg, tab.b[:, None] * weights.W[0], x0)
+    stages, _, stats = solve(0.0, x0, p0, 0.0)
     if stats_out is not None:
-        stats_out.append((solves, norm))
-    return build(u)
+        stats_out.append(stats)
+    return stages
 
 
 def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
@@ -224,62 +227,25 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
     """Stages of block k from the discrete Euler-Lagrange closure.
 
     history must hold blocks 0..k-1; the new block's first stage is the last
-    stage of block k-1.  The damping history sum over n >= 1 is evaluated
-    once, only the W_0 coupling enters the Newton system.
+    stage of block k-1.  The incoming momentum legendre_plus(k-1) and the
+    damping history sum over weights n >= 1, which the stepping loop of `run`
+    carries along, are recomputed here from the history.
     """
     if k < 1 or history.nblocks != k:
         raise ValueError(f"history must hold exactly blocks 0..{k - 1}")
     _check_weights(prob, tab, cfg, weights)
     if weights.count <= k:
         raise ValueError(f"need weights up to index {k}, have {weights.count - 1}")
-    basis = basis_for(tab)
-    s = tab.r - 1
-    d = prob.d
-    h = cfg.h
-    rho = prob.rho
-    W0 = weights.W[0]
-    b = tab.b
+    V = tab.b[:, None] * weights.W[:k + 1]
     vals = history.values
-    x_init = vals[0, 0]
-    incr = vals - x_init
-    x_k1 = vals[k - 1, -1]
-    t_k = k * h
-    # history part of the damping at block k (weights n = 1..k)
-    S_k = np.tensordot(weights.W[1:k + 1], incr[::-1], axes=([0, 2], [0, 1]))
-    # full damping stages at block k-1, all known
-    dcq_prev = np.tensordot(weights.W[:k][::-1], incr, axes=([0, 2], [0, 1]))
-    dL_prev = d_all_lagrangian(prob, tab, basis, vals[k - 1], t_k - h, h)
-    closure_known = dL_prev[-1] - rho * h * b[-1] * dcq_prev[-1]
-
-    def build(u):
-        return np.vstack([x_k1, u.reshape(s, d)])
-
-    def residual(u):
-        stages = build(u)
-        dL = d_all_lagrangian(prob, tab, basis, stages, t_k, h)
-        dcq = W0 @ (stages - x_init) + S_k
-        rows = [closure_known + dL[0] - rho * h * b[0] * dcq[0]]
-        for i in range(2, s + 1):
-            rows.append(dL[i - 1] - rho * h * b[i - 1] * dcq[i - 1])
-        return np.concatenate(rows)
-
-    def jacobian(u):
-        return _analytic_jacobian(prob, tab, basis, build(u), t_k, h, W0,
-                                  negate_first=False)
-
-    if cfg.predictor == "previous-stage-values":
-        guess = vals[k - 1, 1:].ravel()
-    else:
-        guess = np.tile(x_k1, s)
-    if cfg.jacobian_mode == "analytic" and prob.hess_potential is not None:
-        jac = jacobian
-    else:
-        jac = lambda u: _fd_jacobian(residual, u)
-    u, solves, norm = _newton(residual, jac, guess, cfg.newton_tol,
-                              cfg.newton_max_iter)
+    hist = np.tensordot(V[k:0:-1], vals - vals[0, 0], axes=([0, 2], [0, 1]))
+    p_in = _node_momentum(prob, tab, weights, history, k - 1, plus=True)
+    solve = _block_solver(prob, tab, cfg, V[0], vals[0, 0])
+    stages, _, stats = solve(k * cfg.h, vals[k - 1, -1], p_in, hist,
+                             vals[k - 1, 1:].ravel())
     if stats_out is not None:
-        stats_out.append((solves, norm))
-    return build(u)
+        stats_out.append(stats)
+    return stages
 
 
 def _node_momentum(prob, tab, weights, history, k, plus):
@@ -301,7 +267,10 @@ def _node_momentum(prob, tab, weights, history, k, plus):
 def legendre_minus(prob: LagrangianProblem, tab: ButcherTableau,
                    weights: WeightSequence, history: StageTrajectory,
                    k: int) -> np.ndarray:
-    """Pre-node momentum p_k^- = -D_1 L_d(block k) + rho h b_1 [CQ x]_k^1."""
+    """Pre-node momentum p_k^- = -D_1 L_d(block k) + rho h b_1 [CQ x]_k^1.
+
+    The stepping loop keeps these as it goes; this is the post-hoc reference.
+    """
     return _node_momentum(prob, tab, weights, history, k, plus=False)
 
 
@@ -335,141 +304,72 @@ def qp_closed_form(prob: LagrangianProblem, h: float, x_k, p_k,
     return x_next, p_next
 
 
+def _integrate(prob, tab, cfg, V, x0, p0) -> FviSolution:
+    """The stepping loop of every method; it reads weights V_0..V_{N-1} of V."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    p0 = np.asarray(p0, dtype=float).ravel()
+    N, n, d, h = cfg.N, V.shape[1], prob.d, cfg.h
+    solve = _block_solver(prob, tab, cfg, V[0], x0)
+    # V_{N-1} | ... | V_1, so that H_k = rev[:, (N-1-k) n:] @ incr[:k n]
+    rev = V[N - 1:0:-1].transpose(1, 0, 2).reshape(n, (N - 1) * n)
+    blocks = np.empty((N, n, d))
+    incr = np.empty((N * n, d))  # blocks - x0, one control point per row
+    momenta = np.empty((N + 1, d))
+    stats: list = []
+    first, p_in, hist, guess = x0, p0, 0.0, None
+    for k in range(N):
+        if k:
+            hist = rev[:, (N - 1 - k) * n:] @ incr[:k * n]
+        try:
+            stages, R, stats_k = solve(k * h, first, p_in, hist, guess)
+        except NewtonError as exc:
+            phase = f"step {k}" if k else "init step"
+            raise NewtonError(f"{phase} failed: {exc}", exc.residual_norm,
+                              exc.iterate, exc.iterations) from exc
+        stats.append(stats_k)
+        blocks[k] = stages
+        incr[k * n:(k + 1) * n] = stages - x0
+        momenta[k] = -R[0] if k else p0
+        first, p_in, guess = stages[-1], R[-1], stages[1:].ravel()
+    momenta[N] = p_in
+    nodes = np.vstack([blocks[:, 0], blocks[-1:, -1]])
+    energies = np.array([energy(prob, nodes[k], momenta[k])
+                         for k in range(N + 1)])
+    trajectory = StageTrajectory(values=blocks, h=h, continuity_flag=True)
+    return FviSolution(trajectory=trajectory, momenta=momenta,
+                       times=h * np.arange(N + 1), newton_stats=tuple(stats),
+                       energy=energies)
+
+
 def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
         x0, p0) -> FviSolution:
-    """Full forward integration: init step, N-1 closure steps, node momenta.
+    """Lobatto integration: the stepping loop with V_n = diag(b) W_n.
 
     The weight contour gets four points per step instead of the default two,
     which keeps the accumulated weight error below the local truncation error
     of the higher-stage schemes over long horizons.
     """
+    if tab.r < 2:
+        raise ValueError("run needs at least two stages; use run_midcq")
     weights = compute_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N,
                               contour_points=4 * (cfg.N + 1))
-    d = prob.d
-    blocks = np.empty((cfg.N, tab.r, d))
-    stats: list = []
-    try:
-        blocks[0] = init_step(prob, tab, weights, cfg, x0, p0, stats_out=stats)
-    except NewtonError as exc:
-        raise NewtonError(f"init step failed: {exc}", exc.residual_norm,
-                          exc.iterate, exc.iterations) from exc
-    for k in range(1, cfg.N):
-        history = StageTrajectory(values=blocks[:k], h=cfg.h,
-                                  continuity_flag=True)
-        try:
-            blocks[k] = step(prob, tab, weights, cfg, history, k,
-                             stats_out=stats)
-        except NewtonError as exc:
-            raise NewtonError(f"step {k} failed: {exc}", exc.residual_norm,
-                              exc.iterate, exc.iterations) from exc
-    trajectory = StageTrajectory(values=blocks, h=cfg.h, continuity_flag=True)
-    momenta = np.empty((cfg.N + 1, d))
-    for k in range(cfg.N):
-        momenta[k] = legendre_minus(prob, tab, weights, trajectory, k)
-    momenta[cfg.N] = legendre_plus(prob, tab, weights, trajectory, cfg.N - 1)
-    times = cfg.h * np.arange(cfg.N + 1)
-    nodes = np.vstack([blocks[:, 0, :], blocks[-1:, -1, :]])
-    energies = np.array([energy(prob, nodes[k], momenta[k])
-                         for k in range(cfg.N + 1)])
-    return FviSolution(trajectory=trajectory, momenta=momenta, times=times,
-                       newton_stats=tuple(stats), energy=energies)
+    return _integrate(prob, tab, cfg, tab.b[:, None] * weights.W, x0, p0)
 
 
 def run_midcq(prob: LagrangianProblem, cfg: FviConfig, x0, p0) -> FviSolution:
     """Midpoint-rule variational integrator with scalar damping weights.
 
-    Initialization solves p0 = -D_1 L_d(x_0, x_1) + (rho h / 2) w_0 (x_1 - x_0)/2;
-    each further step closes the discrete Euler-Lagrange equation with the
-    damping average (rho h / 2)(D x_k + D x_{k-1}) assembled from midpoint
-    weights on increment midpoints.  The factor rho h / 2 matches the
-    half-weight the midpoint variation assigns to each node; with a full
-    rho h weight the initial velocity picks up an O(h) bias and the scheme
-    drops to first order whenever the damping order reaches one.
+    The stepping loop with V_n = w_n 11^T / 4 puts (rho h / 2) D_k, the
+    midpoint weights applied to increment midpoints, on both ends of step k:
+    p0 = -D_1 L_d(x_0, x_1) + (rho h / 2) D_0 starts it, and each further step
+    closes the discrete Euler-Lagrange equation with the damping average
+    (rho h / 2)(D_{k-1} + D_k).  With a full rho h weight instead of the half
+    the midpoint variation assigns to each node, the initial velocity picks up
+    an O(h) bias and the scheme drops to first order at damping order one.
     """
-    tab = midpoint()
-    basis = basis_for(tab)
     w = midcq_weights(-2.0 * prob.alpha, cfg.h, cfg.N).w
-    d = prob.d
-    h = cfg.h
-    rho = prob.rho
-    x0 = np.asarray(x0, dtype=float).ravel()
-    p0 = np.asarray(p0, dtype=float).ravel()
-    nodes = np.empty((cfg.N + 1, d))
-    nodes[0] = x0
-    stats: list = []
-    use_analytic = (cfg.jacobian_mode == "analytic"
-                    and prob.hess_potential is not None)
-
-    def d_all(left, right, t_k):
-        return d_all_lagrangian(prob, tab, basis, np.vstack([left, right]),
-                                t_k, h)
-
-    def hess(left, right, t_k):
-        return hessian_blocks(prob, tab, basis, np.vstack([left, right]),
-                              t_k, h)
-
-    def residual_init(u):
-        dL = d_all(x0, u, 0.0)
-        return -dL[0] + 0.5 * rho * h * w[0] * (u - x0) / 2.0 - p0
-
-    def jacobian_init(u):
-        return -hess(x0, u, 0.0)[0, 1] + 0.25 * rho * h * w[0] * np.eye(d)
-
-    jac = jacobian_init if use_analytic \
-        else (lambda u: _fd_jacobian(residual_init, u))
-    v0 = np.linalg.solve(prob.mass_matrix, p0)
-    u, solves, norm = _newton(residual_init, jac, x0 + h * v0,
-                              cfg.newton_tol, cfg.newton_max_iter)
-    nodes[1] = u
-    stats.append((solves, norm))
-
-    mids = np.empty((cfg.N, d))
-    mids[0] = 0.5 * (nodes[0] + nodes[1]) - x0
-    for k in range(1, cfg.N):
-        t_k = k * h
-        # damping at block k-1 and the n >= 1 history part at block k
-        d_prev = w[k - 1::-1] @ mids[:k]
-        hist_k = w[k:0:-1] @ mids[:k]
-        dL_prev = d_all(nodes[k - 1], nodes[k], t_k - h)
-        known = dL_prev[1] - 0.5 * rho * h * d_prev
-
-        def residual(u):
-            dL = d_all(nodes[k], u, t_k)
-            d_k = hist_k + w[0] * 0.5 * ((nodes[k] - x0) + (u - x0))
-            return known + dL[0] - 0.5 * rho * h * d_k
-
-        def jacobian(u):
-            return hess(nodes[k], u, t_k)[0, 1] \
-                - 0.25 * rho * h * w[0] * np.eye(d)
-
-        jac = jacobian if use_analytic \
-            else (lambda u: _fd_jacobian(residual, u))
-        try:
-            u, solves, norm = _newton(residual, jac, 2 * nodes[k] - nodes[k - 1],
-                                      cfg.newton_tol, cfg.newton_max_iter)
-        except NewtonError as exc:
-            raise NewtonError(f"step {k} failed: {exc}", exc.residual_norm,
-                              exc.iterate, exc.iterations) from exc
-        nodes[k + 1] = u
-        mids[k] = 0.5 * (nodes[k] + nodes[k + 1]) - x0
-        stats.append((solves, norm))
-
-    blocks = np.stack([nodes[:-1], nodes[1:]], axis=1)
-    trajectory = StageTrajectory(values=blocks, h=h, continuity_flag=True)
-    momenta = np.empty((cfg.N + 1, d))
-    momenta[0] = p0
-    for k in range(1, cfg.N):
-        d_k = w[k::-1] @ mids[:k + 1]
-        momenta[k] = -d_all(nodes[k], nodes[k + 1], k * h)[0] \
-            + 0.5 * rho * h * d_k
-    d_last = w[cfg.N - 1::-1] @ mids
-    momenta[cfg.N] = d_all(nodes[-2], nodes[-1], (cfg.N - 1) * h)[1] \
-        - 0.5 * rho * h * d_last
-    times = h * np.arange(cfg.N + 1)
-    energies = np.array([energy(prob, nodes[k], momenta[k])
-                         for k in range(cfg.N + 1)])
-    return FviSolution(trajectory=trajectory, momenta=momenta, times=times,
-                       newton_stats=tuple(stats), energy=energies)
+    V = np.full((2, 2), 0.25) * w[:, None, None]
+    return _integrate(prob, midpoint(), cfg, V, x0, p0)
 
 
 def _advanced_weighted(weights, y_blocks, b):

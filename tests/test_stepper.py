@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fvi import models, stepper, tableau
-from fvi.cq import StageTrajectory, compute_weights
-from fvi.galerkin import LagrangianProblem
+from fvi.cq import StageTrajectory, apply_midcq, compute_weights, midcq_weights
+from fvi.galerkin import LagrangianProblem, basis_for, d_all_lagrangian
 from fvi.stepper import FviConfig, NewtonError
 
 # one step of the closed-form map at eta=0.5, rho=0.25, h=0.2, x=0.8, p=0.4,
@@ -147,6 +147,24 @@ def test_momentum_matching_at_interior_nodes():
         assert np.abs(plus - minus).max() < 1e-10
 
 
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_loop_momenta_match_reference_formula(r):
+    spec = models.bagley_torvik()
+    prob = spec.problem
+    x0, p0 = spec.default_initials
+    cfg = FviConfig(h=1.0 / 64, N=64)
+    tab = tableau.lobatto_iiic(r)
+    sol = stepper.run(prob, tab, cfg, x0, p0)
+    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N,
+                        contour_points=4 * (cfg.N + 1))
+    assert np.array_equal(sol.momenta[0], p0)
+    for k in range(1, cfg.N):
+        ref = stepper.legendre_minus(prob, tab, w, sol.trajectory, k)
+        assert np.abs(sol.momenta[k] - ref).max() < 1e-12
+    ref = stepper.legendre_plus(prob, tab, w, sol.trajectory, cfg.N - 1)
+    assert np.abs(sol.momenta[cfg.N] - ref).max() < 1e-12
+
+
 def test_newton_statistics_on_quadratic_problem():
     spec = models.bagley_torvik()
     prob = spec.problem
@@ -240,25 +258,28 @@ def test_run_is_deterministic():
 
 
 def test_jacobian_modes_agree():
-    prob = _pendulum()
+    # a pendulum with order-0.5 damping: nonlinear, and the weights are nonlocal
+    prob = _pendulum(alpha=0.25)
     x0, p0 = [0.9], [0.4]
-    cfg_a = FviConfig(h=0.1, N=5, jacobian_mode="analytic")
-    cfg_f = FviConfig(h=0.1, N=5, jacobian_mode="finite-difference")
-    tab = tableau.lobatto_iiic(3)
-    a = stepper.run(prob, tab, cfg_a, x0, p0)
-    f = stepper.run(prob, tab, cfg_f, x0, p0)
-    assert np.abs(a.node_positions - f.node_positions).max() < 1e-9
-
-
-def test_predictors_agree():
-    prob = _pendulum()
-    tab = tableau.lobatto_iiic(2)
-    base = dict(h=0.1, N=8)
-    a = stepper.run(prob, tab, FviConfig(predictor="previous-stage-values", **base),
-                    [0.9], [0.4])
-    b = stepper.run(prob, tab, FviConfig(predictor="constant-extrapolation", **base),
-                    [0.9], [0.4])
-    assert np.abs(a.node_positions - b.node_positions).max() < 1e-10
+    for method in ("lobatto2", "lobatto3", "lobatto4", "midcq"):
+        sols = []
+        for mode in ("analytic", "finite-difference"):
+            cfg = FviConfig(h=0.1, N=40, jacobian_mode=mode)
+            if method == "midcq":
+                sols.append(stepper.run_midcq(prob, cfg, x0, p0))
+            else:
+                tab = tableau.lobatto_iiic(int(method[-1]))
+                sols.append(stepper.run(prob, tab, cfg, x0, p0))
+        a, f = sols
+        assert np.abs(a.node_positions - f.node_positions).max() < 1e-9, method
+        assert np.abs(a.momenta - f.momenta).max() < 1e-9, method
+        # with the exact Jacobian Newton needs no more solves than with a
+        # differenced one; a wrong damping block costs extra solves here
+        solves = [iters for iters, _ in a.newton_stats]
+        fd_solves = [iters for iters, _ in f.newton_stats]
+        assert all(i <= j for i, j in zip(solves, fd_solves)), method
+        if method != "lobatto2":  # its closure is linear in the new node
+            assert sum(solves) / len(solves) > 1.0, method
 
 
 def test_weight_compatibility_checks():
@@ -337,6 +358,28 @@ def test_midcq_second_order_on_half_derivative_benchmark():
         errs.append(np.abs(sol.node_positions - exact).max())
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert abs(np.mean(rates) - 2.0) < 0.3
+
+
+def test_midcq_solves_the_scalar_scheme():
+    # -D_1 L_d + (rho h/2) D_0 = p0 and D_2 L_d(k-1) + D_1 L_d(k)
+    # - (rho h/2)(D_{k-1} + D_k) = 0, with D_k the midpoint operator on x - x0
+    spec = models.bagley_torvik()
+    prob = spec.problem
+    x0, p0 = spec.default_initials
+    n, h = 32, 1.0 / 32
+    sol = stepper.run_midcq(prob, FviConfig(h=h, N=n), x0, p0)
+    nodes = sol.node_positions
+    w = midcq_weights(-2 * prob.alpha, h, n)
+    D = [apply_midcq(w, nodes - x0, k) for k in range(n)]
+    tab = tableau.midpoint()
+    basis = basis_for(tab)
+    dL = [d_all_lagrangian(prob, tab, basis, nodes[k:k + 2], k * h, h)
+          for k in range(n)]
+    half = 0.5 * prob.rho * h
+    assert np.abs(-dL[0][0] + half * D[0] - p0).max() <= 1e-11
+    for k in range(1, n):
+        eq = dL[k - 1][1] + dL[k][0] - half * (D[k - 1] + D[k])
+        assert np.abs(eq).max() <= 1e-11
 
 
 def test_midcq_single_step():
@@ -418,8 +461,21 @@ def test_config_validation():
         FviConfig(h=0.1, N=4, newton_tol=0.0)
     with pytest.raises(ValueError, match="jacobian_mode"):
         FviConfig(h=0.1, N=4, jacobian_mode="exact")
-    with pytest.raises(ValueError, match="predictor"):
-        FviConfig(h=0.1, N=4, predictor="linear")
+    with pytest.raises(ValueError, match="h must be positive and finite, got nan"):
+        FviConfig(h=float("nan"), N=4)
+    with pytest.raises(ValueError, match="h must be positive and finite, got inf"):
+        FviConfig(h=float("inf"), N=4)
+    with pytest.raises(ValueError, match="N must be an integer >= 1, got 4.0"):
+        FviConfig(h=0.1, N=4.0)
+    with pytest.raises(ValueError, match="newton_tol must be positive and finite, got nan"):
+        FviConfig(h=0.1, N=4, newton_tol=float("nan"))
+    with pytest.raises(ValueError, match="newton_tol must be positive and finite, got inf"):
+        FviConfig(h=0.1, N=4, newton_tol=float("inf"))
+    with pytest.raises(ValueError, match="newton_max_iter must be an integer >= 0, got -1"):
+        FviConfig(h=0.1, N=4, newton_max_iter=-1)
+    with pytest.raises(ValueError, match="newton_max_iter must be an integer >= 0, got 2.5"):
+        FviConfig(h=0.1, N=4, newton_max_iter=2.5)
+    FviConfig(h=0.1, N=np.int64(4), newton_max_iter=0)
 
 
 def test_node_positions_shape_and_continuity():
