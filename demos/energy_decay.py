@@ -44,8 +44,10 @@ def main() -> int:
                                        exact_solution=None)
     x0, p0 = spec.default_initials
     sol = run(conservative, lobatto_iiic(2), FviConfig(h=0.2, N=100), x0, p0)
+    e_free = np.array([energy(conservative, x, p)
+                       for x, p in zip(sol.node_positions, sol.momenta)])
     e0 = energy(conservative, x0, p0)
-    drift = np.abs(sol.energy - e0) / e0
+    drift = np.abs(e_free - e0) / e0
     print(f"\nundamped run: relative energy ripple stays below "
           f"{drift.max():.2e} over the same horizon (no secular drift)")
 
@@ -61,7 +63,7 @@ def main() -> int:
         fig, ax = plt.subplots(figsize=(7, 4))
         ax.plot(t, e_num, label="integrator")
         ax.plot(t, e_exact, "--", label="exact")
-        ax.plot(sol.times, sol.energy, ":", label="undamped variant")
+        ax.plot(sol.times, e_free, ":", label="undamped variant")
         ax.set_xlabel("t")
         ax.set_ylabel("energy")
         ax.legend()

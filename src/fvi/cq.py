@@ -135,8 +135,8 @@ def _check_weight_args(exponent, h, N) -> int:
     return int(N)
 
 
-def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int,
-                    radius: float | None = None, eps: float = 1e-16,
+def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
+                    eps: float = 1e-16,
                     contour_points: int | None = None) -> WeightSequence:
     """Convolution weights W_0..W_N of K(s) = s^(-exponent) for the given tableau.
 
@@ -145,22 +145,22 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int,
     m = -exponent they are the coefficients of the degree-m matrix polynomial
     ((A^-1 - z (A^-1 1)(b^T A^-1))/h)^m, formed directly: W_0 = I for m = 0;
     W_0 = A^-1/h, W_1 = -(A^-1 1)(b^T A^-1)/h for m = 1; W_n = 0 for n > m.
-    Every other kernel is summed by the trapezoidal rule on |z| = radius as
-    one inverse FFT over M points, W_n = radius^(-n) ifft(K(gamma(z_l)/h))_n
-    with z_l = radius exp(-2 pi i l / M).
+    Every other kernel is summed by the trapezoidal rule on |z| = lambda as
+    one inverse FFT over M points, W_n = lambda^(-n) ifft(K(gamma(z_l)/h))_n
+    with z_l = lambda exp(-2 pi i l / M).
 
-    The radius defaults to eps^(1/(M+N)), where the aliasing error radius^M
-    and the round-off amplification radius^(-N) eps both equal eps^(M/(M+N)).
+    The radius is lambda = eps^(1/(M+N)), where the aliasing error lambda^M
+    and the round-off amplification lambda^(-N) eps both equal eps^(M/(M+N)).
     M defaults to 2(N+1), putting that level near eps^(2/3) (contour_points =
     N+1 gives the minimal rule, ~sqrt(eps)).  K is applied through a complex
     eigendecomposition of gamma(z_l); an ill-conditioned eigenvector matrix
-    makes the contour retry once at 0.98*radius.  The exact path reports the
+    makes the contour retry once at 0.98*lambda.  The exact path reports the
     radius and M the contour would start from and a zero imaginary residue.
     Results are cached per parameter set and tableau coefficients.
     """
     N = _check_weight_args(exponent, h, N)
     key = (tab.label, tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(),
-           float(exponent), float(h), N, radius, float(eps), contour_points)
+           float(exponent), float(h), N, float(eps), contour_points)
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None:
@@ -168,7 +168,7 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int,
     M = 2 * (N + 1) if contour_points is None else int(contour_points)
     if M < N + 1:
         raise ValueError("contour_points must be at least N+1")
-    lam = eps ** (1.0 / (M + N)) if radius is None else float(radius)
+    lam = eps ** (1.0 / (M + N))
     order = -float(exponent)
     if abs(tab.bT_Ainv_one - 1.0) < 1e-13 and order >= 0 and order.is_integer():
         W, max_imag = _polynomial_weights(tab, int(order), h, N), 0.0

@@ -19,7 +19,6 @@ __all__ = [
     "LagrangianProblem",
     "basis_for",
     "discrete_lagrangian",
-    "d_i_lagrangian",
     "d_all_lagrangian",
     "hessian_blocks",
 ]
@@ -146,24 +145,9 @@ def discrete_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
     return h * total
 
 
-def d_i_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
-                   basis: LagrangeBasis, stages, t_k: float, h: float,
-                   i: int) -> np.ndarray:
-    """Analytic partial derivative of the discrete Lagrangian w.r.t. stage i (1-based)."""
-    if not 1 <= i <= basis.control_count:
-        raise IndexError(f"stage index {i} out of range 1..{basis.control_count}")
-    q, v, ts = _nodes(prob, tab, basis, stages, t_k, h)
-    out = np.zeros(prob.d)
-    for j in range(tab.r):
-        out -= h * tab.b[j] * basis.eval_matrix[i - 1, j] \
-            * prob.grad_potential(ts[j], q[j])
-        out += tab.b[j] * basis.deriv_matrix[i - 1, j] * (prob.mass_matrix @ v[j])
-    return out
-
-
 def d_all_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
                      basis: LagrangeBasis, stages, t_k: float, h: float) -> np.ndarray:
-    """All stage partials at once, shape (s+1, d); row i-1 equals d_i_lagrangian(i)."""
+    """Analytic partials of the discrete Lagrangian w.r.t. all stages, shape (s+1, d)."""
     q, v, ts = _nodes(prob, tab, basis, stages, t_k, h)
     grads = np.stack([prob.grad_potential(ts[j], q[j]) for j in range(tab.r)])
     mom = v @ prob.mass_matrix.T

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cq import compute_weights, midcq_weights
 from .models import BenchmarkSpec, by_name, energy_series, with_derivative_order
-from .stepper import FviConfig, FviSolution, run, run_midcq
+from .stepper import FviConfig, FviSolution, _run_weights, run, run_midcq
 from .tableau import lobatto_iiic
 
 __all__ = [
@@ -304,9 +304,7 @@ def _weights_hash(spec: BenchmarkSpec, method: str, h: float, n_steps: int) -> s
     if method == "midcq":
         data = midcq_weights(exponent, h, n_steps).w
     else:
-        tab = _tableau_for(method)
-        data = compute_weights(tab, exponent, h, n_steps,
-                               contour_points=4 * (n_steps + 1)).W
+        data = _run_weights(spec.problem, _tableau_for(method), h, n_steps).W
     return hashlib.sha256(np.ascontiguousarray(data).tobytes()).hexdigest()
 
 

@@ -9,13 +9,13 @@ k = 0 and R_{k-1}[-1] after.  Lobatto IIIC uses V_n = diag(b) W_n with the
 matrix convolution weights; the midpoint variant is the same closure on its
 two control points with V_n = w_n 11^T / 4.  Damping acts on x - x0, which
 reproduces the classical damped update in the half-order-squared limit and
-avoids the start-up jump of a zero-extended history at nonzero x0.
+avoids the start-up jump of a zero-extended history at nonzero x0.  `run` and
+`run_midcq` are the ways into the loop.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,15 +33,12 @@ from .galerkin import (
     d_all_lagrangian,
     hessian_blocks,
 )
-from .models import energy
 from .tableau import ButcherTableau, midpoint
 
 __all__ = [
     "FviConfig",
     "FviSolution",
     "NewtonError",
-    "init_step",
-    "step",
     "legendre_minus",
     "legendre_plus",
     "qp_closed_form",
@@ -52,9 +49,6 @@ __all__ = [
     "action_variation",
 ]
 
-_JACOBIAN_MODES = ("analytic", "finite-difference")
-
-
 @dataclass(frozen=True)
 class FviConfig:
     """Run parameters: step size, step count and Newton policy."""
@@ -63,7 +57,6 @@ class FviConfig:
     N: int
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    jacobian_mode: str = "analytic"
 
     def __post_init__(self):
         for name in ("h", "newton_tol"):
@@ -74,8 +67,6 @@ class FviConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.jacobian_mode not in _JACOBIAN_MODES:
-            raise ValueError(f"jacobian_mode must be one of {_JACOBIAN_MODES}")
 
 
 @dataclass(frozen=True)
@@ -83,21 +74,18 @@ class FviSolution:
     """Integrator output: stage trajectory, node momenta, times, diagnostics.
 
     newton_stats holds one (solve count, final residual) pair per nonlinear
-    system; run guarantees every residual is at or below newton_tol.
+    system; run guarantees every residual is at or below newton_tol.  Node
+    energies are fvi.models.energy of node_positions and momenta.
     """
 
     trajectory: StageTrajectory
     momenta: np.ndarray
     times: np.ndarray
     newton_stats: tuple
-    energy: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("momenta", "times", "energy"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float)
+        for name in ("momenta", "times"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -148,27 +136,20 @@ def _fd_jacobian(residual, u):
     return J
 
 
-def _check_weights(prob, tab, cfg, weights):
-    if abs(weights.exponent + 2.0 * prob.alpha) > 1e-12:
-        raise ValueError("weights exponent does not match the damping order")
-    if weights.h != cfg.h:
-        raise ValueError("weights step size does not match the configuration")
-    if weights.tableau_label != tab.label:
-        raise ValueError("weights were computed for another tableau")
-
-
 def _block_solver(prob, tab, cfg, V0, x0):
     """solve(t_k, first, p_in, hist, guess) -> (stages, R, (solves, residual)).
 
     Newton on one block with its first control point fixed at `first` and
     hist = H_k; R is the residual at the returned stages.  Without a guess
-    Newton starts on the line from `first` with velocity M^-1 p_in.
+    Newton starts on the line from `first` with velocity M^-1 p_in.  The
+    Jacobian is analytic when the problem has hess_potential and a central
+    difference of the residual otherwise.
     """
     basis = basis_for(tab)
     n, d, h = basis.control_count, prob.d, cfg.h
     rho_h = prob.rho * h
     damp = rho_h * np.kron(V0[:-1, 1:], np.eye(d))
-    analytic = cfg.jacobian_mode == "analytic" and prob.hess_potential is not None
+    analytic = prob.hess_potential is not None
 
     def solve(t_k, first, p_in, hist, guess=None):
         if guess is None:
@@ -198,54 +179,6 @@ def _block_solver(prob, tab, cfg, V0, x0):
         return build(u), R, (solves, norm)
 
     return solve
-
-
-def init_step(prob: LagrangianProblem, tab: ButcherTableau,
-              weights: WeightSequence, cfg: FviConfig,
-              x0, p0, stats_out: Optional[list] = None) -> np.ndarray:
-    """First-step stages from the momentum boundary condition at t=0.
-
-    Solves p0 = -D_1 L_d + rho h b_1 [CQ x]^1 together with the inner stage
-    equations i = 2..s for the unknowns x_0^2..x_0^{s+1}; x_0^1 = x0 is fixed.
-    This is block 0 of the stepping loop of `run`.
-    """
-    if tab.r < 2:
-        raise ValueError("init_step needs at least two stages")
-    _check_weights(prob, tab, cfg, weights)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    p0 = np.asarray(p0, dtype=float).ravel()
-    solve = _block_solver(prob, tab, cfg, tab.b[:, None] * weights.W[0], x0)
-    stages, _, stats = solve(0.0, x0, p0, 0.0)
-    if stats_out is not None:
-        stats_out.append(stats)
-    return stages
-
-
-def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
-         cfg: FviConfig, history: StageTrajectory, k: int,
-         stats_out: Optional[list] = None) -> np.ndarray:
-    """Stages of block k from the discrete Euler-Lagrange closure.
-
-    history must hold blocks 0..k-1; the new block's first stage is the last
-    stage of block k-1.  The incoming momentum legendre_plus(k-1) and the
-    damping history sum over weights n >= 1, which the stepping loop of `run`
-    carries along, are recomputed here from the history.
-    """
-    if k < 1 or history.nblocks != k:
-        raise ValueError(f"history must hold exactly blocks 0..{k - 1}")
-    _check_weights(prob, tab, cfg, weights)
-    if weights.count <= k:
-        raise ValueError(f"need weights up to index {k}, have {weights.count - 1}")
-    V = tab.b[:, None] * weights.W[:k + 1]
-    vals = history.values
-    hist = np.tensordot(V[k:0:-1], vals - vals[0, 0], axes=([0, 2], [0, 1]))
-    p_in = _node_momentum(prob, tab, weights, history, k - 1, plus=True)
-    solve = _block_solver(prob, tab, cfg, V[0], vals[0, 0])
-    stages, _, stats = solve(k * cfg.h, vals[k - 1, -1], p_in, hist,
-                             vals[k - 1, 1:].ravel())
-    if stats_out is not None:
-        stats_out.append(stats)
-    return stages
 
 
 def _node_momentum(prob, tab, weights, history, k, plus):
@@ -332,27 +265,29 @@ def _integrate(prob, tab, cfg, V, x0, p0) -> FviSolution:
         momenta[k] = -R[0] if k else p0
         first, p_in, guess = stages[-1], R[-1], stages[1:].ravel()
     momenta[N] = p_in
-    nodes = np.vstack([blocks[:, 0], blocks[-1:, -1]])
-    energies = np.array([energy(prob, nodes[k], momenta[k])
-                         for k in range(N + 1)])
     trajectory = StageTrajectory(values=blocks, h=h, continuity_flag=True)
     return FviSolution(trajectory=trajectory, momenta=momenta,
-                       times=h * np.arange(N + 1), newton_stats=tuple(stats),
-                       energy=energies)
+                       times=h * np.arange(N + 1), newton_stats=tuple(stats))
 
 
-def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
-        x0, p0) -> FviSolution:
-    """Lobatto integration: the stepping loop with V_n = diag(b) W_n.
+def _run_weights(prob: LagrangianProblem, tab: ButcherTableau, h: float,
+                 N: int) -> WeightSequence:
+    """The damping weights W_0..W_N that `run` integrates with.
 
     The weight contour gets four points per step instead of the default two,
     which keeps the accumulated weight error below the local truncation error
     of the higher-stage schemes over long horizons.
     """
+    return compute_weights(tab, -2.0 * prob.alpha, h, N,
+                           contour_points=4 * (N + 1))
+
+
+def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
+        x0, p0) -> FviSolution:
+    """Lobatto integration: the stepping loop with V_n = diag(b) W_n."""
     if tab.r < 2:
         raise ValueError("run needs at least two stages; use run_midcq")
-    weights = compute_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N,
-                              contour_points=4 * (cfg.N + 1))
+    weights = _run_weights(prob, tab, cfg.h, cfg.N)
     return _integrate(prob, tab, cfg, tab.b[:, None] * weights.W, x0, p0)
 
 

@@ -7,7 +7,6 @@ from fvi.galerkin import (
     LagrangianProblem,
     basis_for,
     d_all_lagrangian,
-    d_i_lagrangian,
     discrete_lagrangian,
     hessian_blocks,
 )
@@ -110,8 +109,7 @@ def test_two_stage_partial_closed_forms():
     x1 = rng.normal(size=2)
     h = 0.25
     stages = np.array([x0, x1])
-    d1 = d_i_lagrangian(prob, tab, basis, stages, 0.0, h, 1)
-    d2 = d_i_lagrangian(prob, tab, basis, stages, 0.0, h, 2)
+    d1, d2 = d_all_lagrangian(prob, tab, basis, stages, 0.0, h)
     assert np.allclose(d1, -(x1 - x0) / h - 0.5 * h * prob.grad_potential(0.0, x0),
                        atol=1e-13)
     assert np.allclose(d2, (x1 - x0) / h - 0.5 * h * prob.grad_potential(0.0, x1),
@@ -163,18 +161,6 @@ def test_gradient_matches_finite_differences():
                 lambda s: discrete_lagrangian(prob, tab, basis, s, t_k, h),
                 stages)
             assert np.abs(exact - fd).max() < 1e-5 * (1.0 + np.abs(exact).max())
-
-
-def test_d_all_rows_equal_single_partials():
-    rng = np.random.default_rng(29)
-    for tab in ALL_TABLEAUX:
-        basis = basis_for(tab)
-        prob = _random_problem(rng, 2)
-        stages = rng.normal(size=(basis.control_count, 2))
-        rows = d_all_lagrangian(prob, tab, basis, stages, 0.3, 0.1)
-        for i in range(1, basis.control_count + 1):
-            single = d_i_lagrangian(prob, tab, basis, stages, 0.3, 0.1, i)
-            assert np.allclose(rows[i - 1], single, atol=1e-14)
 
 
 def test_translation_invariance_free_particle():
@@ -283,7 +269,3 @@ def test_argument_validation():
         discrete_lagrangian(prob, tab, basis, np.zeros((3, 2)), 0.0, 0.1)
     with pytest.raises(ValueError, match="h must be positive"):
         discrete_lagrangian(prob, tab, basis, good, 0.0, 0.0)
-    with pytest.raises(IndexError, match="out of range"):
-        d_i_lagrangian(prob, tab, basis, good, 0.0, 0.1, 3)
-    with pytest.raises(IndexError, match="out of range"):
-        d_i_lagrangian(prob, tab, basis, good, 0.0, 0.1, 0)
