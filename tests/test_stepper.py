@@ -154,6 +154,18 @@ def test_loop_momenta_match_reference_formula(r):
     assert np.abs(sol.momenta[cfg.N] - ref).max() < 1e-12
 
 
+def test_init_recovers_momentum():
+    spec = models.coupled_oscillator()
+    prob = spec.problem
+    x0, p0 = spec.default_initials
+    cfg = FviConfig(h=0.1, N=4)
+    tab = tableau.lobatto_iiic(3)
+    sol = stepper.run(prob, tab, cfg, x0, p0)
+    w = stepper._run_weights(prob, tab, cfg.h, cfg.N)
+    pm = stepper.legendre_minus(prob, tab, w, sol.trajectory, 0)
+    assert np.abs(pm - p0).max() < 1e-11
+
+
 def test_newton_statistics_on_quadratic_problem():
     spec = models.bagley_torvik()
     prob = spec.problem
