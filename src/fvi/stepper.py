@@ -10,7 +10,8 @@ matrix convolution weights; the midpoint variant is the same closure on its
 two control points with V_n = w_n 11^T / 4.  Damping acts on x - x0, which
 reproduces the classical damped update in the half-order-squared limit and
 avoids the start-up jump of a zero-extended history at nonzero x0.  `run` and
-`run_midcq` are the ways into the loop.
+`run_midcq` are the ways into the loop; `init_step` and `step` solve one block
+of it from an outside weight table and history.
 """
 
 import math
@@ -39,6 +40,8 @@ __all__ = [
     "FviConfig",
     "FviSolution",
     "NewtonError",
+    "init_step",
+    "step",
     "legendre_minus",
     "legendre_plus",
     "qp_closed_form",
@@ -136,6 +139,15 @@ def _fd_jacobian(residual, u):
     return J
 
 
+def _check_weights(prob, tab, cfg, weights):
+    if abs(weights.exponent + 2.0 * prob.alpha) > 1e-12:
+        raise ValueError("weights exponent does not match the damping order")
+    if weights.h != cfg.h:
+        raise ValueError("weights step size does not match the configuration")
+    if weights.tableau_label != tab.label:
+        raise ValueError("weights were computed for another tableau")
+
+
 def _block_solver(prob, tab, cfg, V0, x0):
     """solve(t_k, first, p_in, hist, guess) -> (stages, R, (solves, residual)).
 
@@ -179,6 +191,46 @@ def _block_solver(prob, tab, cfg, V0, x0):
         return build(u), R, (solves, norm)
 
     return solve
+
+
+def init_step(prob: LagrangianProblem, tab: ButcherTableau,
+              weights: WeightSequence, cfg: FviConfig, x0, p0) -> np.ndarray:
+    """First-step stages from the momentum boundary condition at t=0.
+
+    Solves p0 = -D_1 L_d + rho h b_1 [CQ x]^1 together with the inner stage
+    equations i = 2..s for the unknowns x_0^2..x_0^{s+1}; x_0^1 = x0 is fixed.
+    This is block 0 of the stepping loop of `run`.
+    """
+    if tab.r < 2:
+        raise ValueError("init_step needs at least two stages")
+    _check_weights(prob, tab, cfg, weights)
+    x0 = np.asarray(x0, dtype=float).ravel()
+    p0 = np.asarray(p0, dtype=float).ravel()
+    solve = _block_solver(prob, tab, cfg, tab.b[:, None] * weights.W[0], x0)
+    return solve(0.0, x0, p0, 0.0)[0]
+
+
+def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
+         cfg: FviConfig, history: StageTrajectory, k: int) -> np.ndarray:
+    """Stages of block k from the discrete Euler-Lagrange closure.
+
+    history must hold blocks 0..k-1; the new block's first stage is the last
+    stage of block k-1.  The incoming momentum legendre_plus(k-1) and the
+    damping history sum over weights n >= 1, which the stepping loop of `run`
+    carries along, are recomputed here from the history.
+    """
+    if k < 1 or history.nblocks != k:
+        raise ValueError(f"history must hold exactly blocks 0..{k - 1}")
+    _check_weights(prob, tab, cfg, weights)
+    if weights.count <= k:
+        raise ValueError(f"need weights up to index {k}, have {weights.count - 1}")
+    V = tab.b[:, None] * weights.W[:k + 1]
+    vals = history.values
+    hist = np.tensordot(V[k:0:-1], vals - vals[0, 0], axes=([0, 2], [0, 1]))
+    p_in = _node_momentum(prob, tab, weights, history, k - 1, plus=True)
+    solve = _block_solver(prob, tab, cfg, V[0], vals[0, 0])
+    return solve(k * cfg.h, vals[k - 1, -1], p_in, hist,
+                 vals[k - 1, 1:].ravel())[0]
 
 
 def _node_momentum(prob, tab, weights, history, k, plus):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fvi import models, stepper, tableau
-from fvi.cq import apply_midcq, compute_weights, midcq_weights
+from fvi.cq import StageTrajectory, apply_midcq, compute_weights, midcq_weights
 from fvi.galerkin import LagrangianProblem, basis_for, d_all_lagrangian
 from fvi.stepper import FviConfig, NewtonError
 
@@ -60,6 +60,35 @@ def test_free_particle_init_is_linear():
         stages = stepper.run(prob, tab, cfg, x0, p0).trajectory.values[0]
         expected = x0 + tab.c[:, None] * cfg.h * p0
         assert np.abs(stages - expected).max() < 1e-13
+
+
+def test_init_recovers_momentum():
+    spec = models.coupled_oscillator()
+    prob = spec.problem
+    x0, p0 = spec.default_initials
+    cfg = FviConfig(h=0.1, N=4)
+    tab = tableau.lobatto_iiic(3)
+    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N)
+    stages = stepper.init_step(prob, tab, w, cfg, x0, p0)
+    traj = StageTrajectory(values=stages[None], h=cfg.h)
+    pm = stepper.legendre_minus(prob, tab, w, traj, 0)
+    assert np.abs(pm - p0).max() < 1e-11
+
+
+def test_single_block_steps_reproduce_run():
+    spec = models.bagley_torvik()
+    prob = spec.problem
+    x0, p0 = spec.default_initials
+    cfg = FviConfig(h=1.0 / 16, N=16)
+    for r in (2, 3, 4):
+        tab = tableau.lobatto_iiic(r)
+        w = stepper._run_weights(prob, tab, cfg.h, cfg.N)
+        blocks = [stepper.init_step(prob, tab, w, cfg, x0, p0)]
+        for k in range(1, cfg.N):
+            hist = StageTrajectory(values=np.array(blocks), h=cfg.h)
+            blocks.append(stepper.step(prob, tab, w, cfg, hist, k))
+        ref = stepper.run(prob, tab, cfg, x0, p0).trajectory.values
+        assert np.abs(np.array(blocks) - ref).max() < 1e-12, r
 
 
 def test_qp_closed_form_frozen_values():
@@ -152,18 +181,6 @@ def test_loop_momenta_match_reference_formula(r):
         assert np.abs(sol.momenta[k] - ref).max() < 1e-12
     ref = stepper.legendre_plus(prob, tab, w, sol.trajectory, cfg.N - 1)
     assert np.abs(sol.momenta[cfg.N] - ref).max() < 1e-12
-
-
-def test_init_recovers_momentum():
-    spec = models.coupled_oscillator()
-    prob = spec.problem
-    x0, p0 = spec.default_initials
-    cfg = FviConfig(h=0.1, N=4)
-    tab = tableau.lobatto_iiic(3)
-    sol = stepper.run(prob, tab, cfg, x0, p0)
-    w = stepper._run_weights(prob, tab, cfg.h, cfg.N)
-    pm = stepper.legendre_minus(prob, tab, w, sol.trajectory, 0)
-    assert np.abs(pm - p0).max() < 1e-11
 
 
 def test_newton_statistics_on_quadratic_problem():
@@ -283,6 +300,34 @@ def test_jacobian_modes_agree():
         assert all(i <= j for i, j in zip(solves, fd_solves)), method
         if method != "lobatto2":  # its closure is linear in the new node
             assert sum(solves) / len(solves) > 1.0, method
+
+
+def test_weight_compatibility_checks():
+    prob = _harmonic(rho=0.1)
+    cfg = FviConfig(h=0.1, N=4)
+    tab = tableau.lobatto_iiic(2)
+    wrong_exp = compute_weights(tab, -0.25, cfg.h, cfg.N)
+    with pytest.raises(ValueError, match="exponent"):
+        stepper.init_step(prob, tab, wrong_exp, cfg, [1.0], [0.0])
+    wrong_h = compute_weights(tab, -1.0, 0.2, cfg.N)
+    with pytest.raises(ValueError, match="step size"):
+        stepper.init_step(prob, tab, wrong_h, cfg, [1.0], [0.0])
+    wrong_tab = compute_weights(tableau.lobatto_iiic(3), -1.0, cfg.h, cfg.N)
+    with pytest.raises(ValueError, match="tableau"):
+        stepper.init_step(prob, tab, wrong_tab, cfg, [1.0], [0.0])
+
+
+def test_step_history_validation():
+    prob = _harmonic(rho=0.1)
+    cfg = FviConfig(h=0.1, N=4)
+    tab = tableau.lobatto_iiic(2)
+    w = compute_weights(tab, -1.0, cfg.h, cfg.N)
+    stages = stepper.init_step(prob, tab, w, cfg, [1.0], [0.0])
+    hist = StageTrajectory(values=stages[None], h=cfg.h)
+    with pytest.raises(ValueError, match="history"):
+        stepper.step(prob, tab, w, cfg, hist, 2)
+    with pytest.raises(ValueError, match="history"):
+        stepper.step(prob, tab, w, cfg, hist, 0)
 
 
 def test_midcq_reduces_to_midpoint_rule_without_damping():
