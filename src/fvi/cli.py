@@ -5,6 +5,7 @@ Exit codes: 0 on success, 2 when `verify` finds a tolerance violation,
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -41,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--h", type=float, default=0.1, help="step size")
     w.add_argument("--steps", type=int, default=64,
                    help="number of weights past W_0")
-    w.add_argument("--lambda-eps", type=float, default=1e-16,
-                   help="contour accuracy target that sets the radius")
     w.add_argument("--out-dir", default=".")
     w.set_defaults(func=cmd_weights)
 
@@ -59,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--derivative-order", type=float,
                    help="override the damping derivative order "
                         "(drops the exact solution)")
-    s.add_argument("--tol", type=float, default=1e-12,
-                   help="Newton solve tolerance")
     s.add_argument("--out-dir", default=".")
     s.set_defaults(func=cmd_simulate)
 
@@ -71,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--steps", type=_step_list, required=True,
                    help="comma-separated step counts, e.g. 4,8,16,32")
     c.add_argument("--horizon", type=float)
-    c.add_argument("--tol", type=float, default=1e-12,
-                   help="Newton solve tolerance")
     c.add_argument("--out-dir", help="also write the report as CSV here")
     c.set_defaults(func=cmd_converge)
 
@@ -87,7 +82,7 @@ def cmd_weights(args) -> int:
     path.mkdir(parents=True, exist_ok=True)
     name = f"weights-{args.method}-order{order:g}-h{args.h:g}-N{args.steps}.csv"
     out = harness.export_weights(args.method, -order, args.h, args.steps,
-                                 path / name, eps=args.lambda_eps)
+                                 path / name)
     print(out)
     return 0
 
@@ -96,6 +91,8 @@ def _resolve_steps(args, horizon: float) -> int:
     if args.steps is not None:
         return args.steps
     if args.h is not None:
+        if not (math.isfinite(args.h) and args.h > 0):
+            raise ValueError(f"--h must be positive and finite, got {args.h!r}")
         return max(1, round(horizon / args.h))
     raise ValueError("one of --steps or --h is required")
 
@@ -108,8 +105,7 @@ def cmd_simulate(args) -> int:
     steps = _resolve_steps(args, horizon)
     manifest = harness.simulate(args.spec, args.method, steps, horizon,
                                 out_dir=args.out_dir,
-                                derivative_order=args.derivative_order,
-                                newton_tol=args.tol)
+                                derivative_order=args.derivative_order)
     out = Path(args.out_dir)
     for kind, name in sorted(manifest["files"].items()):
         print(f"{kind}: {out / name}")
@@ -120,7 +116,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     report = harness.converge(args.spec, args.method, args.steps,
-                              horizon=args.horizon, newton_tol=args.tol)
+                              horizon=args.horizon)
     print(harness.format_report(report))
     if args.out_dir is not None:
         out = Path(args.out_dir)

@@ -30,6 +30,8 @@ __all__ = [
 
 #: eigenvector condition number beyond which a contour point counts as degenerate
 _COND_LIMIT = 1e12
+#: accuracy target of the contour radius: double-precision rounding
+_EPS = 1e-16
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,6 @@ def _check_weight_args(exponent, h, N) -> int:
 
 
 def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
-                    eps: float = 1e-16,
                     contour_points: int | None = None) -> WeightSequence:
     """Convolution weights W_0..W_N of K(s) = s^(-exponent) for the given tableau.
 
@@ -149,8 +150,9 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
     one inverse FFT over M points, W_n = lambda^(-n) ifft(K(gamma(z_l)/h))_n
     with z_l = lambda exp(-2 pi i l / M).
 
-    The radius is lambda = eps^(1/(M+N)), where the aliasing error lambda^M
-    and the round-off amplification lambda^(-N) eps both equal eps^(M/(M+N)).
+    The radius is lambda = eps^(1/(M+N)) with eps = 1e-16, the rounding
+    level of double precision, where the aliasing error lambda^M and the
+    round-off amplification lambda^(-N) eps both equal eps^(M/(M+N)).
     M defaults to 2(N+1), putting that level near eps^(2/3) (contour_points =
     N+1 gives the minimal rule, ~sqrt(eps)).  K is applied through a complex
     eigendecomposition of gamma(z_l); an ill-conditioned eigenvector matrix
@@ -160,7 +162,7 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
     """
     N = _check_weight_args(exponent, h, N)
     key = (tab.label, tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(),
-           float(exponent), float(h), N, float(eps), contour_points)
+           float(exponent), float(h), N, contour_points)
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None:
@@ -168,7 +170,7 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
     M = 2 * (N + 1) if contour_points is None else int(contour_points)
     if M < N + 1:
         raise ValueError("contour_points must be at least N+1")
-    lam = eps ** (1.0 / (M + N))
+    lam = _EPS ** (1.0 / (M + N))
     order = -float(exponent)
     if abs(tab.bT_Ainv_one - 1.0) < 1e-13 and order >= 0 and order.is_integer():
         W, max_imag = _polynomial_weights(tab, int(order), h, N), 0.0
@@ -176,7 +178,7 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
         W, lam, max_imag = _compute_weights(tab, exponent, h, N, M, lam)
     seq = WeightSequence(exponent=float(exponent), h=float(h), W=W,
                          tableau_label=tab.label, max_imag_residue=max_imag,
-                         radius=lam, eps=float(eps), contour_points=M)
+                         radius=lam, eps=_EPS, contour_points=M)
     with _cache_lock:
         _cache[key] = seq
     return seq

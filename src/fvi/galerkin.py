@@ -7,6 +7,7 @@ L(t, q, qdot) = 1/2 qdot^T M qdot - U(t, q) are supported; the potential
 carries the time dependence so forced problems fit the same mould.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -85,10 +86,10 @@ class LagrangianProblem:
             raise ValueError("mass matrix must be symmetric")
         if np.linalg.eigvalsh(M).min() <= 0.0:
             raise ValueError("mass matrix must be positive definite")
-        if self.rho < 0.0:
-            raise ValueError("rho must be >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        if not (math.isfinite(self.rho) and self.rho >= 0.0):
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho!r}")
+        if not 0.0 < self.alpha < 1.0:  # also rejects nan
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         M.setflags(write=False)
         object.__setattr__(self, "mass_matrix", M)
 

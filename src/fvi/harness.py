@@ -134,15 +134,14 @@ def fit_slope(h: np.ndarray, err: np.ndarray,
 
 
 def run_benchmark(spec: BenchmarkSpec, method: str, n_steps: int,
-                  horizon: Optional[float] = None,
-                  newton_tol: float = 1e-12) -> FviSolution:
+                  horizon: Optional[float] = None) -> FviSolution:
     """Integrate a benchmark with the named method over [0, horizon]."""
     tab = _tableau_for(method)
     horizon = spec.default_horizon if horizon is None else float(horizon)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    cfg = FviConfig(h=horizon / int(n_steps), N=int(n_steps),
-                    newton_tol=newton_tol)
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    # FviConfig checks N first, so a bad n_steps is named before h is used
+    cfg = FviConfig(h=horizon / max(n_steps, 1), N=n_steps)
     x0, p0 = spec.default_initials
     if tab is None:
         return run_midcq(spec.problem, cfg, x0, p0)
@@ -177,8 +176,7 @@ def _exact_magnitudes(spec: BenchmarkSpec, horizon: float,
 
 
 def converge(spec_name, method: str, steps: Sequence[int],
-             horizon: Optional[float] = None,
-             newton_tol: float = 1e-12) -> ConvergenceReport:
+             horizon: Optional[float] = None) -> ConvergenceReport:
     """Run the method at each step count and fit convergence slopes.
 
     The step counts run one after another, coarsest first.  Stepper failures
@@ -196,7 +194,7 @@ def converge(spec_name, method: str, steps: Sequence[int],
 
     def case(n: int) -> Tuple[float, float]:
         try:
-            sol = run_benchmark(spec, method, n, horizon, newton_tol)
+            sol = run_benchmark(spec, method, n, horizon)
         except Exception as exc:
             raise RuntimeError(
                 f"{method} on {spec.name} failed at N={n}: {exc}") from exc
@@ -228,8 +226,7 @@ def _write_lines(path: Path, header: str, rows) -> None:
 
 def simulate(spec_name, method: str, n_steps: int,
              horizon: Optional[float] = None, out_dir=".",
-             derivative_order: Optional[float] = None,
-             newton_tol: float = 1e-12) -> dict:
+             derivative_order: Optional[float] = None) -> dict:
     """Run one integration and write trajectory, energy and manifest files.
 
     The trajectory CSV holds t, position components, momentum components at
@@ -243,7 +240,8 @@ def simulate(spec_name, method: str, n_steps: int,
     if derivative_order is not None:
         spec = with_derivative_order(spec, derivative_order)
     horizon = spec.default_horizon if horizon is None else float(horizon)
-    sol = run_benchmark(spec, method, n_steps, horizon, newton_tol)
+    sol = run_benchmark(spec, method, n_steps, horizon)
+    h = horizon / n_steps
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -274,7 +272,7 @@ def simulate(spec_name, method: str, n_steps: int,
         "spec": spec.name,
         "method": method,
         "steps": int(n_steps),
-        "h": horizon / int(n_steps),
+        "h": h,
         "horizon": horizon,
         "derivative_order": 2.0 * spec.problem.alpha,
         "rho": spec.problem.rho,
@@ -282,12 +280,10 @@ def simulate(spec_name, method: str, n_steps: int,
         "x0": [float(v) for v in x0],
         "p0": [float(v) for v in p0],
         "newton": {
-            "tol": newton_tol,
             "total_solves": int(sum(solves)),
             "max_residual": float(max(resids)),
         },
-        "weights_sha256": _weights_hash(spec, method, horizon / int(n_steps),
-                                        int(n_steps)),
+        "weights_sha256": _weights_hash(spec, method, h, n_steps),
         "error_norm": ERROR_NORM,
         "max_node_error_x": max_err_x,
         "max_node_error_p": max_err_p,
@@ -309,7 +305,7 @@ def _weights_hash(spec: BenchmarkSpec, method: str, h: float, n_steps: int) -> s
 
 
 def export_weights(method: str, exponent: float, h: float, n_weights: int,
-                   path, eps: float = 1e-16) -> Path:
+                   path) -> Path:
     """Write convolution weights W_0..W_N as CSV rows n,row,col,value.
 
     The header line records the kernel exponent, step size, contour radius
@@ -323,7 +319,7 @@ def export_weights(method: str, exponent: float, h: float, n_weights: int,
         label, lam, eps_used, resid = "midpoint-scalar", math.nan, math.nan, 0.0
     else:
         tab = _tableau_for(method)
-        seq = compute_weights(tab, exponent, h, int(n_weights), eps=eps)
+        seq = compute_weights(tab, exponent, h, int(n_weights))
         W = seq.W
         label, lam, eps_used, resid = (seq.tableau_label, seq.radius, seq.eps,
                                        seq.max_imag_residue)

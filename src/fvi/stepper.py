@@ -52,24 +52,22 @@ __all__ = [
     "action_variation",
 ]
 
+_NEWTON_TOL = 1e-12  # relative to the block's scale, see _block_solver
+_NEWTON_MAX_ITER = 50
+
+
 @dataclass(frozen=True)
 class FviConfig:
-    """Run parameters: step size, step count and Newton policy."""
+    """Run parameters: step size and step count."""
 
     h: float
     N: int
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
 
     def __post_init__(self):
-        for name in ("h", "newton_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name, low in (("N", 1), ("newton_max_iter", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.N, numbers.Integral) or self.N < 1:
+            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"h must be positive and finite, got {self.h!r}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,9 @@ class FviSolution:
     """Integrator output: stage trajectory, node momenta, times, diagnostics.
 
     newton_stats holds one (solve count, final residual) pair per nonlinear
-    system; run guarantees every residual is at or below newton_tol.  Node
-    energies are fvi.models.energy of node_positions and momenta.
+    system; each residual is at most 1e-12 times the size of the terms it
+    cancels, max(1, |M| max(|first|, |guess|) / h + |p_in|) in the max norm.
+    Node energies are fvi.models.energy of node_positions and momenta.
     """
 
     trajectory: StageTrajectory
@@ -100,7 +99,7 @@ class FviSolution:
 
 
 class NewtonError(RuntimeError):
-    """Newton iteration failed; carries the last iterate and residual norm."""
+    """Newton met a non-finite residual or ran out of solves; carries iterate and residual."""
 
     def __init__(self, message, residual_norm, iterate, iterations):
         super().__init__(message)
@@ -109,20 +108,20 @@ class NewtonError(RuntimeError):
         self.iterations = iterations
 
 
-def _newton(residual, jacobian, u0, tol, max_iter):
-    """Undamped Newton; returns (solution, solve count, final residual norm)."""
+def _newton(residual, jacobian, u0, tol):
+    """Undamped Newton to max-norm residual <= tol; (solution, solves, residual)."""
     u = np.array(u0, dtype=float)
-    for solves in range(max_iter + 1):
+    for solves in range(_NEWTON_MAX_ITER + 1):
         F = residual(u)
         norm = float(np.abs(F).max()) if F.size else 0.0
-        if norm <= tol:
+        finite = math.isfinite(norm)
+        if finite and norm <= tol:
             return u, solves, norm
-        if solves == max_iter:
-            raise NewtonError(
-                f"newton stalled at residual {norm:.3e} after {solves} iterations",
-                norm, u, solves)
+        if not finite or solves == _NEWTON_MAX_ITER:
+            break
         u = u - np.linalg.solve(jacobian(u), F)
-    raise AssertionError("unreachable")
+    raise NewtonError(f"newton stopped at residual {norm:.3e} after {solves} "
+                      "iterations", norm, u, solves)
 
 
 def _fd_jacobian(residual, u):
@@ -155,18 +154,24 @@ def _block_solver(prob, tab, cfg, V0, x0):
     hist = H_k; R is the residual at the returned stages.  Without a guess
     Newton starts on the line from `first` with velocity M^-1 p_in.  The
     Jacobian is analytic when the problem has hess_potential and a central
-    difference of the residual otherwise.
+    difference of the residual otherwise.  The residual cancels momenta of
+    size |M x| / h and p_in, so Newton stops at _NEWTON_TOL times that size
+    or 1 (the mixed scale of Hairer & Wanner, Solving ODEs II, IV.8).
     """
     basis = basis_for(tab)
     n, d, h = basis.control_count, prob.d, cfg.h
     rho_h = prob.rho * h
     damp = rho_h * np.kron(V0[:-1, 1:], np.eye(d))
     analytic = prob.hess_potential is not None
+    mass = float(np.abs(prob.mass_matrix).sum(axis=1).max())
 
     def solve(t_k, first, p_in, hist, guess=None):
         if guess is None:
             v = np.linalg.solve(prob.mass_matrix, p_in)
             guess = (first + basis.nodes[1:, None] * h * v).ravel()
+        # max over floats: a numpy reduction on these few values costs microseconds
+        size = max(map(abs, first.tolist() + guess.tolist()))
+        tol = _NEWTON_TOL * max(1.0, mass * size / h + max(map(abs, p_in.tolist())))
         R = None  # _newton's last residual call is at the iterate it returns
 
         def build(u):
@@ -186,8 +191,7 @@ def _block_solver(prob, tab, cfg, V0, x0):
             return hess.transpose(0, 2, 1, 3).reshape(damp.shape) - damp
 
         jac = jacobian if analytic else (lambda u: _fd_jacobian(residual, u))
-        u, solves, norm = _newton(residual, jac, guess, cfg.newton_tol,
-                                  cfg.newton_max_iter)
+        u, solves, norm = _newton(residual, jac, guess, tol)
         return build(u), R, (solves, norm)
 
     return solve
@@ -418,7 +422,7 @@ def solve_companion(prob: LagrangianProblem, tab: ButcherTableau,
 
     guess = np.linspace(y_start, y_end, cfg.N + 1)[1:-1].ravel()
     u, _, _ = _newton(residual, lambda v: _fd_jacobian(residual, v), guess,
-                      cfg.newton_tol, cfg.newton_max_iter)
+                      _NEWTON_TOL)
     return build(u)
 
 

@@ -21,19 +21,33 @@ def test_weights_command_writes_file(tmp_path, capsys):
     np.testing.assert_allclose(0.1 * W[0], [[1, 1], [-1, 1]], atol=1e-10)
 
 
-def test_weights_lambda_eps_changes_contour(tmp_path, capsys):
-    cli.main(["weights", "--steps", "4", "--lambda-eps", "1e-12",
-              "--out-dir", str(tmp_path)])
-    meta, _ = read_weights(capsys.readouterr().out.strip())
-    assert meta["eps"] == 1e-12
-
-
 def test_simulate_resolves_steps_from_h(tmp_path, capsys):
     code = cli.main(["simulate", "--spec", "bagley-torvik", "--h", "0.25",
                      "--horizon", "1", "--out-dir", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "bagley-torvik-lobatto2-N4-trajectory.csv").exists()
     assert "max node error x" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("h", ["-0.1", "0", "nan", "inf"])
+def test_simulate_rejects_bad_h(tmp_path, capsys, h):
+    code = cli.main(["simulate", "--spec", "bagley-torvik", "--h", h,
+                     "--horizon", "1", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert f"--h must be positive and finite, got {float(h)!r}" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_removed_options_are_gone():
+    parser = cli.build_parser()
+    for argv in (["weights", "--lambda-eps", "1e-12"],
+                 ["simulate", "--spec", "bagley-torvik", "--steps", "8",
+                  "--tol", "1e-9"],
+                 ["converge", "--spec", "bagley-torvik", "--steps", "8,16,32",
+                  "--tol", "1e-9"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
 
 def test_simulate_requires_steps_or_h(tmp_path, capsys):

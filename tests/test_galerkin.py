@@ -251,10 +251,17 @@ def test_problem_validation():
                           mass=np.diag([1.0, -1.0]))
     with pytest.raises(ValueError, match="shape"):
         LagrangianProblem(d=2, potential=pot, grad_potential=grad, mass=np.eye(3))
-    with pytest.raises(ValueError, match="rho"):
+    with pytest.raises(ValueError, match="rho must be finite and >= 0, got -0.1"):
         LagrangianProblem(d=2, potential=pot, grad_potential=grad, rho=-0.1)
-    with pytest.raises(ValueError, match="alpha"):
+    for bad in ("nan", "inf"):
+        with pytest.raises(ValueError, match=f"rho must be finite and >= 0, got {bad}"):
+            LagrangianProblem(d=2, potential=pot, grad_potential=grad,
+                              rho=float(bad))
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got 1.0"):
         LagrangianProblem(d=2, potential=pot, grad_potential=grad, alpha=1.0)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got nan"):
+        LagrangianProblem(d=2, potential=pot, grad_potential=grad,
+                          alpha=float("nan"))
     with pytest.raises(ValueError, match="dimension"):
         LagrangianProblem(d=0, potential=pot, grad_potential=grad)
 

@@ -1,5 +1,6 @@
 """Tests for the experiment drivers: slope fits, sweeps, CSV and manifests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -86,9 +87,11 @@ def test_converge_sorts_and_dedupes_steps():
 
 
 def test_converge_annotates_failing_case():
-    with pytest.raises(RuntimeError, match="N=8"):
-        converge("bagley-torvik", "lobatto2", [8, 16, 32], horizon=1.0,
-                 newton_tol=1e-30)
+    spec = models.bagley_torvik()
+    broken = dataclasses.replace(spec, problem=dataclasses.replace(
+        spec.problem, grad_potential=lambda t, x: np.full(x.shape, np.nan)))
+    with pytest.raises(RuntimeError, match="N=8.*residual nan"):
+        converge(broken, "lobatto2", [8, 16, 32], horizon=1.0)
 
 
 def test_converge_input_validation():
@@ -208,5 +211,10 @@ def test_run_benchmark_rejects_bad_inputs():
     spec = models.bagley_torvik()
     with pytest.raises(ValueError, match="unknown method"):
         harness.run_benchmark(spec, "rk4", 8)
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(ValueError, match="horizon must be positive and finite, got -1.0"):
         harness.run_benchmark(spec, "lobatto2", 8, horizon=-1.0)
+    with pytest.raises(ValueError, match="horizon must be positive and finite, got nan"):
+        harness.run_benchmark(spec, "lobatto2", 8, horizon=float("nan"))
+    for n_steps in (8.7, 8.0, 0, -3, float("nan")):
+        with pytest.raises(ValueError, match=f"N must be an integer >= 1, got {n_steps!r}"):
+            harness.run_benchmark(spec, "lobatto2", n_steps, 1.0)
