@@ -11,6 +11,7 @@ exact power-series recurrence.
 import math
 import numbers
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,8 @@ class StageTrajectory:
         return self.values.shape[2]
 
 
-_cache: dict = {}
+_CACHE_SIZE = 8  # weight tables kept, least recently used dropped first
+_cache: OrderedDict = OrderedDict()
 _cache_lock = threading.Lock()
 
 
@@ -158,15 +160,17 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
     eigendecomposition of gamma(z_l); an ill-conditioned eigenvector matrix
     makes the contour retry once at 0.98*lambda.  The exact path reports the
     radius and M the contour would start from and a zero imaginary residue.
-    Results are cached per parameter set and tableau coefficients.
+    The _CACHE_SIZE most recently used results are cached per parameter set
+    and tableau coefficients.
     """
     N = _check_weight_args(exponent, h, N)
     key = (tab.label, tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(),
            float(exponent), float(h), N, contour_points)
     with _cache_lock:
         hit = _cache.get(key)
-    if hit is not None:
-        return hit
+        if hit is not None:
+            _cache.move_to_end(key)
+            return hit
     M = 2 * (N + 1) if contour_points is None else int(contour_points)
     if M < N + 1:
         raise ValueError("contour_points must be at least N+1")
@@ -181,6 +185,8 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
                          radius=lam, eps=_EPS, contour_points=M)
     with _cache_lock:
         _cache[key] = seq
+        if len(_cache) > _CACHE_SIZE:
+            _cache.popitem(last=False)
     return seq
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .cq import compute_weights, midcq_weights
 from .models import BenchmarkSpec, by_name, energy_series, with_derivative_order
-from .stepper import FviConfig, FviSolution, _run_weights, run, run_midcq
+from .stepper import (FviConfig, FviSolution, _check_step_count, _run_weights,
+                      run, run_midcq)
 from .tableau import lobatto_iiic
 
 __all__ = [
@@ -179,7 +180,8 @@ def converge(spec_name, method: str, steps: Sequence[int],
              horizon: Optional[float] = None) -> ConvergenceReport:
     """Run the method at each step count and fit convergence slopes.
 
-    The step counts run one after another, coarsest first.  Stepper failures
+    Each step count must be an integer >= 1; duplicates are dropped, and the
+    counts run one after another, coarsest first.  Stepper failures
     carry the offending N in the message.  Position and momentum maxima over
     the main nodes are fitted separately; midcq reports positions only.
     """
@@ -187,6 +189,8 @@ def converge(spec_name, method: str, steps: Sequence[int],
     _tableau_for(method)
     if spec.problem.exact_solution is None:
         raise ValueError("convergence study needs an exact solution")
+    for n in steps:
+        _check_step_count(n)
     steps = sorted({int(n) for n in steps})
     if len(steps) < 3:
         raise ValueError("need at least 3 distinct step counts")

@@ -56,6 +56,12 @@ _NEWTON_TOL = 1e-12  # relative to the block's scale, see _block_solver
 _NEWTON_MAX_ITER = 50
 
 
+def _check_step_count(N):
+    """Reject a step count that is not an integer >= 1, giving the value."""
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+
+
 @dataclass(frozen=True)
 class FviConfig:
     """Run parameters: step size and step count."""
@@ -64,8 +70,7 @@ class FviConfig:
     N: int
 
     def __post_init__(self):
-        if not isinstance(self.N, numbers.Integral) or self.N < 1:
-            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
+        _check_step_count(self.N)
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h must be positive and finite, got {self.h!r}")
 
@@ -108,18 +113,24 @@ class NewtonError(RuntimeError):
         self.iterations = iterations
 
 
-def _newton(residual, jacobian, u0, tol):
-    """Undamped Newton to max-norm residual <= tol; (solution, solves, residual)."""
+def _newton(residual, jacobian, u0, tol, J=None):
+    """Undamped Newton to max-norm residual <= tol; (solution, solves, residual, J).
+
+    The first correction solves with J when one is given, every later one with
+    jacobian at the current iterate; the returned J is the last one used.
+    """
     u = np.array(u0, dtype=float)
     for solves in range(_NEWTON_MAX_ITER + 1):
         F = residual(u)
         norm = float(np.abs(F).max()) if F.size else 0.0
         finite = math.isfinite(norm)
         if finite and norm <= tol:
-            return u, solves, norm
+            return u, solves, norm, J
         if not finite or solves == _NEWTON_MAX_ITER:
             break
-        u = u - np.linalg.solve(jacobian(u), F)
+        if solves or J is None:
+            J = jacobian(u)
+        u = u - np.linalg.solve(J, F)
     raise NewtonError(f"newton stopped at residual {norm:.3e} after {solves} "
                       "iterations", norm, u, solves)
 
@@ -154,9 +165,12 @@ def _block_solver(prob, tab, cfg, V0, x0):
     hist = H_k; R is the residual at the returned stages.  Without a guess
     Newton starts on the line from `first` with velocity M^-1 p_in.  The
     Jacobian is analytic when the problem has hess_potential and a central
-    difference of the residual otherwise.  The residual cancels momenta of
-    size |M x| / h and p_in, so Newton stops at _NEWTON_TOL times that size
-    or 1 (the mixed scale of Hairer & Wanner, Solving ODEs II, IV.8).
+    difference of the residual otherwise.  It lags by one block: a block's
+    first correction uses the last Jacobian of the block before, and later
+    corrections rebuild it at the iterate, so with a constant Hessian it is
+    built once per solver (Hairer & Wanner, Solving ODEs II, IV.8).  The
+    residual cancels momenta of size |M x| / h and p_in, so Newton stops at
+    _NEWTON_TOL times that size or 1 (the mixed scale of the same section).
     """
     basis = basis_for(tab)
     n, d, h = basis.control_count, prob.d, cfg.h
@@ -164,8 +178,10 @@ def _block_solver(prob, tab, cfg, V0, x0):
     damp = rho_h * np.kron(V0[:-1, 1:], np.eye(d))
     analytic = prob.hess_potential is not None
     mass = float(np.abs(prob.mass_matrix).sum(axis=1).max())
+    J = None
 
     def solve(t_k, first, p_in, hist, guess=None):
+        nonlocal J
         if guess is None:
             v = np.linalg.solve(prob.mass_matrix, p_in)
             guess = (first + basis.nodes[1:, None] * h * v).ravel()
@@ -173,9 +189,12 @@ def _block_solver(prob, tab, cfg, V0, x0):
         size = max(map(abs, first.tolist() + guess.tolist()))
         tol = _NEWTON_TOL * max(1.0, mass * size / h + max(map(abs, p_in.tolist())))
         R = None  # _newton's last residual call is at the iterate it returns
+        stages = np.empty((n, d))  # the block's own array, returned as is
+        stages[0] = first
 
         def build(u):
-            return np.vstack([first, u.reshape(n - 1, d)])
+            stages[1:] = u.reshape(n - 1, d)
+            return stages
 
         def residual(u):
             nonlocal R
@@ -191,7 +210,7 @@ def _block_solver(prob, tab, cfg, V0, x0):
             return hess.transpose(0, 2, 1, 3).reshape(damp.shape) - damp
 
         jac = jacobian if analytic else (lambda u: _fd_jacobian(residual, u))
-        u, solves, norm = _newton(residual, jac, guess, tol)
+        u, solves, norm, J = _newton(residual, jac, guess, tol, J)
         return build(u), R, (solves, norm)
 
     return solve
@@ -421,8 +440,8 @@ def solve_companion(prob: LagrangianProblem, tab: ButcherTableau,
         return companion_residuals(prob, tab, weights, build(u), cfg.h)
 
     guess = np.linspace(y_start, y_end, cfg.N + 1)[1:-1].ravel()
-    u, _, _ = _newton(residual, lambda v: _fd_jacobian(residual, v), guess,
-                      _NEWTON_TOL)
+    u, _, _, _ = _newton(residual, lambda v: _fd_jacobian(residual, v), guess,
+                         _NEWTON_TOL)
     return build(u)
 
 

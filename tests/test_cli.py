@@ -1,11 +1,14 @@
 """Tests for the command line interface and its exit-code contract."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fvi
 from fvi import acceptance, cli
 from fvi.harness import read_weights
 
@@ -103,9 +106,14 @@ def test_verify_exit_codes(monkeypatch, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child finds the package the tests import, installed or not
+    src = str(Path(fvi.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fvi", "weights", "--steps", "4",
          "--out-dir", str(tmp_path)],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith(".csv")

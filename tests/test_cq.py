@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from fvi.cq import (
+    _CACHE_SIZE,
     ScalarWeightSequence,
     StageTrajectory,
     WeightSequence,
@@ -216,6 +217,15 @@ def test_weights_are_cached():
     a = compute_weights(tab, -0.5, 0.3, 12)
     b = compute_weights(tab, -0.5, 0.3, 12)
     assert a is b
+
+
+def test_weight_cache_keeps_the_most_recent_tables():
+    tab = lobatto_iiic(2)
+    first = compute_weights(tab, -0.5, 0.3, 13)
+    for N in range(14, 14 + _CACHE_SIZE):  # _CACHE_SIZE newer tables
+        latest = compute_weights(tab, -0.5, 0.3, N)
+    assert compute_weights(tab, -0.5, 0.3, 13) is not first
+    assert compute_weights(tab, -0.5, 0.3, N) is latest
 
 
 def test_imaginary_residue_recorded_and_small():

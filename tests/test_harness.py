@@ -94,6 +94,16 @@ def test_converge_annotates_failing_case():
         converge(broken, "lobatto2", [8, 16, 32], horizon=1.0)
 
 
+def test_converge_rejects_non_integer_step_counts():
+    # the same rule and message as FviConfig; 8.7 used to run as N = 8
+    for bad in (8.7, 0, -3, float("nan")):
+        with pytest.raises(ValueError, match=f"N must be an integer >= 1, got {bad!r}"):
+            converge("bagley-torvik", "lobatto2", [bad, 16, 32], horizon=1.0)
+    rep = converge("bagley-torvik", "lobatto2", [np.int64(8), 16, 32],
+                   horizon=1.0)
+    assert list(rep.steps) == [8, 16, 32]
+
+
 def test_converge_input_validation():
     with pytest.raises(ValueError, match="3 distinct"):
         converge("bagley-torvik", "lobatto2", [8, 16], horizon=1.0)

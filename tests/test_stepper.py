@@ -201,6 +201,65 @@ def test_newton_statistics_on_quadratic_problem():
         assert resid <= stepper._NEWTON_TOL * scale
 
 
+def _counted(monkeypatch, name):
+    """Wrap fvi.stepper.<name> so that its calls are counted."""
+    calls = []
+    original = getattr(stepper, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, name, counted)
+    return calls
+
+
+def test_jacobian_built_once_per_run_on_quadratic_problems(monkeypatch):
+    # each block's first correction reuses the last Jacobian and every further
+    # correction builds one; with a constant Hessian the reused one is exact,
+    # so one build serves the whole run (bagley-torvik's lobatto2 block 0
+    # starts at its solution and takes no solve)
+    bagley, damped = models.bagley_torvik(), models.damped_oscillator_1d()
+    cfg = FviConfig(h=1.0 / 64, N=64)
+    runs = [(bagley, lambda prob, r=r: stepper.run(
+                 prob, tableau.lobatto_iiic(r), cfg, *bagley.default_initials))
+            for r in (2, 3, 4)]
+    runs.append((damped, lambda prob: stepper.run_midcq(
+        prob, cfg, *damped.default_initials)))
+    for name, strip in (("hessian_blocks", False), ("_fd_jacobian", True)):
+        calls = _counted(monkeypatch, name)
+        for spec, integrate in runs:
+            prob = spec.problem
+            if strip:
+                prob = dataclasses.replace(prob, hess_potential=None)
+            calls.clear()
+            solves = [iters for iters, _ in integrate(prob).newton_stats]
+            assert len(calls) == 1 + sum(s - 1 for s in solves if s > 1)
+            # the differenced midcq Jacobian's rounding error lies above the
+            # stopping test on some blocks, which then take a second solve
+            if not (strip and spec is damped):
+                assert len(calls) == 1 and max(solves) == 1, (name, spec.name)
+
+
+@pytest.mark.parametrize("r,order", [(2, 2.0), (3, 4.0), (4, 6.0)])
+def test_lagged_jacobian_keeps_order_on_pendulum(r, order):
+    # self-convergence of the end position: successive differences over
+    # N = 8 .. 64 shrink by 2^order; a fine-h reference would sit on the
+    # drift the scale-aware stopping test allows at small h
+    prob = _pendulum(eta=1.0, rho=0.2, alpha=0.5)
+    horizon, tab = 4.0, tableau.lobatto_iiic(r)
+    ends, solves = [], []
+    for N in (8, 16, 32, 64):
+        sol = stepper.run(prob, tab, FviConfig(h=horizon / N, N=N), [0.9], [0.4])
+        ends.append(sol.node_positions[-1, 0])
+        solves += [iters for iters, _ in sol.newton_stats]
+    diffs = np.abs(np.diff(ends))
+    orders = np.log2(diffs[:-1] / diffs[1:])
+    assert np.all(np.abs(orders - order) < 0.3), orders
+    if r > 2:  # the lagged first correction and a rebuilt one both ran
+        assert sum(solves) / len(solves) > 1.0
+
+
 @pytest.mark.parametrize("r", [3, 4])
 def test_fine_step_init_converges(r):
     # the residual's rounding floor |M x| eps / h lies above 1e-12 here, so
@@ -225,7 +284,7 @@ def test_newton_quadratic_convergence():
     def jac(u):
         return np.array([[3.0 * u[0] ** 2]])
 
-    u, solves, final = stepper._newton(residual, jac, np.array([2.0]), 1e-13)
+    u, solves, final, _ = stepper._newton(residual, jac, np.array([2.0]), 1e-13)
     assert abs(u[0] - 2.0 ** (1.0 / 3.0)) < 1e-13
     clean = [n for n in norms if n > 1e-14]
     for a, b in zip(clean[-3:-1], clean[-2:]):
