@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The position-only midpoint scheme and its quadrature weights.
+"""The midpoint scheme and its quadrature weights.
 
 The midpoint variant replaces the stage system by a scalar three-term
 recursion on node positions, with the fractional memory handled by scalar

@@ -88,6 +88,8 @@ def cmd_weights(args) -> int:
 
 
 def _resolve_steps(args, horizon: float) -> int:
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if args.steps is not None:
         return args.steps
     if args.h is not None:

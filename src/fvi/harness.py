@@ -17,9 +17,8 @@ import numpy as np
 
 from .cq import compute_weights, midcq_weights
 from .models import BenchmarkSpec, by_name, energy_series, with_derivative_order
-from .stepper import (FviConfig, FviSolution, _check_step_count, _run_weights,
-                      run, run_midcq)
-from .tableau import lobatto_iiic
+from .stepper import FviConfig, FviSolution, _check_step_count, _run_weights, run
+from .tableau import lobatto_iiic, midpoint
 
 __all__ = [
     "ConvergenceReport",
@@ -36,18 +35,17 @@ __all__ = [
     "format_report",
 ]
 
-_LOBATTO_STAGES = {"lobatto2": 2, "lobatto3": 3, "lobatto4": 4}
-METHOD_NAMES = ("lobatto2", "lobatto3", "lobatto4", "midcq")
+_TABLEAUX = {"lobatto2": lobatto_iiic(2), "lobatto3": lobatto_iiic(3),
+             "lobatto4": lobatto_iiic(4), "midcq": midpoint()}
+METHOD_NAMES = tuple(_TABLEAUX)
 
 ERROR_NORM = "max over main nodes and components"
 
 
 def _tableau_for(method: str):
-    """Butcher tableau for a method name, or None for the scalar midcq scheme."""
-    if method in _LOBATTO_STAGES:
-        return lobatto_iiic(_LOBATTO_STAGES[method])
-    if method == "midcq":
-        return None
+    """Butcher tableau for a method name."""
+    if method in _TABLEAUX:
+        return _TABLEAUX[method]
     raise ValueError(
         f"unknown method {method!r}; choices: {', '.join(METHOD_NAMES)}")
 
@@ -61,9 +59,9 @@ class ConvergenceReport:
     """Errors and fitted orders of one method over a sequence of step counts.
 
     err_x and err_p are the maxima over main nodes and components of the
-    deviation from the exact solution; err_p is None for midcq, which outputs
-    positions.  excluded_* list the sweep indices the slope fit dropped, either
-    by the rounding floor guard or by the trailing-stagnation trim.
+    deviation from the exact positions and momenta.  excluded_* list the sweep
+    indices the slope fit dropped, either by the rounding floor guard or by
+    the trailing-stagnation trim.
     """
 
     spec_name: str
@@ -73,23 +71,20 @@ class ConvergenceReport:
     err_x: np.ndarray
     slope_x: float
     excluded_x: Tuple[int, ...]
-    err_p: Optional[np.ndarray] = None
-    slope_p: Optional[float] = None
-    excluded_p: Optional[Tuple[int, ...]] = None
+    err_p: np.ndarray
+    slope_p: float
+    excluded_p: Tuple[int, ...]
     error_norm: str = ERROR_NORM
 
     def __post_init__(self):
         for name in ("steps", "step_sizes", "err_x", "err_p"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr)
+            arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = self.steps.size
         if n < 3:
             raise ValueError("need at least 3 step counts for a slope fit")
-        if self.step_sizes.size != n or self.err_x.size != n:
+        if any(a.size != n for a in (self.step_sizes, self.err_x, self.err_p)):
             raise ValueError("report array lengths differ")
         if np.any(np.diff(self.step_sizes) >= 0):
             raise ValueError("step sizes must be strictly decreasing")
@@ -144,8 +139,6 @@ def run_benchmark(spec: BenchmarkSpec, method: str, n_steps: int,
     # FviConfig checks N first, so a bad n_steps is named before h is used
     cfg = FviConfig(h=horizon / max(n_steps, 1), N=n_steps)
     x0, p0 = spec.default_initials
-    if tab is None:
-        return run_midcq(spec.problem, cfg, x0, p0)
     return run(spec.problem, tab, cfg, x0, p0)
 
 
@@ -183,7 +176,7 @@ def converge(spec_name, method: str, steps: Sequence[int],
     Each step count must be an integer >= 1; duplicates are dropped, and the
     counts run one after another, coarsest first.  Stepper failures
     carry the offending N in the message.  Position and momentum maxima over
-    the main nodes are fitted separately; midcq reports positions only.
+    the main nodes are fitted separately, for every method.
     """
     spec = spec_name if isinstance(spec_name, BenchmarkSpec) else by_name(spec_name)
     _tableau_for(method)
@@ -211,11 +204,6 @@ def converge(spec_name, method: str, steps: Sequence[int],
     err_p = np.array([e[1] for e in errors])
     mag_x, mag_p = _exact_magnitudes(spec, horizon)
     slope_x, _, excl_x = fit_slope(hs, err_x, mag_x)
-    if method == "midcq":
-        return ConvergenceReport(spec_name=spec.name, method=method,
-                                 steps=np.array(steps), step_sizes=hs,
-                                 err_x=err_x, slope_x=slope_x,
-                                 excluded_x=excl_x)
     slope_p, _, excl_p = fit_slope(hs, err_p, mag_p)
     return ConvergenceReport(spec_name=spec.name, method=method,
                              steps=np.array(steps), step_sizes=hs,
@@ -300,11 +288,7 @@ def simulate(spec_name, method: str, n_steps: int,
 
 def _weights_hash(spec: BenchmarkSpec, method: str, h: float, n_steps: int) -> str:
     """Digest of the damping weights the run used, for manifest reproducibility."""
-    exponent = -2.0 * spec.problem.alpha
-    if method == "midcq":
-        data = midcq_weights(exponent, h, n_steps).w
-    else:
-        data = _run_weights(spec.problem, _tableau_for(method), h, n_steps).W
+    data = _run_weights(spec.problem, _tableau_for(method), h, n_steps)
     return hashlib.sha256(np.ascontiguousarray(data).tobytes()).hexdigest()
 
 
@@ -362,17 +346,13 @@ def write_report_csv(report: ConvergenceReport, path) -> Path:
     def idx(t):
         return ";".join(str(i) for i in t) if t else "-"
 
-    slope_p = math.nan if report.slope_p is None else report.slope_p
     header = (f"# spec={report.spec_name} method={report.method}"
               f" error_norm={report.error_norm.replace(' ', '-')}"
-              f" slope_x={_fmt(report.slope_x)} slope_p={_fmt(slope_p)}"
+              f" slope_x={_fmt(report.slope_x)} slope_p={_fmt(report.slope_p)}"
               f" excluded_x={idx(report.excluded_x)}"
-              f" excluded_p={idx(report.excluded_p or ())}"
+              f" excluded_p={idx(report.excluded_p)}"
               f" columns=N,h,err_x,err_p")
-    rows = []
-    for i in range(report.steps.size):
-        ep = math.nan if report.err_p is None else report.err_p[i]
-        rows.append([report.steps[i], report.step_sizes[i], report.err_x[i], ep])
+    rows = zip(report.steps, report.step_sizes, report.err_x, report.err_p)
     path = Path(path)
     _write_lines(path, header, rows)
     return path
@@ -382,21 +362,14 @@ def format_report(report: ConvergenceReport) -> str:
     """Human-readable rendering of a convergence report."""
     out = [f"{report.spec_name} / {report.method}  "
            f"(error: {report.error_norm})"]
-    head = f"{'N':>8} {'h':>12} {'err_x':>12}"
-    if report.err_p is not None:
-        head += f" {'err_p':>12}"
-    out.append(head)
+    out.append(f"{'N':>8} {'h':>12} {'err_x':>12} {'err_p':>12}")
     for i in range(report.steps.size):
-        line = (f"{int(report.steps[i]):>8} {report.step_sizes[i]:>12.5g} "
-                f"{report.err_x[i]:>12.5g}")
-        if report.err_p is not None:
-            line += f" {report.err_p[i]:>12.5g}"
-        out.append(line)
+        out.append(f"{int(report.steps[i]):>8} {report.step_sizes[i]:>12.5g} "
+                   f"{report.err_x[i]:>12.5g} {report.err_p[i]:>12.5g}")
 
     def note(t):
         return f" (excluded points: {', '.join(str(i) for i in t)})" if t else ""
 
     out.append(f"slope_x = {report.slope_x:.3f}{note(report.excluded_x)}")
-    if report.slope_p is not None:
-        out.append(f"slope_p = {report.slope_p:.3f}{note(report.excluded_p)}")
+    out.append(f"slope_p = {report.slope_p:.3f}{note(report.excluded_p)}")
     return "\n".join(out)

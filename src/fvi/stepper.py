@@ -5,13 +5,15 @@ the Galerkin interpolant on step k, the first shared with block k-1.  Weights
 V_0..V_N (n x n) give R_k = D L_d(block_k) - rho h (V_0 (block_k - x0) + H_k)
 with the damping history H_k = sum_{j<k} V_{k-j} (block_j - x0).  Points 2..n
 solve p_in + R_k[0] = 0 and R_k[i] = 0 at the inner points, p_in being p0 at
-k = 0 and R_{k-1}[-1] after.  Lobatto IIIC uses V_n = diag(b) W_n with the
-matrix convolution weights; the midpoint variant is the same closure on its
-two control points with V_n = w_n 11^T / 4.  Damping acts on x - x0, which
+k = 0 and R_{k-1}[-1] after.  Every tableau gets V_n = E diag(b) W_n E^T from
+its convolution weights W_n, with E = basis_for(tab).eval_matrix the control
+point basis at the quadrature nodes.  Lobatto IIIC has its nodes at the
+control points, so E = I; the midpoint rule has E = [1/2, 1/2]^T and scalar
+weights w_n, so V_n = w_n 11^T / 4.  Damping acts on x - x0, which
 reproduces the classical damped update in the half-order-squared limit and
-avoids the start-up jump of a zero-extended history at nonzero x0.  `run` and
-`run_midcq` are the ways into the loop; `init_step` and `step` solve one block
-of it from an outside weight table and history.
+avoids the start-up jump of a zero-extended history at nonzero x0.  `run` is
+the way into the loop; `init_step` and `step` solve one Lobatto block of it
+from an outside weight table and history.
 """
 
 import math
@@ -34,7 +36,7 @@ from .galerkin import (
     d_all_lagrangian,
     hessian_blocks,
 )
-from .tableau import ButcherTableau, midpoint
+from .tableau import ButcherTableau
 
 __all__ = [
     "FviConfig",
@@ -46,7 +48,6 @@ __all__ = [
     "legendre_plus",
     "qp_closed_form",
     "run",
-    "run_midcq",
     "companion_residuals",
     "solve_companion",
     "action_variation",
@@ -54,6 +55,7 @@ __all__ = [
 
 _NEWTON_TOL = 1e-12  # relative to the block's scale, see _block_solver
 _NEWTON_MAX_ITER = 50
+_FD_STEP = np.finfo(float).eps ** (1 / 3)  # central-difference optimum
 
 
 def _check_step_count(N):
@@ -137,7 +139,7 @@ def _newton(residual, jacobian, u0, tol, J=None):
 
 def _fd_jacobian(residual, u):
     # central difference columns, step scaled by the iterate magnitude
-    step = 1e-7 * (1.0 + float(np.abs(u).max()))
+    step = _FD_STEP * (1.0 + float(np.abs(u).max()))
     n = u.size
     J = np.empty((n, n))
     for j in range(n):
@@ -346,40 +348,40 @@ def _integrate(prob, tab, cfg, V, x0, p0) -> FviSolution:
 
 
 def _run_weights(prob: LagrangianProblem, tab: ButcherTableau, h: float,
-                 N: int) -> WeightSequence:
-    """The damping weights W_0..W_N that `run` integrates with.
+                 N: int) -> np.ndarray:
+    """The damping weights W_0..W_N, shape (N+1, r, r), that `run` integrates with.
 
-    The weight contour gets four points per step instead of the default two,
-    which keeps the accumulated weight error below the local truncation error
-    of the higher-stage schemes over long horizons.
+    The midpoint rule's symbol gamma(z) = 2(1-z)/(1+z) has the exact scalar
+    recurrence of midcq_weights.  Every other tableau gets a contour with four
+    points per step instead of the default two, which keeps the accumulated
+    weight error below the local truncation error of the higher-stage schemes
+    over long horizons.
     """
+    if tab.r == 1:
+        if not np.array_equal(np.r_[tab.A.ravel(), tab.b, tab.c], [0.5, 1.0, 0.5]):
+            raise ValueError(
+                f"one-stage tableau {tab.label!r} is not the midpoint rule")
+        return midcq_weights(-2.0 * prob.alpha, h, N).w.reshape(-1, 1, 1)
     return compute_weights(tab, -2.0 * prob.alpha, h, N,
-                           contour_points=4 * (N + 1))
+                           contour_points=4 * (N + 1)).W
 
 
 def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
         x0, p0) -> FviSolution:
-    """Lobatto integration: the stepping loop with V_n = diag(b) W_n."""
-    if tab.r < 2:
-        raise ValueError("run needs at least two stages; use run_midcq")
-    weights = _run_weights(prob, tab, cfg.h, cfg.N)
-    return _integrate(prob, tab, cfg, tab.b[:, None] * weights.W, x0, p0)
+    """Integrate over N steps: the stepping loop with V_n = E diag(b) W_n E^T.
 
-
-def run_midcq(prob: LagrangianProblem, cfg: FviConfig, x0, p0) -> FviSolution:
-    """Midpoint-rule variational integrator with scalar damping weights.
-
-    The stepping loop with V_n = w_n 11^T / 4 puts (rho h / 2) D_k, the
-    midpoint weights applied to increment midpoints, on both ends of step k:
-    p0 = -D_1 L_d(x_0, x_1) + (rho h / 2) D_0 starts it, and each further step
-    closes the discrete Euler-Lagrange equation with the damping average
-    (rho h / 2)(D_{k-1} + D_k).  With a full rho h weight instead of the half
-    the midpoint variation assigns to each node, the initial velocity picks up
-    an O(h) bias and the scheme drops to first order at damping order one.
+    E = basis_for(tab).eval_matrix is I for Lobatto IIIC.  For the midpoint
+    rule its entries 1/2 are the half weight each node receives from the
+    midpoint variation: (rho h / 2) D_k, the midpoint weights applied to
+    increment midpoints, acts on both ends of step k, so p0 = -D_1 L_d(x_0,
+    x_1) + (rho h / 2) D_0 starts the loop and each further step closes the
+    discrete Euler-Lagrange equation with (rho h / 2)(D_{k-1} + D_k).  A full
+    rho h weight would give the initial velocity an O(h) bias and drop the
+    scheme to first order at damping order one.
     """
-    w = midcq_weights(-2.0 * prob.alpha, cfg.h, cfg.N).w
-    V = np.full((2, 2), 0.25) * w[:, None, None]
-    return _integrate(prob, midpoint(), cfg, V, x0, p0)
+    E = basis_for(tab).eval_matrix
+    V = E @ (tab.b[:, None] * _run_weights(prob, tab, cfg.h, cfg.N)) @ E.T
+    return _integrate(prob, tab, cfg, V, x0, p0)
 
 
 def _advanced_weighted(weights, y_blocks, b):

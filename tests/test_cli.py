@@ -42,6 +42,16 @@ def test_simulate_rejects_bad_h(tmp_path, capsys, h):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_simulate_rejects_non_finite_horizon(tmp_path, capsys, horizon):
+    code = cli.main(["simulate", "--spec", "bagley-torvik", "--h", "0.1",
+                     "--horizon", horizon, "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert f"horizon must be positive and finite, got {horizon}" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_removed_options_are_gone():
     parser = cli.build_parser()
     for argv in (["weights", "--lambda-eps", "1e-12"],

@@ -74,10 +74,11 @@ def test_converge_second_order_method():
     assert rep.error_norm == harness.ERROR_NORM
 
 
-def test_converge_midcq_reports_positions_only():
+def test_converge_midcq_reports_momenta():
     rep = converge("bagley-torvik", "midcq", [16, 32, 64], horizon=1.0)
-    assert rep.err_p is None and rep.slope_p is None
+    assert rep.err_p.shape == (3,)
     assert 1.7 < rep.slope_x < 2.3
+    assert 1.7 < rep.slope_p < 2.3
 
 
 def test_converge_sorts_and_dedupes_steps():
@@ -115,18 +116,21 @@ def test_converge_input_validation():
 
 
 def test_report_rejects_bad_shapes():
+    def report(steps, step_sizes, err_x, err_p):
+        return ConvergenceReport(spec_name="s", method="lobatto2",
+                                 steps=np.array(steps),
+                                 step_sizes=np.array(step_sizes),
+                                 err_x=np.array(err_x), slope_x=2.0,
+                                 excluded_x=(), err_p=np.array(err_p),
+                                 slope_p=2.0, excluded_p=())
+
     with pytest.raises(ValueError, match="at least 3"):
-        ConvergenceReport(spec_name="s", method="lobatto2",
-                          steps=np.array([2, 4]),
-                          step_sizes=np.array([0.5, 0.25]),
-                          err_x=np.array([1.0, 0.1]), slope_x=2.0,
-                          excluded_x=())
+        report([2, 4], [0.5, 0.25], [1.0, 0.1], [1.0, 0.1])
     with pytest.raises(ValueError, match="decreasing"):
-        ConvergenceReport(spec_name="s", method="lobatto2",
-                          steps=np.array([2, 4, 8]),
-                          step_sizes=np.array([0.5, 0.5, 0.25]),
-                          err_x=np.array([1.0, 0.1, 0.01]), slope_x=2.0,
-                          excluded_x=())
+        report([2, 4, 8], [0.5, 0.5, 0.25], [1.0, 0.1, 0.01], [1.0, 0.1, 0.01])
+    with pytest.raises(ValueError, match="lengths differ"):
+        report([2, 4, 8], [0.5, 0.25, 0.125], [1.0, 0.1, 0.01], [1.0, 0.1])
+    report([2, 4, 8], [0.5, 0.25, 0.125], [1.0, 0.1, 0.01], [1.0, 0.1, 0.01])
 
 
 def test_simulate_writes_consistent_files(tmp_path):

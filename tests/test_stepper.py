@@ -51,6 +51,14 @@ def _pendulum(eta=1.0, rho=0.2, alpha=0.5):
     )
 
 
+def _loop_weights(prob, tab, cfg):
+    """The contour WeightSequence whose table `run` integrates with."""
+    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N,
+                        contour_points=4 * (cfg.N + 1))
+    assert np.array_equal(w.W, stepper._run_weights(prob, tab, cfg.h, cfg.N))
+    return w
+
+
 def test_free_particle_init_is_linear():
     prob = _free_particle()
     cfg = FviConfig(h=0.25, N=1)
@@ -82,7 +90,7 @@ def test_single_block_steps_reproduce_run():
     cfg = FviConfig(h=1.0 / 16, N=16)
     for r in (2, 3, 4):
         tab = tableau.lobatto_iiic(r)
-        w = stepper._run_weights(prob, tab, cfg.h, cfg.N)
+        w = _loop_weights(prob, tab, cfg)
         blocks = [stepper.init_step(prob, tab, w, cfg, x0, p0)]
         for k in range(1, cfg.N):
             hist = StageTrajectory(values=np.array(blocks), h=cfg.h)
@@ -156,7 +164,7 @@ def test_momentum_matching_at_interior_nodes():
     cfg = FviConfig(h=0.2, N=30)
     tab = tableau.lobatto_iiic(3)
     sol = stepper.run(prob, tab, cfg, x0, p0)
-    w = stepper._run_weights(prob, tab, cfg.h, cfg.N)
+    w = _loop_weights(prob, tab, cfg)
     for k in range(1, cfg.N):
         plus = stepper.legendre_plus(prob, tab, w, sol.trajectory, k - 1)
         minus = stepper.legendre_minus(prob, tab, w, sol.trajectory, k)
@@ -171,7 +179,7 @@ def test_loop_momenta_match_reference_formula(r):
     cfg = FviConfig(h=1.0 / 64, N=64)
     tab = tableau.lobatto_iiic(r)
     sol = stepper.run(prob, tab, cfg, x0, p0)
-    w = stepper._run_weights(prob, tab, cfg.h, cfg.N)
+    w = _loop_weights(prob, tab, cfg)
     assert np.array_equal(sol.momenta[0], p0)
     # block 0 was solved so that its Legendre momentum is p0
     ref = stepper.legendre_minus(prob, tab, w, sol.trajectory, 0)
@@ -218,27 +226,22 @@ def test_jacobian_built_once_per_run_on_quadratic_problems(monkeypatch):
     # each block's first correction reuses the last Jacobian and every further
     # correction builds one; with a constant Hessian the reused one is exact,
     # so one build serves the whole run (bagley-torvik's lobatto2 block 0
-    # starts at its solution and takes no solve)
+    # starts at its solution and takes no solve); the differenced Jacobian's
+    # rounding error stays below the stopping test
     bagley, damped = models.bagley_torvik(), models.damped_oscillator_1d()
     cfg = FviConfig(h=1.0 / 64, N=64)
-    runs = [(bagley, lambda prob, r=r: stepper.run(
-                 prob, tableau.lobatto_iiic(r), cfg, *bagley.default_initials))
-            for r in (2, 3, 4)]
-    runs.append((damped, lambda prob: stepper.run_midcq(
-        prob, cfg, *damped.default_initials)))
+    runs = [(bagley, tableau.lobatto_iiic(r)) for r in (2, 3, 4)]
+    runs.append((damped, tableau.midpoint()))
     for name, strip in (("hessian_blocks", False), ("_fd_jacobian", True)):
         calls = _counted(monkeypatch, name)
-        for spec, integrate in runs:
+        for spec, tab in runs:
             prob = spec.problem
             if strip:
                 prob = dataclasses.replace(prob, hess_potential=None)
             calls.clear()
-            solves = [iters for iters, _ in integrate(prob).newton_stats]
-            assert len(calls) == 1 + sum(s - 1 for s in solves if s > 1)
-            # the differenced midcq Jacobian's rounding error lies above the
-            # stopping test on some blocks, which then take a second solve
-            if not (strip and spec is damped):
-                assert len(calls) == 1 and max(solves) == 1, (name, spec.name)
+            sol = stepper.run(prob, tab, cfg, *spec.default_initials)
+            solves = [iters for iters, _ in sol.newton_stats]
+            assert len(calls) == 1 and max(solves) <= 1, (name, tab.label)
 
 
 @pytest.mark.parametrize("r,order", [(2, 2.0), (3, 4.0), (4, 6.0)])
@@ -377,15 +380,11 @@ def test_jacobian_modes_agree():
     prob = _pendulum(alpha=0.25)
     x0, p0 = [0.9], [0.4]
     cfg = FviConfig(h=0.1, N=40)
-    for method in ("lobatto2", "lobatto3", "lobatto4", "midcq"):
-        sols = []
-        for problem in (prob, dataclasses.replace(prob, hess_potential=None)):
-            if method == "midcq":
-                sols.append(stepper.run_midcq(problem, cfg, x0, p0))
-            else:
-                tab = tableau.lobatto_iiic(int(method[-1]))
-                sols.append(stepper.run(problem, tab, cfg, x0, p0))
-        a, f = sols
+    tabs = [tableau.lobatto_iiic(r) for r in (2, 3, 4)] + [tableau.midpoint()]
+    for tab in tabs:
+        method = tab.label
+        a, f = (stepper.run(problem, tab, cfg, x0, p0) for problem in
+                (prob, dataclasses.replace(prob, hess_potential=None)))
         assert np.abs(a.node_positions - f.node_positions).max() < 1e-9, method
         assert np.abs(a.momenta - f.momenta).max() < 1e-9, method
         # with the exact Jacobian Newton needs no more solves than with a
@@ -393,7 +392,7 @@ def test_jacobian_modes_agree():
         solves = [iters for iters, _ in a.newton_stats]
         fd_solves = [iters for iters, _ in f.newton_stats]
         assert all(i <= j for i, j in zip(solves, fd_solves)), method
-        if method != "lobatto2":  # its closure is linear in the new node
+        if method != "lobatto_iiic_2":  # its closure is linear in the new node
             assert sum(solves) / len(solves) > 1.0, method
 
 
@@ -425,11 +424,20 @@ def test_step_history_validation():
         stepper.step(prob, tab, w, cfg, hist, 0)
 
 
+def test_run_rejects_one_stage_tableau_other_than_midpoint():
+    euler = tableau.ButcherTableau(A=np.array([[1.0]]), b=np.array([1.0]),
+                                   c=np.array([1.0]), p=1, q=1,
+                                   label="implicit_euler")
+    with pytest.raises(ValueError, match="'implicit_euler' is not the midpoint"):
+        stepper.run(_harmonic(rho=0.3), euler, FviConfig(h=0.1, N=4),
+                    [1.0], [0.5])
+
+
 def test_midcq_reduces_to_midpoint_rule_without_damping():
     eta, h, n = 1.0, 0.1, 40
     prob = _harmonic(eta=eta)
     cfg = FviConfig(h=h, N=n)
-    sol = stepper.run_midcq(prob, cfg, [1.0], [0.5])
+    sol = stepper.run(prob, tableau.midpoint(), cfg, [1.0], [0.5])
     coef = 1.0 / h + h * eta / 4.0
     x_prev, x = 1.0, (0.5 + 1.0 * (1.0 / h - h * eta / 4.0)) / coef
     assert abs(sol.node_positions[1, 0] - x) < 1e-11
@@ -452,7 +460,7 @@ def test_midcq_second_order_on_damped_oscillator():
     for n_pow in (4, 5, 6, 7):
         n = 2 ** n_pow
         h = spec.default_horizon / n
-        sol = stepper.run_midcq(prob, FviConfig(h=h, N=n), x0, p0)
+        sol = stepper.run(prob, tableau.midpoint(), FviConfig(h=h, N=n), x0, p0)
         exact = np.array([prob.exact_solution(t)[0] for t in sol.times])
         errs.append(np.abs(sol.node_positions - exact).max())
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -468,7 +476,7 @@ def test_midcq_second_order_on_half_derivative_benchmark():
     for n_pow in (4, 5, 6, 7):
         n = 2 ** n_pow
         h = 1.0 / n
-        sol = stepper.run_midcq(prob, FviConfig(h=h, N=n), x0, p0)
+        sol = stepper.run(prob, tableau.midpoint(), FviConfig(h=h, N=n), x0, p0)
         exact = np.array([prob.exact_solution(t)[0] for t in sol.times])
         errs.append(np.abs(sol.node_positions - exact).max())
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -482,7 +490,7 @@ def test_midcq_solves_the_scalar_scheme():
     prob = spec.problem
     x0, p0 = spec.default_initials
     n, h = 32, 1.0 / 32
-    sol = stepper.run_midcq(prob, FviConfig(h=h, N=n), x0, p0)
+    sol = stepper.run(prob, tableau.midpoint(), FviConfig(h=h, N=n), x0, p0)
     nodes = sol.node_positions
     w = midcq_weights(-2 * prob.alpha, h, n)
     D = [apply_midcq(w, nodes - x0, k) for k in range(n)]
@@ -499,7 +507,7 @@ def test_midcq_solves_the_scalar_scheme():
 
 def test_midcq_single_step():
     prob = _harmonic(rho=0.3)
-    sol = stepper.run_midcq(prob, FviConfig(h=0.1, N=1), [1.0], [0.5])
+    sol = stepper.run(prob, tableau.midpoint(), FviConfig(h=0.1, N=1), [1.0], [0.5])
     assert sol.node_positions.shape == (2, 1)
     assert np.abs(sol.momenta[0] - 0.5).max() < 1e-15
 
