@@ -22,6 +22,7 @@ __all__ = [
     "discrete_lagrangian",
     "d_all_lagrangian",
     "hessian_blocks",
+    "stage_gradient",
 ]
 
 
@@ -146,15 +147,37 @@ def discrete_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
     return h * total
 
 
+def stage_gradient(prob: LagrangianProblem, tab: ButcherTableau,
+                   basis: LagrangeBasis, h: float) -> Callable:
+    """dL(stages, t_k): d_all_lagrangian on steps of size h, constants bound once.
+
+    The returned function takes stages of shape (s+1, d) as a float array and
+    does no checks; it is the one formula d_all_lagrangian evaluates.
+    """
+    E, D = basis.eval_matrix, basis.deriv_matrix
+    Et = None if np.array_equal(E, np.eye(*E.shape)) else E.T  # I @ S is S
+    mhE, Dt, b = -h * E, D.T, tab.b[:, None]
+    ch, Mt, grad = (tab.c * h).tolist(), prob.mass_matrix.T, prob.grad_potential
+
+    def dL(stages, t_k):
+        q = stages if Et is None else Et @ stages
+        v = Dt @ stages / h
+        G = np.array([grad(t_k + c, qj) for c, qj in zip(ch, q)])
+        return mhE @ (b * G) + D @ (b * (v @ Mt))
+
+    return dL
+
+
 def d_all_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
                      basis: LagrangeBasis, stages, t_k: float, h: float) -> np.ndarray:
-    """Analytic partials of the discrete Lagrangian w.r.t. all stages, shape (s+1, d)."""
-    q, v, ts = _nodes(prob, tab, basis, stages, t_k, h)
-    grads = np.stack([prob.grad_potential(ts[j], q[j]) for j in range(tab.r)])
-    mom = v @ prob.mass_matrix.T
-    bg = tab.b[:, None] * grads
-    bm = tab.b[:, None] * mom
-    return -h * basis.eval_matrix @ bg + basis.deriv_matrix @ bm
+    """Analytic partials of the discrete Lagrangian w.r.t. all stages, shape (s+1, d).
+
+    Checks the stages' shape and evaluates stage_gradient(prob, tab, basis, h).
+    """
+    stages = np.asarray(stages, dtype=float)
+    if stages.shape != (basis.control_count, prob.d):
+        raise ValueError(f"stages must have shape {(basis.control_count, prob.d)}")
+    return stage_gradient(prob, tab, basis, h)(stages, t_k)
 
 
 def hessian_blocks(prob: LagrangianProblem, tab: ButcherTableau,

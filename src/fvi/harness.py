@@ -302,12 +302,12 @@ def export_weights(method: str, exponent: float, h: float, n_weights: int,
     no contour, so those fields read nan for them.
     """
     if method == "midcq":
-        seq = midcq_weights(exponent, h, int(n_weights))
+        seq = midcq_weights(exponent, h, n_weights)
         W = seq.w.reshape(-1, 1, 1)
         label, lam, eps_used, resid = "midpoint-scalar", math.nan, math.nan, 0.0
     else:
         tab = _tableau_for(method)
-        seq = compute_weights(tab, exponent, h, int(n_weights))
+        seq = compute_weights(tab, exponent, h, n_weights)
         W = seq.W
         label, lam, eps_used, resid = (seq.tableau_label, seq.radius, seq.eps,
                                        seq.max_imag_residue)

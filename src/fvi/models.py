@@ -219,19 +219,34 @@ def energy(prob: LagrangianProblem, x: np.ndarray, p: np.ndarray) -> float:
     return float(kinetic + prob.potential(0.0, x))
 
 
+def _energies(prob: LagrangianProblem, X, P) -> np.ndarray:
+    """Energy of each row of X and P, with one stacked mass solve for all rows.
+
+    The solve and the 1 x d by d x 1 products are stacked per row, so they
+    round as energy's 0.5 p @ M^-1 p does; a multi-column solve or an
+    einsum sum does not for d > 1.
+    """
+    P = np.asarray(P, dtype=float)
+    v = np.linalg.solve(prob.mass_matrix, P[:, :, None])
+    kinetic = ((0.5 * P)[:, None, :] @ v)[:, 0, 0]
+    return kinetic + np.array([prob.potential(0.0, xk)
+                               for xk in np.asarray(X, dtype=float)])
+
+
 def energy_series(spec: BenchmarkSpec, t: np.ndarray, x: np.ndarray,
                   p: np.ndarray) -> tuple:
     """Energy along a trajectory plus exact energy and its relative error.
 
-    Returns (E_num, E_exact, E_err) with E_err = (E_num - E_exact) scaled by
-    max_t |E_exact|.  Requires the benchmark's exact solution.
+    x and p hold one state per time in t.  Returns (E_num, E_exact, E_err)
+    with E_err = (E_num - E_exact) scaled by max_t |E_exact|.  Requires the
+    benchmark's exact solution.
     """
-    if spec.problem.exact_solution is None:
+    prob = spec.problem
+    if prob.exact_solution is None:
         raise ValueError("benchmark has no exact solution")
-    t = np.asarray(t, dtype=float)
-    e_num = np.array([energy(spec.problem, x[k], p[k]) for k in range(t.size)])
-    exact_states = [spec.problem.exact_solution(tk) for tk in t]
-    e_exact = np.array([energy(spec.problem, xe, pe) for xe, pe in exact_states])
+    exact = [prob.exact_solution(tk) for tk in np.asarray(t, dtype=float)]
+    e_num = _energies(prob, x, p)
+    e_exact = _energies(prob, [xe for xe, _ in exact], [pe for _, pe in exact])
     scale = np.abs(e_exact).max()
     if scale == 0.0:
         scale = 1.0

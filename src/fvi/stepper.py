@@ -35,6 +35,7 @@ from .galerkin import (
     basis_for,
     d_all_lagrangian,
     hessian_blocks,
+    stage_gradient,
 )
 from .tableau import ButcherTableau
 
@@ -115,11 +116,12 @@ class NewtonError(RuntimeError):
         self.iterations = iterations
 
 
-def _newton(residual, jacobian, u0, tol, J=None):
-    """Undamped Newton to max-norm residual <= tol; (solution, solves, residual, J).
+def _newton(residual, jacobian, u0, tol, Jinv=None):
+    """Undamped Newton to max-norm residual <= tol; (solution, solves, residual, Jinv).
 
-    The first correction solves with J when one is given, every later one with
-    jacobian at the current iterate; the returned J is the last one used.
+    Each correction is u - Jinv F with Jinv the inverse of a Jacobian.  The
+    first one uses the Jinv it is given, if any; every later one inverts
+    jacobian at the current iterate.  The returned Jinv is the last one used.
     """
     u = np.array(u0, dtype=float)
     for solves in range(_NEWTON_MAX_ITER + 1):
@@ -127,12 +129,12 @@ def _newton(residual, jacobian, u0, tol, J=None):
         norm = float(np.abs(F).max()) if F.size else 0.0
         finite = math.isfinite(norm)
         if finite and norm <= tol:
-            return u, solves, norm, J
+            return u, solves, norm, Jinv
         if not finite or solves == _NEWTON_MAX_ITER:
             break
-        if solves or J is None:
-            J = jacobian(u)
-        u = u - np.linalg.solve(J, F)
+        if solves or Jinv is None:
+            Jinv = np.linalg.inv(jacobian(u))
+        u = u - Jinv @ F
     raise NewtonError(f"newton stopped at residual {norm:.3e} after {solves} "
                       "iterations", norm, u, solves)
 
@@ -151,6 +153,13 @@ def _fd_jacobian(residual, u):
     return J
 
 
+def _require_two_stages(tab, name):
+    # these apply diag(b) W_n to the block's control points, which needs E = I
+    if tab.r < 2:
+        raise ValueError(f"{name} needs at least two stages, got one-stage "
+                         f"tableau {tab.label!r}")
+
+
 def _check_weights(prob, tab, cfg, weights):
     if abs(weights.exponent + 2.0 * prob.alpha) > 1e-12:
         raise ValueError("weights exponent does not match the damping order")
@@ -164,26 +173,29 @@ def _block_solver(prob, tab, cfg, V0, x0):
     """solve(t_k, first, p_in, hist, guess) -> (stages, R, (solves, residual)).
 
     Newton on one block with its first control point fixed at `first` and
-    hist = H_k; R is the residual at the returned stages.  Without a guess
-    Newton starts on the line from `first` with velocity M^-1 p_in.  The
-    Jacobian is analytic when the problem has hess_potential and a central
-    difference of the residual otherwise.  It lags by one block: a block's
-    first correction uses the last Jacobian of the block before, and later
-    corrections rebuild it at the iterate, so with a constant Hessian it is
-    built once per solver (Hairer & Wanner, Solving ODEs II, IV.8).  The
+    hist = H_k; R = dL(stages, t_k) - rho h (V0 (stages - x0) + hist) is the
+    residual at the returned stages, dL being stage_gradient bound once per
+    solver.  Without a guess Newton starts on the line from `first` with
+    velocity M^-1 p_in.  The Jacobian is analytic when the problem has
+    hess_potential and a central difference of the residual otherwise.  Its
+    inverse lags by one block: a block's first correction uses the last
+    inverse of the block before, and later corrections invert a Jacobian built
+    at the iterate, so with a constant Hessian one Jacobian is built and
+    inverted per solver (Hairer & Wanner, Solving ODEs II, IV.8).  The
     residual cancels momenta of size |M x| / h and p_in, so Newton stops at
     _NEWTON_TOL times that size or 1 (the mixed scale of the same section).
     """
     basis = basis_for(tab)
     n, d, h = basis.control_count, prob.d, cfg.h
     rho_h = prob.rho * h
+    dL = stage_gradient(prob, tab, basis, h)
     damp = rho_h * np.kron(V0[:-1, 1:], np.eye(d))
     analytic = prob.hess_potential is not None
     mass = float(np.abs(prob.mass_matrix).sum(axis=1).max())
-    J = None
+    Jinv = None
 
     def solve(t_k, first, p_in, hist, guess=None):
-        nonlocal J
+        nonlocal Jinv
         if guess is None:
             v = np.linalg.solve(prob.mass_matrix, p_in)
             guess = (first + basis.nodes[1:, None] * h * v).ravel()
@@ -201,8 +213,7 @@ def _block_solver(prob, tab, cfg, V0, x0):
         def residual(u):
             nonlocal R
             stages = build(u)
-            R = d_all_lagrangian(prob, tab, basis, stages, t_k, h) \
-                - rho_h * (V0 @ (stages - x0) + hist)
+            R = dL(stages, t_k) - rho_h * (V0 @ (stages - x0) + hist)
             eqs = R[:-1].copy()
             eqs[0] += p_in
             return eqs.ravel()
@@ -212,7 +223,7 @@ def _block_solver(prob, tab, cfg, V0, x0):
             return hess.transpose(0, 2, 1, 3).reshape(damp.shape) - damp
 
         jac = jacobian if analytic else (lambda u: _fd_jacobian(residual, u))
-        u, solves, norm, J = _newton(residual, jac, guess, tol, J)
+        u, solves, norm, Jinv = _newton(residual, jac, guess, tol, Jinv)
         return build(u), R, (solves, norm)
 
     return solve
@@ -226,8 +237,7 @@ def init_step(prob: LagrangianProblem, tab: ButcherTableau,
     equations i = 2..s for the unknowns x_0^2..x_0^{s+1}; x_0^1 = x0 is fixed.
     This is block 0 of the stepping loop of `run`.
     """
-    if tab.r < 2:
-        raise ValueError("init_step needs at least two stages")
+    _require_two_stages(tab, "init_step")
     _check_weights(prob, tab, cfg, weights)
     x0 = np.asarray(x0, dtype=float).ravel()
     p0 = np.asarray(p0, dtype=float).ravel()
@@ -244,6 +254,7 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
     damping history sum over weights n >= 1, which the stepping loop of `run`
     carries along, are recomputed here from the history.
     """
+    _require_two_stages(tab, "step")
     if k < 1 or history.nblocks != k:
         raise ValueError(f"history must hold exactly blocks 0..{k - 1}")
     _check_weights(prob, tab, cfg, weights)
@@ -259,6 +270,7 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
 
 
 def _node_momentum(prob, tab, weights, history, k, plus):
+    _require_two_stages(tab, "legendre_plus" if plus else "legendre_minus")
     if not 0 <= k < history.nblocks:
         raise IndexError(f"block index {k} out of range")
     if weights.count <= k:

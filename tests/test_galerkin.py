@@ -9,6 +9,7 @@ from fvi.galerkin import (
     d_all_lagrangian,
     discrete_lagrangian,
     hessian_blocks,
+    stage_gradient,
 )
 from fvi.tableau import ButcherTableau, lobatto_iiic, midpoint
 
@@ -161,6 +162,36 @@ def test_gradient_matches_finite_differences():
                 lambda s: discrete_lagrangian(prob, tab, basis, s, t_k, h),
                 stages)
             assert np.abs(exact - fd).max() < 1e-5 * (1.0 + np.abs(exact).max())
+
+
+def _d_all_lagrangian_reference(prob, tab, basis, stages, t_k, h):
+    # the formula as written before stage_gradient bound its constants; the
+    # stepping loop's rounding depends on this exact order of operations
+    q = basis.eval_matrix.T @ stages
+    v = basis.deriv_matrix.T @ stages / h
+    ts = t_k + tab.c * h
+    grads = np.stack([prob.grad_potential(ts[j], q[j]) for j in range(tab.r)])
+    bg = tab.b[:, None] * grads
+    bm = tab.b[:, None] * (v @ prob.mass_matrix.T)
+    return -h * basis.eval_matrix @ bg + basis.deriv_matrix @ bm
+
+
+@pytest.mark.parametrize("tab", ALL_TABLEAUX, ids=lambda t: t.label)
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("random_mass", [False, True])
+def test_stage_gradient_is_d_all_lagrangian_bitwise(tab, d, random_mass):
+    rng = np.random.default_rng(29)
+    basis = basis_for(tab)
+    prob = _random_problem(rng, d, random_mass=random_mass)
+    for h in (0.05, 0.3):
+        dL = stage_gradient(prob, tab, basis, h)
+        for _ in range(10):
+            stages = rng.normal(size=(basis.control_count, d))
+            t_k = float(rng.uniform(0.0, 2.0))
+            ref = _d_all_lagrangian_reference(prob, tab, basis, stages, t_k, h)
+            assert np.array_equal(dL(stages, t_k), ref)
+            assert np.array_equal(
+                d_all_lagrangian(prob, tab, basis, stages, t_k, h), ref)
 
 
 def test_translation_invariance_free_particle():

@@ -209,6 +209,16 @@ def test_export_weights_midcq_scalar(tmp_path):
                                atol=1e-15)
 
 
+@pytest.mark.parametrize("method", ["lobatto2", "midcq"])
+def test_export_weights_rejects_non_integer_count(tmp_path, method):
+    path = tmp_path / "w.csv"
+    with pytest.raises(ValueError, match="N must be an integer >= 0, got 8.7"):
+        export_weights(method, -0.5, 0.1, 8.7, path)
+    assert not path.exists()
+    _, W = read_weights(export_weights(method, -0.5, 0.1, np.int64(8), path))
+    assert W.shape[0] == 9
+
+
 def test_report_csv_round_trip(tmp_path):
     rep = converge("bagley-torvik", "lobatto2", [8, 16, 32, 64], horizon=1.0)
     path = write_report_csv(rep, tmp_path / "report.csv")

@@ -1,5 +1,6 @@
 """Tests for the benchmark problems and the energy functional."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -153,6 +154,27 @@ def test_energy_series_vanishes_on_exact_trajectory():
     assert np.allclose(e_num, e_exact, atol=1e-14)
     assert np.abs(e_err).max() < 1e-13
     assert abs(e_exact[0] - 0.3025) < 1e-15
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+@pytest.mark.parametrize("mass_scale", [None, 1.7])
+def test_energy_series_is_energy_at_each_node(name, mass_scale):
+    # one mass solve for all nodes rounds exactly as energy does per node
+    spec = by_name(name)
+    if mass_scale is not None:  # a full mass matrix; the exact energy is
+        d = spec.problem.d      # then only a function of the exact states
+        mass = mass_scale * np.eye(d) + 0.3 * np.ones((d, d))
+        prob = dataclasses.replace(spec.problem, mass=mass)
+        spec = dataclasses.replace(spec, problem=prob)
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 2.0, 17)
+    d = spec.problem.d
+    x, p = rng.normal(size=(17, d)), 3.0 * rng.normal(size=(17, d))
+    e_num, e_exact, _ = energy_series(spec, t, x, p)
+    ref = [energy(spec.problem, xk, pk) for xk, pk in zip(x, p)]
+    assert np.array_equal(e_num, ref)
+    ref = [energy(spec.problem, *spec.problem.exact_solution(tk)) for tk in t]
+    assert np.array_equal(e_exact, ref)
 
 
 def test_registry_lookup():

@@ -2,11 +2,12 @@
 midpoint variant and the stationarity of the doubled discrete action."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from fvi import models, stepper, tableau
+from fvi import harness, models, stepper, tableau
 from fvi.cq import StageTrajectory, apply_midcq, compute_weights, midcq_weights
 from fvi.galerkin import LagrangianProblem, basis_for, d_all_lagrangian
 from fvi.stepper import FviConfig, NewtonError
@@ -223,8 +224,8 @@ def _counted(monkeypatch, name):
 
 
 def test_jacobian_built_once_per_run_on_quadratic_problems(monkeypatch):
-    # each block's first correction reuses the last Jacobian and every further
-    # correction builds one; with a constant Hessian the reused one is exact,
+    # each block's first correction reuses the last Jacobian's inverse and
+    # every further correction builds one; with a constant Hessian it is exact,
     # so one build serves the whole run (bagley-torvik's lobatto2 block 0
     # starts at its solution and takes no solve); the differenced Jacobian's
     # rounding error stays below the stopping test
@@ -242,6 +243,80 @@ def test_jacobian_built_once_per_run_on_quadratic_problems(monkeypatch):
             sol = stepper.run(prob, tab, cfg, *spec.default_initials)
             solves = [iters for iters, _ in sol.newton_stats]
             assert len(calls) == 1 and max(solves) <= 1, (name, tab.label)
+
+
+def _count_linalg_from_stepper(monkeypatch):
+    """Count np.linalg.inv and np.linalg.solve calls made by fvi.stepper."""
+    counts = {"inv": 0, "solve": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name)):
+            if sys._getframe(1).f_globals["__name__"] == "fvi.stepper":
+                counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("method", ["lobatto2", "lobatto3", "lobatto4", "midcq"])
+def test_run_inverts_one_jacobian_and_solves_no_block(monkeypatch, method):
+    # the lagged Jacobian is inverted once and each correction is a product
+    # with the inverse; the one solve is M^-1 p0 for block 0's start guess,
+    # and the residual binds stage_gradient instead of calling
+    # d_all_lagrangian
+    spec = models.bagley_torvik()
+    tab = harness._tableau_for(method)
+    cfg = FviConfig(h=1.0 / 64, N=64)
+    counts = _count_linalg_from_stepper(monkeypatch)
+    d_all = _counted(monkeypatch, "d_all_lagrangian")
+    sol = stepper.run(spec.problem, tab, cfg, *spec.default_initials)
+    assert counts == {"inv": 1, "solve": 1}
+    assert d_all == []
+    assert sum(iters for iters, _ in sol.newton_stats) >= cfg.N - 1
+
+
+@pytest.mark.parametrize("method", ["lobatto3", "midcq"])
+def test_block_residual_keeps_its_grouping(method):
+    # R = D L_d(S) - rho h (V0 (S - x0) + H), evaluated in this order; a
+    # residual that folds the damping into one precomputed matrix rounds
+    # differently and raises the order fits' error floor
+    spec = models.coupled_oscillator()
+    prob = dataclasses.replace(spec.problem, rho=0.7)
+    tab = harness._tableau_for(method)
+    basis = basis_for(tab)
+    cfg = FviConfig(h=0.05, N=8)
+    E = basis.eval_matrix
+    V = E @ (tab.b[:, None] * stepper._run_weights(prob, tab, cfg.h, cfg.N)) @ E.T
+    rng = np.random.default_rng(5)
+    n, d = basis.control_count, prob.d
+    x0 = rng.normal(size=d)
+    solve = stepper._block_solver(prob, tab, cfg, V[0], x0)
+    for k in range(4):
+        first, p_in = rng.normal(size=d), rng.normal(size=d)
+        hist = rng.normal(size=(n, d))
+        guess = rng.normal(size=(n - 1) * d)
+        stages, R, _ = solve(k * cfg.h, first, p_in, hist, guess)
+        ref = d_all_lagrangian(prob, tab, basis, stages, k * cfg.h, cfg.h) \
+            - prob.rho * cfg.h * (V[0] @ (stages - x0) + hist)
+        assert np.array_equal(R, ref)
+
+
+def test_step_and_legendre_reject_one_stage_tableau():
+    spec = models.bagley_torvik()
+    prob, tab = spec.problem, tableau.midpoint()
+    cfg = FviConfig(h=1.0 / 16, N=16)
+    traj = stepper.run(prob, tab, cfg, *spec.default_initials).trajectory
+    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N)
+    head = StageTrajectory(values=traj.values[:3], h=cfg.h)
+    calls = [("step", lambda: stepper.step(prob, tab, w, cfg, head, 3)),
+             ("legendre_minus",
+              lambda: stepper.legendre_minus(prob, tab, w, traj, 3)),
+             ("legendre_plus",
+              lambda: stepper.legendre_plus(prob, tab, w, traj, 3))]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"{name} needs at least two "
+                           "stages, got one-stage tableau 'midpoint'"):
+            call()
 
 
 @pytest.mark.parametrize("r,order", [(2, 2.0), (3, 4.0), (4, 6.0)])
