@@ -17,7 +17,6 @@ import numpy as np
 
 from fvi import FviConfig, by_name, energy, lobatto_iiic, run
 from fvi.harness import simulate
-from fvi.models import energy_series
 
 
 def main() -> int:

@@ -17,7 +17,7 @@ import numpy as np
 from .cq import StageTrajectory, apply_advanced, apply_retarded, compute_weights
 from .galerkin import LagrangianProblem
 from .harness import converge, fit_slope, run_benchmark
-from .models import by_name, energy_series
+from .models import by_name, energy_series, exact_states
 from .oracle import brute_convolve, rl_monomial
 from .stepper import (FviConfig, action_variation, companion_residuals,
                       qp_closed_form, run, solve_companion)
@@ -182,9 +182,8 @@ def criterion_6() -> CriterionResult:
 
     def local_error(h: float) -> Tuple[float, float]:
         x1, p1 = qp_closed_form(prob, h, x0, p0)
-        xe, ve = prob.exact_solution(h)
-        return (float(np.abs(x1 - xe).max()),
-                float(np.abs(p1 - prob.mass_matrix @ np.asarray(ve)).max()))
+        (xe,), (pe,) = exact_states(prob, [h])
+        return float(np.abs(x1 - xe).max()), float(np.abs(p1 - pe).max())
 
     ex1, ep1 = local_error(0.1)
     ex2, ep2 = local_error(0.05)

@@ -8,6 +8,7 @@ carries the time dependence so forced problems fit the same mould.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -64,6 +65,8 @@ class LagrangianProblem:
     forcing f(t) is folded in as U(x) - x.f(t).  rho and alpha describe the
     damping term built on the half-order operator of order 2*alpha.
     hess_potential is optional and enables analytic Newton Jacobians.
+    exact_solution, when known, returns (x(t), xdot(t)) at t, the position and
+    the velocity; fvi.models.exact_states forms the momentum M xdot.
     """
 
     d: int
@@ -77,8 +80,9 @@ class LagrangianProblem:
     mass_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("state dimension must be >= 1")
+        if not isinstance(self.d, numbers.Integral) or self.d < 1:
+            raise ValueError(
+                f"state dimension must be an integer >= 1, got {self.d!r}")
         M = np.eye(self.d) if self.mass is None else np.atleast_2d(
             np.asarray(self.mass, dtype=float))
         if M.shape != (self.d, self.d):
@@ -137,8 +141,8 @@ def _nodes(prob, tab, basis, stages, t_k, h):
 def discrete_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
                         basis: LagrangeBasis, stages, t_k: float, h: float) -> float:
     """Quadrature value h sum_i b_i L(t_k + c_i h, q_d(c_i h), qdot_d(c_i h))."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     q, v, ts = _nodes(prob, tab, basis, stages, t_k, h)
     total = 0.0
     for j in range(tab.r):

@@ -16,7 +16,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .cq import compute_weights, midcq_weights
-from .models import BenchmarkSpec, by_name, energy_series, with_derivative_order
+from .models import (BenchmarkSpec, by_name, energy_series, exact_states,
+                     with_derivative_order)
 from .stepper import FviConfig, FviSolution, _check_step_count, _run_weights, run
 from .tableau import lobatto_iiic, midpoint
 
@@ -144,29 +145,9 @@ def run_benchmark(spec: BenchmarkSpec, method: str, n_steps: int,
 
 def node_errors(spec: BenchmarkSpec, sol: FviSolution) -> Tuple[float, float]:
     """Max deviations (err_x, err_p) from the exact solution at the main nodes."""
-    prob = spec.problem
-    if prob.exact_solution is None:
-        raise ValueError("benchmark has no exact solution")
-    xs = sol.node_positions
-    err_x = err_p = 0.0
-    for k, t in enumerate(sol.times):
-        xe, ve = prob.exact_solution(float(t))
-        err_x = max(err_x, float(np.abs(xs[k] - np.asarray(xe)).max()))
-        pe = prob.mass_matrix @ np.asarray(ve)
-        err_p = max(err_p, float(np.abs(sol.momenta[k] - pe).max()))
-    return err_x, err_p
-
-
-def _exact_magnitudes(spec: BenchmarkSpec, horizon: float,
-                      samples: int = 256) -> Tuple[float, float]:
-    """Peak |x| and |p| of the exact solution, used by the fit floor guard."""
-    prob = spec.problem
-    mx = mp = 0.0
-    for t in np.linspace(0.0, horizon, samples + 1):
-        xe, ve = prob.exact_solution(float(t))
-        mx = max(mx, float(np.abs(xe).max()))
-        mp = max(mp, float(np.abs(prob.mass_matrix @ np.asarray(ve)).max()))
-    return mx, mp
+    X, P = exact_states(spec.problem, sol.times)
+    return (float(np.abs(sol.node_positions - X).max()),
+            float(np.abs(sol.momenta - P).max()))
 
 
 def converge(spec_name, method: str, steps: Sequence[int],
@@ -202,9 +183,10 @@ def converge(spec_name, method: str, steps: Sequence[int],
     hs = np.array([horizon / n for n in steps])
     err_x = np.array([e[0] for e in errors])
     err_p = np.array([e[1] for e in errors])
-    mag_x, mag_p = _exact_magnitudes(spec, horizon)
-    slope_x, _, excl_x = fit_slope(hs, err_x, mag_x)
-    slope_p, _, excl_p = fit_slope(hs, err_p, mag_p)
+    # the peak exact |x| and |p| set the fit's rounding floor
+    X, P = exact_states(spec.problem, np.linspace(0.0, horizon, 257))
+    slope_x, _, excl_x = fit_slope(hs, err_x, np.abs(X).max())
+    slope_p, _, excl_p = fit_slope(hs, err_p, np.abs(P).max())
     return ConvergenceReport(spec_name=spec.name, method=method,
                              steps=np.array(steps), step_sizes=hs,
                              err_x=err_x, slope_x=slope_x, excluded_x=excl_x,

@@ -22,6 +22,7 @@ __all__ = [
     "damped_oscillator_1d",
     "energy",
     "energy_series",
+    "exact_states",
     "by_name",
     "with_derivative_order",
     "BENCHMARK_NAMES",
@@ -33,7 +34,9 @@ class BenchmarkSpec:
     """Named benchmark: problem data, default initial state and horizon.
 
     reference describes the experiment the benchmark reproduces.  The
-    initial momentum in default_initials is M xdot(0).
+    initial momentum in default_initials is M xdot(0).  The problem's
+    exact_solution, when present, returns (x(t), xdot(t)) at t; exact_states
+    turns it into positions and momenta.
     """
 
     problem: LagrangianProblem
@@ -47,32 +50,45 @@ class BenchmarkSpec:
         p0 = np.asarray(self.default_initials[1], dtype=float).ravel()
         if x0.size != self.problem.d or p0.size != self.problem.d:
             raise ValueError("initial state dimension mismatch")
-        if self.default_horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.default_horizon) and self.default_horizon > 0):
+            raise ValueError("horizon must be positive and finite, "
+                             f"got {self.default_horizon!r}")
         x0.setflags(write=False)
         p0.setflags(write=False)
         object.__setattr__(self, "default_initials", (x0, p0))
 
 
-def _check_exact(prob: LagrangianProblem, horizon: float,
-                 damping_term: Callable[[float], np.ndarray],
-                 tol: float = 1e-8, samples: int = 20) -> None:
-    """Residual of M xddot + rho*damping + grad U at sample times.
+def exact_states(prob: LagrangianProblem, t) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact positions X and momenta P at the times t, each of shape (len(t), d).
 
-    xddot comes from a central difference of the exact momentum, so the check
-    does not reuse any analytic derivative of the closed form it validates.
+    exact_solution returns (x(t), xdot(t)); the momentum is M xdot.  The
+    products are stacked per row, so they round as M @ xdot does; V @ M^T
+    does not for d > 1 and a full M.
+    """
+    if prob.exact_solution is None:
+        raise ValueError("benchmark has no exact solution")
+    states = [prob.exact_solution(float(tk))
+              for tk in np.asarray(t, dtype=float).ravel()]
+    X = np.array([x for x, _ in states], dtype=float).reshape(-1, prob.d)
+    V = np.array([v for _, v in states], dtype=float).reshape(-1, prob.d)
+    return X, (prob.mass_matrix @ V[:, :, None])[:, :, 0]
+
+
+def _check_exact(prob: LagrangianProblem, horizon: float,
+                 damping_term: Callable[[float], np.ndarray]) -> None:
+    """Residual of pdot + rho*damping + grad U at 20 times up to horizon.
+
+    pdot is a central difference of the exact momentum, so the check does
+    not reuse any analytic derivative of the closed form it validates.
     """
     delta = 1e-5
-    Minv = np.linalg.inv(prob.mass_matrix)
-    for k in range(1, samples + 1):
-        t = horizon * k / samples
-        x, _ = prob.exact_solution(t)
-        _, p_up = prob.exact_solution(t + delta)
-        _, p_dn = prob.exact_solution(t - delta)
-        xddot = Minv @ (np.asarray(p_up) - np.asarray(p_dn)) / (2.0 * delta)
-        resid = prob.mass_matrix @ xddot + prob.rho * damping_term(t) \
-            + prob.grad_potential(t, np.asarray(x))
-        if np.abs(resid).max() > tol:
+    ts = horizon * np.arange(1, 21) / 20
+    X, _ = exact_states(prob, ts)
+    pdot = (exact_states(prob, ts + delta)[1]
+            - exact_states(prob, ts - delta)[1]) / (2.0 * delta)
+    for t, x, dp in zip(ts.tolist(), X, pdot):
+        resid = dp + prob.rho * damping_term(t) + prob.grad_potential(t, x)
+        if np.abs(resid).max() > 1e-8:
             raise RuntimeError(
                 f"exact solution residual {np.abs(resid).max():.3e} at t={t}")
 
@@ -242,11 +258,8 @@ def energy_series(spec: BenchmarkSpec, t: np.ndarray, x: np.ndarray,
     benchmark's exact solution.
     """
     prob = spec.problem
-    if prob.exact_solution is None:
-        raise ValueError("benchmark has no exact solution")
-    exact = [prob.exact_solution(tk) for tk in np.asarray(t, dtype=float)]
+    e_exact = _energies(prob, *exact_states(prob, t))
     e_num = _energies(prob, x, p)
-    e_exact = _energies(prob, [xe for xe, _ in exact], [pe for _, pe in exact])
     scale = np.abs(e_exact).max()
     if scale == 0.0:
         scale = 1.0

@@ -314,8 +314,8 @@ def qp_closed_form(prob: LagrangianProblem, h: float, x_k, p_k,
         raise ValueError("closed-form map requires alpha = 1/2")
     if not np.array_equal(prob.mass_matrix, np.eye(prob.d)):
         raise ValueError("closed-form map requires identity mass")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     x_k = np.asarray(x_k, dtype=float).ravel()
     p_k = np.asarray(p_k, dtype=float).ravel()
     rho = prob.rho

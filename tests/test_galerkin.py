@@ -295,6 +295,8 @@ def test_problem_validation():
                           alpha=float("nan"))
     with pytest.raises(ValueError, match="dimension"):
         LagrangianProblem(d=0, potential=pot, grad_potential=grad)
+    with pytest.raises(ValueError, match="state dimension must be an integer >= 1, got 2.5"):
+        LagrangianProblem(d=2.5, potential=pot, grad_potential=grad)
 
 
 def test_argument_validation():
@@ -307,3 +309,5 @@ def test_argument_validation():
         discrete_lagrangian(prob, tab, basis, np.zeros((3, 2)), 0.0, 0.1)
     with pytest.raises(ValueError, match="h must be positive"):
         discrete_lagrangian(prob, tab, basis, good, 0.0, 0.0)
+    with pytest.raises(ValueError, match="h must be positive and finite, got nan"):
+        discrete_lagrangian(prob, tab, basis, good, 0.0, float("nan"))

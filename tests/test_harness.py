@@ -242,3 +242,12 @@ def test_run_benchmark_rejects_bad_inputs():
     for n_steps in (8.7, 8.0, 0, -3, float("nan")):
         with pytest.raises(ValueError, match=f"N must be an integer >= 1, got {n_steps!r}"):
             harness.run_benchmark(spec, "lobatto2", n_steps, 1.0)
+
+
+def test_node_errors_report_a_non_finite_node():
+    spec = models.damped_oscillator_1d()
+    sol = harness.run_benchmark(spec, "lobatto2", 16)
+    momenta = np.array(sol.momenta)
+    momenta[3] = np.nan
+    err_x, err_p = harness.node_errors(spec, dataclasses.replace(sol, momenta=momenta))
+    assert np.isfinite(err_x) and np.isnan(err_p)

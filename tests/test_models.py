@@ -15,6 +15,7 @@ from fvi.models import (
     damped_oscillator_1d,
     energy,
     energy_series,
+    exact_states,
     with_derivative_order,
 )
 from fvi.oracle import rl_monomial
@@ -173,7 +174,9 @@ def test_energy_series_is_energy_at_each_node(name, mass_scale):
     e_num, e_exact, _ = energy_series(spec, t, x, p)
     ref = [energy(spec.problem, xk, pk) for xk, pk in zip(x, p)]
     assert np.array_equal(e_num, ref)
-    ref = [energy(spec.problem, *spec.problem.exact_solution(tk)) for tk in t]
+    M = spec.problem.mass_matrix  # exact_solution gives (x, xdot), p = M xdot
+    ref = [energy(spec.problem, xe, M @ ve)
+           for xe, ve in map(spec.problem.exact_solution, t)]
     assert np.array_equal(e_exact, ref)
 
 
@@ -225,7 +228,62 @@ def test_spec_validation():
         BenchmarkSpec(problem=spec.problem, name="x",
                       default_initials=(np.zeros(3), np.zeros(3)),
                       default_horizon=1.0, reference="")
-    with pytest.raises(ValueError, match="horizon"):
-        BenchmarkSpec(problem=spec.problem, name="x",
-                      default_initials=(np.zeros(2), np.zeros(2)),
-                      default_horizon=0.0, reference="")
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match=f"horizon must be positive and finite, got {bad!r}"):
+            BenchmarkSpec(problem=spec.problem, name="x",
+                          default_initials=(np.zeros(2), np.zeros(2)),
+                          default_horizon=bad, reference="")
+
+
+def test_exact_states_reads_position_and_velocity():
+    spec = coupled_oscillator()
+    mass = np.array([[2.0, 0.3], [0.3, 1.5]])
+    prob = dataclasses.replace(spec.problem, mass=mass)
+    t = np.linspace(0.0, 3.0, 7)
+    X, P = exact_states(prob, t)
+    assert X.shape == P.shape == (7, 2)
+    for k, tk in enumerate(t):
+        x, v = prob.exact_solution(tk)
+        assert np.array_equal(X[k], x)
+        assert np.array_equal(P[k], mass @ v)
+    X1, P1 = exact_states(prob, [1.0])
+    assert X1.shape == P1.shape == (1, 2)
+    no_exact = with_derivative_order(bagley_torvik(), 1.0).problem
+    with pytest.raises(ValueError, match="benchmark has no exact solution"):
+        exact_states(no_exact, t)
+
+
+def _heavy_oscillator():
+    # m xddot + x = 0 with m = 2: x = cos(t / sqrt 2), p = m xdot
+    from fvi.galerkin import LagrangianProblem
+    from fvi.models import BenchmarkSpec
+
+    w = 1.0 / math.sqrt(2.0)
+    prob = LagrangianProblem(
+        d=1,
+        potential=lambda t, x: 0.5 * (x @ x),
+        grad_potential=lambda t, x: x,
+        mass=np.array([[2.0]]),
+        hess_potential=lambda t, x: np.eye(1),
+        rho=0.0,
+        alpha=0.5,
+        exact_solution=lambda t: (np.array([math.cos(w * t)]),
+                                  np.array([-w * math.sin(w * t)])),
+    )
+    return BenchmarkSpec(problem=prob, name="heavy-oscillator",
+                         default_initials=(np.ones(1), np.zeros(1)),
+                         default_horizon=8.0, reference="m = 2, undamped")
+
+
+def test_exact_momentum_is_mass_times_velocity_for_heavy_mass():
+    from fvi.harness import node_errors, run_benchmark
+    from fvi.models import _check_exact
+
+    spec = _heavy_oscillator()
+    _check_exact(spec.problem, spec.default_horizon, lambda t: np.zeros(1))
+    t = np.linspace(0.0, spec.default_horizon, 33)
+    _, _, e_err = energy_series(spec, t, *exact_states(spec.problem, t))
+    assert np.abs(e_err).max() < 1e-12
+    err_x, err_p = node_errors(spec, run_benchmark(spec, "lobatto3", 64))
+    assert err_x < 1e-6 and err_p < 1e-6

@@ -129,6 +129,8 @@ def test_qp_closed_form_validation():
         stepper.qp_closed_form(skew, 0.1, [1.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="h must be positive"):
         stepper.qp_closed_form(_harmonic(), -0.1, [1.0], [0.0])
+    with pytest.raises(ValueError, match="h must be positive and finite, got nan"):
+        stepper.qp_closed_form(_harmonic(), float("nan"), [1.0], [0.0])
 
 
 def test_undamped_run_matches_velocity_verlet():
