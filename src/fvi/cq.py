@@ -3,9 +3,9 @@
 A positive exponent discretizes the fractional integral of that order, a
 negative exponent the fractional derivative of order |exponent|.  Matrix
 weights come from a Runge-Kutta generating matrix: as exact polynomial
-coefficients for integer derivative orders, otherwise from an FFT over a
-contour inside the unit disc; scalar midpoint-rule weights come from an
-exact power-series recurrence.
+coefficients for integer derivative orders, otherwise from a real inverse
+FFT over half of a contour inside the unit disc; scalar midpoint-rule
+weights come from a three-term power-series recurrence.
 """
 
 import math
@@ -39,9 +39,11 @@ _EPS = 1e-16
 class WeightSequence:
     """Matrix convolution weights W_0..W_N for one kernel, tableau and step size.
 
-    W has shape (N+1, r, r) and units time^exponent.  max_imag_residue records
-    the largest imaginary part discarded when the contour sum was realified;
-    the contour parameters are kept so exports can reproduce the computation.
+    W has shape (N+1, r, r) and units time^exponent.  max_imag_residue is the
+    largest imaginary part discarded when realifying the weights.  It reads 0
+    by construction: the contour path sums half the contour into a real table
+    with irfft, and the exact path is real.  The contour parameters are kept
+    so exports can reproduce the computation.
     """
 
     exponent: float
@@ -150,16 +152,20 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
     W_0 = A^-1/h, W_1 = -(A^-1 1)(b^T A^-1)/h for m = 1; W_n = 0 for n > m.
     Every other kernel is summed by the trapezoidal rule on |z| = lambda as
     one inverse FFT over M points, W_n = lambda^(-n) ifft(K(gamma(z_l)/h))_n
-    with z_l = lambda exp(-2 pi i l / M).
+    with z_l = lambda exp(-2 pi i l / M).  A, b and c are real, so the values
+    at z_l and z_(M-l) are conjugate: only l = 0..M//2 are evaluated, and a
+    real inverse FFT (irfft) gives the real table directly.
 
     The radius is lambda = eps^(1/(M+N)) with eps = 1e-16, the rounding
     level of double precision, where the aliasing error lambda^M and the
     round-off amplification lambda^(-N) eps both equal eps^(M/(M+N)).
     M defaults to 2(N+1), putting that level near eps^(2/3) (contour_points =
     N+1 gives the minimal rule, ~sqrt(eps)).  K is applied through a complex
-    eigendecomposition of gamma(z_l); an ill-conditioned eigenvector matrix
-    makes the contour retry once at 0.98*lambda.  The exact path reports the
-    radius and M the contour would start from and a zero imaginary residue.
+    eigendecomposition gamma(z_l) = V diag(mu) V^-1; an eigenvector matrix
+    whose 1-norm condition ||V||_1 ||V^-1||_1 reaches _COND_LIMIT makes the
+    contour retry once at 0.98*lambda, and raise RuntimeError if it fails
+    again.  The exact path reports the radius and M the contour would start
+    from.  Both paths report max_imag_residue = 0.
     The _CACHE_SIZE most recently used results are cached per parameter set
     and tableau coefficients.
     """
@@ -202,9 +208,18 @@ def _polynomial_weights(tab, m, h, N):
 
 
 def _compute_weights(tab, exponent, h, N, M, lam, _retried=False):
-    """Contour sum on |z| = lam: real W (N+1, r, r), the radius used, max |imag| dropped."""
-    vals, vecs = np.linalg.eig(gamma(tab, lam * np.exp(-2j * np.pi * np.arange(M) / M)))
-    conds = np.linalg.cond(vecs)
+    """Contour sum on |z| = lam: real W (N+1, r, r), the radius used, and 0.0.
+
+    A, b and c are real, so gamma(conj z) = conj gamma(z) and the contour
+    values at z_l and z_(M-l) are conjugate: only l = 0..M//2 are decomposed,
+    and irfft adds the conjugate half, leaving no imaginary part to discard.
+    The degeneracy test is the 1-norm condition of each eigenvector matrix,
+    formed from the inverse the K(gamma) product needs anyway.
+    """
+    z = lam * np.exp(-2j * np.pi * np.arange(M // 2 + 1) / M)
+    vals, vecs = np.linalg.eig(gamma(tab, z))
+    inv = np.linalg.inv(vecs)
+    conds = np.linalg.norm(vecs, 1, axis=(1, 2)) * np.linalg.norm(inv, 1, axis=(1, 2))
     bad = np.nonzero(~(conds < _COND_LIMIT))[0]
     if bad.size:
         if not _retried:
@@ -213,10 +228,11 @@ def _compute_weights(tab, exponent, h, N, M, lam, _retried=False):
             f"contour degeneracy at node l={int(bad[0])} (cond={conds[bad[0]]:.3e}) "
             f"even after radius retry")
     kvals = (vals / h) ** (-exponent)
-    kmat = (vecs * kvals[:, None, :]) @ np.linalg.inv(vecs)
-    W = np.fft.ifft(kmat, axis=0)[: N + 1]
-    W *= (lam ** -np.arange(N + 1, dtype=float))[:, None, None]
-    return np.ascontiguousarray(W.real), lam, float(np.abs(W.imag).max())
+    kmat = (vecs * kvals[:, None, :]) @ inv
+    # a new array, so the cached table does not keep the M-point sum alive
+    W = (np.fft.irfft(kmat, n=M, axis=0)[: N + 1]
+         * (lam ** -np.arange(N + 1, dtype=float))[:, None, None])
+    return W, lam, 0.0
 
 
 def apply_retarded(w: WeightSequence, f: StageTrajectory, k: int) -> np.ndarray:
@@ -246,19 +262,18 @@ def apply_advanced(w: WeightSequence, g: StageTrajectory, k: int) -> np.ndarray:
 def midcq_weights(exponent: float, h: float, N: int) -> ScalarWeightSequence:
     """Taylor coefficients w_0..w_N of (gamma_mid(z)/h)^(-exponent), gamma_mid = 2(1-z)/(1+z).
 
-    Computed by the exact binomial recurrences for (1-z)^beta and (1+z)^(-beta)
-    (beta = -exponent) and one Cauchy product; no contour quadrature.
+    With beta = -exponent, w_n = (2/h)^beta c_n for the coefficients c_n of
+    f(z) = ((1-z)/(1+z))^beta.  f solves (1-z^2) f' = -2 beta f, and
+    comparing the coefficients of z^n gives the three-term recurrence
+    (n+1) c_(n+1) = (n-1) c_(n-1) - 2 beta c_n with c_0 = 1, c_1 = -2 beta:
+    O(N) work and no contour quadrature.
     """
     N = _check_weight_args(exponent, h, N)
     beta = -float(exponent)
-    a = np.empty(N + 1)
-    d = np.empty(N + 1)
-    a[0] = d[0] = 1.0
-    for n in range(1, N + 1):
-        a[n] = a[n - 1] * (n - 1 - beta) / n
-        d[n] = d[n - 1] * (-(beta + n - 1)) / n
-    w = np.convolve(a, d)[: N + 1]
-    w *= (2.0 / h) ** beta
+    c = [1.0, -2.0 * beta][: N + 1]
+    for n in range(1, N):
+        c.append(((n - 1) * c[n - 1] - 2.0 * beta * c[n]) / (n + 1))
+    w = np.array(c) * (2.0 / h) ** beta
     return ScalarWeightSequence(exponent=float(exponent), h=float(h), w=w)
 
 

@@ -16,8 +16,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .cq import compute_weights, midcq_weights
-from .models import (BenchmarkSpec, by_name, energy_series, exact_states,
-                     with_derivative_order)
+# energy_series stays importable here: bench/tracer.py times it by this name
+from .models import (BenchmarkSpec, _energy_columns, by_name, energy_series,
+                     exact_states, with_derivative_order)
 from .stepper import FviConfig, FviSolution, _check_step_count, _run_weights, run
 from .tableau import lobatto_iiic, midpoint
 
@@ -145,7 +146,11 @@ def run_benchmark(spec: BenchmarkSpec, method: str, n_steps: int,
 
 def node_errors(spec: BenchmarkSpec, sol: FviSolution) -> Tuple[float, float]:
     """Max deviations (err_x, err_p) from the exact solution at the main nodes."""
-    X, P = exact_states(spec.problem, sol.times)
+    return _deviations(sol, *exact_states(spec.problem, sol.times))
+
+
+def _deviations(sol: FviSolution, X, P) -> Tuple[float, float]:
+    """node_errors against exact states (X, P) already read at sol.times."""
     return (float(np.abs(sol.node_positions - X).max()),
             float(np.abs(sol.momenta - P).max()))
 
@@ -194,8 +199,10 @@ def converge(spec_name, method: str, steps: Sequence[int],
 
 
 def _write_lines(path: Path, header: str, rows) -> None:
-    body = "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows])
-    path.write_text(body + "\n")
+    """Write the header, then one line per row with every value as _fmt writes it."""
+    rows = [tuple(row) for row in rows]
+    fmt = ",".join(["%.17g"] * len(rows[0])) if rows else ""
+    path.write_text("\n".join([header] + [fmt % row for row in rows]) + "\n")
 
 
 def simulate(spec_name, method: str, n_steps: int,
@@ -225,19 +232,18 @@ def simulate(spec_name, method: str, n_steps: int,
 
     traj_path = out / f"{stem}-trajectory.csv"
     xs = sol.node_positions
-    rows = [[sol.times[k], *xs[k], *sol.momenta[k]] for k in range(sol.times.size)]
-    _write_lines(traj_path, "# " + ",".join(cols), rows)
+    _write_lines(traj_path, "# " + ",".join(cols),
+                 np.column_stack([sol.times, xs, sol.momenta]).tolist())
     files = {"trajectory": traj_path.name}
 
     max_err_x = max_err_p = None
     if spec.problem.exact_solution is not None:
-        e_num, e_exact, e_err = energy_series(spec, sol.times, xs, sol.momenta)
+        X, P = exact_states(spec.problem, sol.times)
         energy_path = out / f"{stem}-energy.csv"
-        _write_lines(energy_path, "# t,E_num,E_exact,E_err",
-                     [[sol.times[k], e_num[k], e_exact[k], e_err[k]]
-                      for k in range(sol.times.size)])
+        _write_lines(energy_path, "# t,E_num,E_exact,E_err", np.column_stack(
+            [sol.times, *_energy_columns(spec.problem, xs, sol.momenta, X, P)]).tolist())
         files["energy"] = energy_path.name
-        max_err_x, max_err_p = node_errors(spec, sol)
+        max_err_x, max_err_p = _deviations(sol, X, P)
 
     solves = [s[0] for s in sol.newton_stats]
     resids = [s[1] for s in sol.newton_stats]
@@ -297,11 +303,9 @@ def export_weights(method: str, exponent: float, h: float, n_weights: int,
               f" h={_fmt(h)} lambda={_fmt(lam)} eps={_fmt(eps_used)}"
               f" max_imag_residue={_fmt(resid)} columns=n,row,col,value")
     path = Path(path)
-    lines = [header] + [f"{n},{i},{j},{_fmt(W[n, i, j])}"
-                        for n in range(W.shape[0])
-                        for i in range(W.shape[1])
-                        for j in range(W.shape[2])]
-    path.write_text("\n".join(lines) + "\n")
+    # the indices go through %.17g as floats, which writes them as integers
+    _write_lines(path, header,
+                 np.column_stack([*np.indices(W.shape).reshape(3, -1), W.ravel()]).tolist())
     return path
 
 

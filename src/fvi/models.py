@@ -258,7 +258,12 @@ def energy_series(spec: BenchmarkSpec, t: np.ndarray, x: np.ndarray,
     benchmark's exact solution.
     """
     prob = spec.problem
-    e_exact = _energies(prob, *exact_states(prob, t))
+    return _energy_columns(prob, x, p, *exact_states(prob, t))
+
+
+def _energy_columns(prob: LagrangianProblem, x, p, X, P) -> tuple:
+    """energy_series of the states (x, p) against exact states (X, P) already read."""
+    e_exact = _energies(prob, X, P)
     e_num = _energies(prob, x, p)
     scale = np.abs(e_exact).max()
     if scale == 0.0:

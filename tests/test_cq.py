@@ -1,7 +1,10 @@
 """Tests for convolution quadrature weights and the discrete fractional operators."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import fvi.cq
 from fvi.cq import (
     _CACHE_SIZE,
     ScalarWeightSequence,
@@ -14,7 +17,7 @@ from fvi.cq import (
     compute_weights,
     midcq_weights,
 )
-from fvi.tableau import ButcherTableau, lobatto_iiic, midpoint
+from fvi.tableau import ButcherTableau, gamma, lobatto_iiic, midpoint
 
 SQRT2 = 1.41421356237309504880
 # J^(1/2) t^2 = HALF_INTEGRAL_T2_COEF * t^(5/2); the coefficient is Gamma(3)/Gamma(7/2)
@@ -186,6 +189,42 @@ def test_contour_sum_matches_closed_form(N, M, r):
     assert max_imag < 1e-10 * np.abs(exact).max()
 
 
+def _full_contour_weights(tab, exponent, h, N, M, lam):
+    """Reference: decompose gamma at all M contour points and keep the real part of one ifft."""
+    vals, vecs = np.linalg.eig(gamma(tab, lam * np.exp(-2j * np.pi * np.arange(M) / M)))
+    kmat = (vecs * ((vals / h) ** (-exponent))[:, None, :]) @ np.linalg.inv(vecs)
+    W = np.fft.ifft(kmat, axis=0)[: N + 1]
+    return W.real * (lam ** -np.arange(N + 1, dtype=float))[:, None, None]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("exponent", [-0.5, -1.5])
+@pytest.mark.parametrize("N", [2 ** 6, 2 ** 12])
+@pytest.mark.parametrize("c", [1, 4], ids=["M=N+1", "M=4(N+1)"])
+def test_half_contour_matches_full_contour_sum(r, exponent, N, c):
+    """Half the contour points plus irfft give the full M-point sum.
+
+    Both are compared as the contour sums lam^n W_n: the lam^(-n) rescale
+    amplifies any rounding difference by up to eps^(-N/(M+N)), about 1e8
+    for M = N+1, so only the sums themselves can agree to 1e-13.
+    """
+    tab = lobatto_iiic(r)
+    h, M = 1.0 / N, c * (N + 1)
+    W, lam, max_imag = _compute_weights(tab, exponent, h, N, M, 1e-16 ** (1.0 / (M + N)))
+    ref = _full_contour_weights(tab, exponent, h, N, M, lam)
+    scale = (lam ** np.arange(N + 1, dtype=float))[:, None, None]
+    assert np.abs((W - ref) * scale).max() <= 1e-13 * np.abs(ref * scale).max()
+    assert max_imag == 0.0
+
+
+def test_contour_degeneracy_is_reported_after_the_retry(monkeypatch):
+    """A condition limit no contour point meets fails at node 0 once 0.98*lambda was tried."""
+    monkeypatch.setattr(fvi.cq, "_COND_LIMIT", 0.0)
+    with pytest.raises(RuntimeError, match=r"contour degeneracy at node l=0 "
+                       r"\(cond=\d\.\d{3}e[+-]\d+\) even after radius retry"):
+        compute_weights(lobatto_iiic(3), -0.5, 0.0123, 20)
+
+
 def test_cache_tells_tableaux_apart_by_coefficients():
     """A tableau reusing another's label still gets weights of its own size."""
     t3 = lobatto_iiic(3)
@@ -275,6 +314,23 @@ def test_midcq_weights_frozen_values():
     w1 = midcq_weights(-1.0, 0.5, 5)
     np.testing.assert_allclose(w1.w, [4.0, -8.0, 8.0, -8.0, 8.0, -8.0],
                                rtol=0, atol=1e-13)
+
+
+def _midcq_reference(beta, N):
+    """The recurrence (n+1) c_(n+1) = (n-1) c_(n-1) - 2 beta c_n in exact rationals."""
+    c = [Fraction(1), -2 * beta]
+    for n in range(1, N):
+        c.append(((n - 1) * c[n - 1] - 2 * beta * c[n]) / (n + 1))
+    return np.array([float(x) for x in c[: N + 1]])
+
+
+@pytest.mark.parametrize("beta", [-0.9, -0.5, 0.5, 1.2, 1.9])
+def test_midcq_weights_match_exact_recurrence(beta):
+    """h = 2 makes (2/h)^beta = 1, so the weights are the coefficients c_n themselves."""
+    N = 256
+    w = midcq_weights(-beta, 2.0, N).w
+    ref = _midcq_reference(Fraction(beta), N)
+    assert np.all(np.abs(w - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_midcq_semigroup_and_inverse():
