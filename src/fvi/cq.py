@@ -4,8 +4,9 @@ A positive exponent discretizes the fractional integral of that order, a
 negative exponent the fractional derivative of order |exponent|.  Matrix
 weights come from a Runge-Kutta generating matrix: as exact polynomial
 coefficients for integer derivative orders, otherwise from a real inverse
-FFT over half of a contour inside the unit disc; scalar midpoint-rule
-weights come from a three-term power-series recurrence.
+FFT over half of a contour inside the unit disc; the midpoint rule's 1 x 1
+weights come from a three-term power-series recurrence.  Every path returns
+a WeightSequence for apply_retarded and apply_advanced.
 """
 
 import math
@@ -16,17 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tableau import ButcherTableau, gamma
+from .tableau import ButcherTableau, gamma, midpoint
 
 __all__ = [
     "WeightSequence",
-    "ScalarWeightSequence",
     "StageTrajectory",
     "compute_weights",
     "apply_retarded",
     "apply_advanced",
     "midcq_weights",
-    "apply_midcq",
 ]
 
 #: eigenvector condition number beyond which a contour point counts as degenerate
@@ -42,8 +41,9 @@ class WeightSequence:
     W has shape (N+1, r, r) and units time^exponent.  max_imag_residue is the
     largest imaginary part discarded when realifying the weights.  It reads 0
     by construction: the contour path sums half the contour into a real table
-    with irfft, and the exact path is real.  The contour parameters are kept
-    so exports can reproduce the computation.
+    with irfft, and the other paths are real.  The contour parameters are kept
+    so exports can reproduce the computation; the midpoint recurrence has no
+    contour, so its radius and eps are nan and its contour_points 0.
     """
 
     exponent: float
@@ -69,24 +69,6 @@ class WeightSequence:
     @property
     def r(self) -> int:
         return self.W.shape[1]
-
-
-@dataclass(frozen=True)
-class ScalarWeightSequence:
-    """Scalar convolution weights w_0..w_N (midpoint/trapezoidal generating function)."""
-
-    exponent: float
-    h: float
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).ravel()
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-
-    @property
-    def count(self) -> int:
-        return self.w.size
 
 
 @dataclass(frozen=True)
@@ -165,35 +147,40 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
     whose 1-norm condition ||V||_1 ||V^-1||_1 reaches _COND_LIMIT makes the
     contour retry once at 0.98*lambda, and raise RuntimeError if it fails
     again.  The exact path reports the radius and M the contour would start
-    from.  Both paths report max_imag_residue = 0.
-    The _CACHE_SIZE most recently used results are cached per parameter set
-    and tableau coefficients.
+    from.  Tables are cached by parameters and tableau coefficients, in one
+    LRU cache with those of midcq_weights.
     """
     N = _check_weight_args(exponent, h, N)
-    key = (tab.label, tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(),
-           float(exponent), float(h), N, contour_points)
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is not None:
-            _cache.move_to_end(key)
-            return hit
     M = 2 * (N + 1) if contour_points is None else int(contour_points)
     if M < N + 1:
         raise ValueError("contour_points must be at least N+1")
-    lam = _EPS ** (1.0 / (M + N))
-    order = -float(exponent)
-    if abs(tab.bT_Ainv_one - 1.0) < 1e-13 and order >= 0 and order.is_integer():
-        W, max_imag = _polynomial_weights(tab, int(order), h, N), 0.0
-    else:
-        W, lam, max_imag = _compute_weights(tab, exponent, h, N, M, lam)
-    seq = WeightSequence(exponent=float(exponent), h=float(h), W=W,
-                         tableau_label=tab.label, max_imag_residue=max_imag,
-                         radius=lam, eps=_EPS, contour_points=M)
+
+    def make():
+        lam, order = _EPS ** (1.0 / (M + N)), -float(exponent)
+        if abs(tab.bT_Ainv_one - 1.0) < 1e-13 and order >= 0 and order.is_integer():
+            W = _polynomial_weights(tab, int(order), h, N)
+        else:
+            W, lam = _compute_weights(tab, exponent, h, N, M, lam)
+        return WeightSequence(exponent=float(exponent), h=float(h), W=W,
+                              tableau_label=tab.label, max_imag_residue=0.0,
+                              radius=lam, eps=_EPS, contour_points=M)
+
+    return _cached((tab.label, tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(),
+                    float(exponent), float(h), N, contour_points), make)
+
+
+def _cached(key, make):
+    """The value cached under key, else make() cached; the _CACHE_SIZE latest are kept."""
     with _cache_lock:
-        _cache[key] = seq
+        if key in _cache:
+            _cache.move_to_end(key)
+            return _cache[key]
+    value = make()
+    with _cache_lock:
+        _cache[key] = value
         if len(_cache) > _CACHE_SIZE:
             _cache.popitem(last=False)
-    return seq
+    return value
 
 
 def _polynomial_weights(tab, m, h, N):
@@ -208,7 +195,7 @@ def _polynomial_weights(tab, m, h, N):
 
 
 def _compute_weights(tab, exponent, h, N, M, lam, _retried=False):
-    """Contour sum on |z| = lam: real W (N+1, r, r), the radius used, and 0.0.
+    """Contour sum on |z| = lam: real W (N+1, r, r) and the radius used.
 
     A, b and c are real, so gamma(conj z) = conj gamma(z) and the contour
     values at z_l and z_(M-l) are conjugate: only l = 0..M//2 are decomposed,
@@ -232,7 +219,7 @@ def _compute_weights(tab, exponent, h, N, M, lam, _retried=False):
     # a new array, so the cached table does not keep the M-point sum alive
     W = (np.fft.irfft(kmat, n=M, axis=0)[: N + 1]
          * (lam ** -np.arange(N + 1, dtype=float))[:, None, None])
-    return W, lam, 0.0
+    return W, lam
 
 
 def apply_retarded(w: WeightSequence, f: StageTrajectory, k: int) -> np.ndarray:
@@ -259,32 +246,26 @@ def apply_advanced(w: WeightSequence, g: StageTrajectory, k: int) -> np.ndarray:
     return np.tensordot(w.W[:m], g.values[k:], axes=([0, 1], [0, 1]))
 
 
-def midcq_weights(exponent: float, h: float, N: int) -> ScalarWeightSequence:
+def midcq_weights(exponent: float, h: float, N: int) -> WeightSequence:
     """Taylor coefficients w_0..w_N of (gamma_mid(z)/h)^(-exponent), gamma_mid = 2(1-z)/(1+z).
 
     With beta = -exponent, w_n = (2/h)^beta c_n for the coefficients c_n of
     f(z) = ((1-z)/(1+z))^beta.  f solves (1-z^2) f' = -2 beta f, and
     comparing the coefficients of z^n gives the three-term recurrence
     (n+1) c_(n+1) = (n-1) c_(n-1) - 2 beta c_n with c_0 = 1, c_1 = -2 beta:
-    O(N) work and no contour quadrature.
+    O(N) work and no contour quadrature.  W has shape (N+1, 1, 1): the
+    weights of the midpoint tableau, cached with those of compute_weights.
     """
     N = _check_weight_args(exponent, h, N)
-    beta = -float(exponent)
-    c = [1.0, -2.0 * beta][: N + 1]
-    for n in range(1, N):
-        c.append(((n - 1) * c[n - 1] - 2.0 * beta * c[n]) / (n + 1))
-    w = np.array(c) * (2.0 / h) ** beta
-    return ScalarWeightSequence(exponent=float(exponent), h=float(h), w=w)
 
+    def make():
+        beta = -float(exponent)
+        c = [1.0, -2.0 * beta][: N + 1]
+        for n in range(1, N):
+            c.append(((n - 1) * c[n - 1] - 2.0 * beta * c[n]) / (n + 1))
+        W = (np.array(c) * (2.0 / h) ** beta)[:, None, None]
+        return WeightSequence(exponent=float(exponent), h=float(h), W=W,
+                              tableau_label=midpoint().label, max_imag_residue=0.0,
+                              radius=math.nan, eps=math.nan, contour_points=0)
 
-def apply_midcq(w: ScalarWeightSequence, nodes: np.ndarray, k: int) -> np.ndarray:
-    """Midpoint-rule operator at k: sum_{j=0}^{k} w_{k-j} (f_j + f_{j+1})/2."""
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim == 1:
-        nodes = nodes[:, None]
-    if not 0 <= k <= nodes.shape[0] - 2:
-        raise IndexError(f"index {k} out of range for {nodes.shape[0]} nodes")
-    if k >= w.count:
-        raise IndexError(f"need weights up to index {k}, have {w.count - 1}")
-    mids = 0.5 * (nodes[: k + 1] + nodes[1: k + 2])
-    return w.w[: k + 1][::-1] @ mids
+    return _cached(("midcq", float(exponent), float(h), N), make)

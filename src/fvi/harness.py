@@ -284,28 +284,20 @@ def export_weights(method: str, exponent: float, h: float, n_weights: int,
                    path) -> Path:
     """Write convolution weights W_0..W_N as CSV rows n,row,col,value.
 
-    The header line records the kernel exponent, step size, contour radius
-    lambda, target accuracy eps and the largest imaginary part discarded when
-    the contour sums were realified; the recurrence-based midcq weights have
-    no contour, so those fields read nan for them.
+    The header line records the tableau, kernel exponent, step size, contour
+    radius lambda, target accuracy eps and the largest imaginary part
+    discarded when the contour sums were realified; the midcq recurrence has
+    no contour, so its lambda and eps read nan.
     """
-    if method == "midcq":
-        seq = midcq_weights(exponent, h, n_weights)
-        W = seq.w.reshape(-1, 1, 1)
-        label, lam, eps_used, resid = "midpoint-scalar", math.nan, math.nan, 0.0
-    else:
-        tab = _tableau_for(method)
-        seq = compute_weights(tab, exponent, h, n_weights)
-        W = seq.W
-        label, lam, eps_used, resid = (seq.tableau_label, seq.radius, seq.eps,
-                                       seq.max_imag_residue)
-    header = (f"# method={method} tableau={label} exponent={_fmt(exponent)}"
-              f" h={_fmt(h)} lambda={_fmt(lam)} eps={_fmt(eps_used)}"
-              f" max_imag_residue={_fmt(resid)} columns=n,row,col,value")
+    seq = (midcq_weights(exponent, h, n_weights) if method == "midcq" else
+           compute_weights(_tableau_for(method), exponent, h, n_weights))
+    header = (f"# method={method} tableau={seq.tableau_label} exponent={_fmt(exponent)}"
+              f" h={_fmt(h)} lambda={_fmt(seq.radius)} eps={_fmt(seq.eps)}"
+              f" max_imag_residue={_fmt(seq.max_imag_residue)} columns=n,row,col,value")
     path = Path(path)
     # the indices go through %.17g as floats, which writes them as integers
-    _write_lines(path, header,
-                 np.column_stack([*np.indices(W.shape).reshape(3, -1), W.ravel()]).tolist())
+    _write_lines(path, header, np.column_stack(
+        [*np.indices(seq.W.shape).reshape(3, -1), seq.W.ravel()]).tolist())
     return path
 
 

@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from .cq import ScalarWeightSequence
-
 __all__ = ["rl_monomial", "gl_weights", "brute_convolve"]
 
 
@@ -57,7 +55,7 @@ def rl_monomial(m: int, beta: float, t: float, kind: str = "integral") -> float:
     return math.gamma(m + 1) / denom * t ** power
 
 
-def gl_weights(beta: float, h: float, N: int) -> ScalarWeightSequence:
+def gl_weights(beta: float, h: float, N: int) -> np.ndarray:
     """Grunwald-Letnikov weights w_n = h^(-beta) (-1)^n binom(beta, n).
 
     First-order convolution quadrature for D^beta, generated by the
@@ -73,7 +71,7 @@ def gl_weights(beta: float, h: float, N: int) -> ScalarWeightSequence:
     for n in range(1, N + 1):
         w[n] = w[n - 1] * (1.0 - (beta + 1.0) / n)
     w *= h ** (-beta)
-    return ScalarWeightSequence(exponent=-beta, h=float(h), w=w)
+    return w
 
 
 def brute_convolve(a, b):

@@ -8,7 +8,7 @@ solve p_in + R_k[0] = 0 and R_k[i] = 0 at the inner points, p_in being p0 at
 k = 0 and R_{k-1}[-1] after.  Every tableau gets V_n = E diag(b) W_n E^T from
 its convolution weights W_n, with E = basis_for(tab).eval_matrix the control
 point basis at the quadrature nodes.  Lobatto IIIC has its nodes at the
-control points, so E = I; the midpoint rule has E = [1/2, 1/2]^T and scalar
+control points, so E = I; the midpoint rule has E = [1/2, 1/2]^T and 1 x 1
 weights w_n, so V_n = w_n 11^T / 4.  Damping acts on x - x0, which
 reproduces the classical damped update in the half-order-squared limit and
 avoids the start-up jump of a zero-extended history at nonzero x0.  `run` is
@@ -271,15 +271,9 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
 
 def _node_momentum(prob, tab, weights, history, k, plus):
     _require_two_stages(tab, "legendre_plus" if plus else "legendre_minus")
-    if not 0 <= k < history.nblocks:
-        raise IndexError(f"block index {k} out of range")
-    if weights.count <= k:
-        raise IndexError(f"need weights up to index {k}, have {weights.count - 1}")
-    basis = basis_for(tab)
     vals = history.values
-    incr = vals[:k + 1] - vals[0, 0]
-    dcq = np.tensordot(weights.W[:k + 1][::-1], incr, axes=([0, 2], [0, 1]))
-    dL = d_all_lagrangian(prob, tab, basis, vals[k], k * history.h, history.h)
+    dcq = apply_retarded(weights, StageTrajectory(vals - vals[0, 0], history.h), k)
+    dL = d_all_lagrangian(prob, tab, basis_for(tab), vals[k], k * history.h, history.h)
     rho_h = prob.rho * history.h
     if plus:
         return dL[-1] - rho_h * tab.b[-1] * dcq[-1]
@@ -363,7 +357,7 @@ def _run_weights(prob: LagrangianProblem, tab: ButcherTableau, h: float,
                  N: int) -> np.ndarray:
     """The damping weights W_0..W_N, shape (N+1, r, r), that `run` integrates with.
 
-    The midpoint rule's symbol gamma(z) = 2(1-z)/(1+z) has the exact scalar
+    The midpoint rule's symbol gamma(z) = 2(1-z)/(1+z) has the exact
     recurrence of midcq_weights.  Every other tableau gets a contour with four
     points per step instead of the default two, which keeps the accumulated
     weight error below the local truncation error of the higher-stage schemes
@@ -371,9 +365,8 @@ def _run_weights(prob: LagrangianProblem, tab: ButcherTableau, h: float,
     """
     if tab.r == 1:
         if not np.array_equal(np.r_[tab.A.ravel(), tab.b, tab.c], [0.5, 1.0, 0.5]):
-            raise ValueError(
-                f"one-stage tableau {tab.label!r} is not the midpoint rule")
-        return midcq_weights(-2.0 * prob.alpha, h, N).w.reshape(-1, 1, 1)
+            raise ValueError(f"one-stage tableau {tab.label!r} is not the midpoint rule")
+        return midcq_weights(-2.0 * prob.alpha, h, N).W
     return compute_weights(tab, -2.0 * prob.alpha, h, N,
                            contour_points=4 * (N + 1)).W
 

@@ -7,12 +7,10 @@ import pytest
 import fvi.cq
 from fvi.cq import (
     _CACHE_SIZE,
-    ScalarWeightSequence,
     StageTrajectory,
     WeightSequence,
     _compute_weights,
     apply_advanced,
-    apply_midcq,
     apply_retarded,
     compute_weights,
     midcq_weights,
@@ -182,19 +180,18 @@ def test_contour_sum_matches_closed_form(N, M, r):
     tab = lobatto_iiic(r)
     h = 0.05
     lam = 1e-16 ** (1.0 / (M + N))
-    W, radius, max_imag = _compute_weights(tab, -1.0, h, N, M, lam)
+    W, radius = _compute_weights(tab, -1.0, h, N, M, lam)
     exact = _closed_form_weights(tab, 1, h, N)
     assert radius == lam
     assert np.abs(W - exact).max() < 1e-10 * np.abs(exact).max()
-    assert max_imag < 1e-10 * np.abs(exact).max()
 
 
 def _full_contour_weights(tab, exponent, h, N, M, lam):
-    """Reference: decompose gamma at all M contour points and keep the real part of one ifft."""
+    """Reference: decompose gamma at all M contour points and sum them by one complex ifft."""
     vals, vecs = np.linalg.eig(gamma(tab, lam * np.exp(-2j * np.pi * np.arange(M) / M)))
     kmat = (vecs * ((vals / h) ** (-exponent))[:, None, :]) @ np.linalg.inv(vecs)
     W = np.fft.ifft(kmat, axis=0)[: N + 1]
-    return W.real * (lam ** -np.arange(N + 1, dtype=float))[:, None, None]
+    return W * (lam ** -np.arange(N + 1, dtype=float))[:, None, None]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -210,11 +207,10 @@ def test_half_contour_matches_full_contour_sum(r, exponent, N, c):
     """
     tab = lobatto_iiic(r)
     h, M = 1.0 / N, c * (N + 1)
-    W, lam, max_imag = _compute_weights(tab, exponent, h, N, M, 1e-16 ** (1.0 / (M + N)))
-    ref = _full_contour_weights(tab, exponent, h, N, M, lam)
+    W, lam = _compute_weights(tab, exponent, h, N, M, 1e-16 ** (1.0 / (M + N)))
+    ref = _full_contour_weights(tab, exponent, h, N, M, lam).real
     scale = (lam ** np.arange(N + 1, dtype=float))[:, None, None]
     assert np.abs((W - ref) * scale).max() <= 1e-13 * np.abs(ref * scale).max()
-    assert max_imag == 0.0
 
 
 def test_contour_degeneracy_is_reported_after_the_retry(monkeypatch):
@@ -232,6 +228,14 @@ def test_cache_tells_tableaux_apart_by_coefficients():
                               label="lobatto_iiic_2")
     assert compute_weights(lobatto_iiic(2), -0.5, 0.1, 8).W.shape == (9, 2, 2)
     assert compute_weights(impostor, -0.5, 0.1, 8).W.shape == (9, 3, 3)
+
+
+def test_cache_keeps_midcq_and_contour_midpoint_tables_apart():
+    """The recurrence and the contour on the midpoint tableau share a label, not a key."""
+    rec = midcq_weights(-0.5, 0.1, 8)
+    contour = compute_weights(midpoint(), -0.5, 0.1, 8)
+    assert rec.tableau_label == contour.tableau_label == midpoint().label
+    assert contour is not rec and contour.contour_points == 18
 
 
 @pytest.mark.parametrize("weights", [
@@ -258,6 +262,10 @@ def test_weights_are_cached():
     assert a is b
 
 
+def test_midcq_weights_are_cached():
+    assert midcq_weights(-0.5, 0.3, 12) is midcq_weights(-0.5, 0.3, 12)
+
+
 def test_weight_cache_keeps_the_most_recent_tables():
     tab = lobatto_iiic(2)
     first = compute_weights(tab, -0.5, 0.3, 13)
@@ -268,8 +276,20 @@ def test_weight_cache_keeps_the_most_recent_tables():
 
 
 def test_imaginary_residue_recorded_and_small():
-    w = compute_weights(lobatto_iiic(3), -0.5, 0.05, 64)
-    assert 0.0 <= w.max_imag_residue < 1e-6 * np.abs(w.W).max()
+    """The full M-point complex sum leaves a small imaginary part; the half contour none.
+
+    Summing all M contour points by a complex ifft gives weights whose
+    imaginary part is rounding error, and realifying them would discard it.
+    The half contour and irfft produce a real table directly, so every path
+    records max_imag_residue = 0.0.
+    """
+    tab, h, N = lobatto_iiic(3), 0.05, 64
+    w = compute_weights(tab, -0.5, h, N)
+    full = _full_contour_weights(tab, -0.5, h, N, w.contour_points, w.radius)
+    assert 0.0 < np.abs(full.imag).max() < 1e-6 * np.abs(w.W).max()
+    assert w.max_imag_residue == 0.0
+    assert compute_weights(tab, -1.0, h, N).max_imag_residue == 0.0
+    assert midcq_weights(-0.5, h, N).max_imag_residue == 0.0
 
 
 def test_minimal_contour_parameters():
@@ -310,10 +330,21 @@ def test_advanced_matches_brute_force():
 def test_midcq_weights_frozen_values():
     w = midcq_weights(-0.5, 1.0, 5)
     expected = SQRT2 * np.array([1.0, -1.0, 0.5, -0.5, 0.375, -0.375])
-    np.testing.assert_allclose(w.w, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w.W[:, 0, 0], expected, rtol=0, atol=1e-15)
     w1 = midcq_weights(-1.0, 0.5, 5)
-    np.testing.assert_allclose(w1.w, [4.0, -8.0, 8.0, -8.0, 8.0, -8.0],
+    np.testing.assert_allclose(w1.W[:, 0, 0], [4.0, -8.0, 8.0, -8.0, 8.0, -8.0],
                                rtol=0, atol=1e-13)
+
+
+def test_midcq_weights_are_the_midpoint_weight_sequence():
+    """1 x 1 weights labelled by the midpoint tableau, with no contour to report."""
+    w = midcq_weights(-0.5, 0.25, 7)
+    assert isinstance(w, WeightSequence)
+    assert w.W.shape == (8, 1, 1) and w.count == 8 and w.r == 1
+    assert w.tableau_label == midpoint().label
+    assert (w.exponent, w.h, w.max_imag_residue, w.contour_points) == (-0.5, 0.25, 0.0, 0)
+    assert np.isnan(w.radius) and np.isnan(w.eps)
+    assert not w.W.flags.writeable
 
 
 def _midcq_reference(beta, N):
@@ -328,20 +359,20 @@ def _midcq_reference(beta, N):
 def test_midcq_weights_match_exact_recurrence(beta):
     """h = 2 makes (2/h)^beta = 1, so the weights are the coefficients c_n themselves."""
     N = 256
-    w = midcq_weights(-beta, 2.0, N).w
+    w = midcq_weights(-beta, 2.0, N).W[:, 0, 0]
     ref = _midcq_reference(Fraction(beta), N)
     assert np.all(np.abs(w - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_midcq_semigroup_and_inverse():
     h, N = 0.25, 24
-    wq = midcq_weights(-0.25, h, N).w
-    wh = midcq_weights(-0.5, h, N).w
-    w1 = midcq_weights(-1.0, h, N).w
+    wq = midcq_weights(-0.25, h, N).W[:, 0, 0]
+    wh = midcq_weights(-0.5, h, N).W[:, 0, 0]
+    w1 = midcq_weights(-1.0, h, N).W[:, 0, 0]
     np.testing.assert_allclose(np.convolve(wq, wq)[: N + 1], wh, rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(np.convolve(wh, wh)[: N + 1], w1, rtol=1e-12, atol=1e-12)
     # opposite exponents convolve to the identity sequence
-    wp = midcq_weights(0.5, h, N).w
+    wp = midcq_weights(0.5, h, N).W[:, 0, 0]
     delta = np.zeros(N + 1)
     delta[0] = 1.0
     np.testing.assert_allclose(np.convolve(wp, wh)[: N + 1], delta, rtol=0, atol=1e-13)
@@ -351,27 +382,35 @@ def test_midcq_semigroup_and_inverse():
 def test_midcq_matches_contour_on_midpoint_tableau(exponent):
     """The exact recurrence and the contour machinery agree on the one-stage tableau."""
     h, N = 0.1, 32
-    wx = midcq_weights(exponent, h, N)
-    wm = compute_weights(midpoint(), exponent, h, N)
-    assert np.abs(wm.W[:, 0, 0] - wx.w).max() < 1e-8 * max(1.0, np.abs(wx.w).max())
+    wx = midcq_weights(exponent, h, N).W
+    wm = compute_weights(midpoint(), exponent, h, N).W
+    assert np.abs(wm - wx).max() < 1e-8 * max(1.0, np.abs(wx).max())
 
 
-def test_apply_midcq_matches_brute_force():
+def _midpoint_blocks(nodes, h):
+    """The 1 x d blocks (x_j + x_(j+1))/2 the midpoint rule's weights act on."""
+    nodes = np.asarray(nodes, dtype=float).reshape(len(nodes), -1)
+    return StageTrajectory(0.5 * (nodes[:-1] + nodes[1:])[:, None, :], h)
+
+
+def test_retarded_on_midpoint_blocks_matches_brute_force():
+    """apply_retarded on midpoint blocks is sum_{j<=k} w_(k-j) (x_j + x_(j+1))/2."""
     h, N, d = 0.2, 12, 2
     w = midcq_weights(-0.5, h, N)
     rng = np.random.default_rng(9)
     nodes = rng.standard_normal((N + 1, d))
     for k in (0, 4, N - 1):
-        brute = sum(w.w[k - j] * 0.5 * (nodes[j] + nodes[j + 1]) for j in range(k + 1))
-        np.testing.assert_allclose(apply_midcq(w, nodes, k), brute, rtol=1e-13)
+        brute = sum(w.W[k - j, 0, 0] * 0.5 * (nodes[j] + nodes[j + 1]) for j in range(k + 1))
+        np.testing.assert_allclose(apply_retarded(w, _midpoint_blocks(nodes, h), k),
+                                   [brute], rtol=1e-13)
 
 
-def test_apply_midcq_one_dimensional_nodes():
+def test_retarded_on_midpoint_blocks_of_scalar_nodes():
     w = midcq_weights(-1.0, 1.0, 4)
-    nodes = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    f = _midpoint_blocks([0.0, 1.0, 2.0, 3.0, 4.0], 1.0)
     # exponent -1 discretizes d/dt; midpoint averaging of the linear ramp is exact
     for k in range(4):
-        np.testing.assert_allclose(apply_midcq(w, nodes, k), [1.0], atol=1e-12)
+        np.testing.assert_allclose(apply_retarded(w, f, k), [[1.0]], atol=1e-12)
 
 
 def test_stage_trajectory_continuity_enforced():
@@ -417,8 +456,3 @@ def test_operator_index_errors():
     f3 = StageTrajectory(np.zeros((N + 1, 3, 1)), h)
     with pytest.raises(ValueError, match="stage counts"):
         apply_retarded(w, f3, 0)
-    wm = midcq_weights(-0.5, h, 2)
-    with pytest.raises(IndexError):
-        apply_midcq(wm, np.zeros(8), 5)
-    with pytest.raises(IndexError):
-        apply_midcq(wm, np.zeros(3), 2)

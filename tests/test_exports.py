@@ -3,6 +3,8 @@
 import importlib
 import pkgutil
 
+import pytest
+
 import fvi
 
 
@@ -20,7 +22,9 @@ def test_every_exported_name_resolves():
         assert not missing, (module.__name__, missing)
 
 
-def test_run_midcq_is_not_exported():
+@pytest.mark.parametrize("name", ["run_midcq", "ScalarWeightSequence", "apply_midcq"])
+def test_run_midcq_is_not_exported(name):
+    """Removed midpoint special cases stay gone from every module."""
     for module in _modules():
-        assert "run_midcq" not in getattr(module, "__all__", ()), module.__name__
-        assert not hasattr(module, "run_midcq"), module.__name__
+        assert name not in getattr(module, "__all__", ()), module.__name__
+        assert not hasattr(module, name), module.__name__

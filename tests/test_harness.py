@@ -204,9 +204,10 @@ def test_export_weights_midcq_scalar(tmp_path):
     path = export_weights("midcq", -0.5, 0.25, 12, tmp_path / "w.csv")
     meta, W = read_weights(path)
     assert W.shape == (13, 1, 1)
-    assert np.isnan(meta["lambda"])
-    np.testing.assert_allclose(W[:, 0, 0], midcq_weights(-0.5, 0.25, 12).w,
-                               atol=1e-15)
+    assert meta["tableau"] == "midpoint"
+    assert np.isnan(meta["lambda"]) and np.isnan(meta["eps"])
+    assert meta["max_imag_residue"] == 0.0
+    np.testing.assert_allclose(W, midcq_weights(-0.5, 0.25, 12).W, atol=1e-15)
 
 
 @pytest.mark.parametrize("method", ["lobatto2", "midcq"])

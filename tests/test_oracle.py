@@ -53,19 +53,18 @@ def test_rl_monomial_validation():
 
 def test_gl_weights_backward_difference():
     w = gl_weights(1.0, 0.25, 5)
-    np.testing.assert_allclose(w.w, [4.0, -4.0, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
-    assert w.exponent == -1.0
+    np.testing.assert_allclose(w, [4.0, -4.0, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_gl_weights_identity():
     w = gl_weights(0.0, 0.1, 4)
-    np.testing.assert_allclose(w.w, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(w, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_gl_weights_half_order_frozen():
     w = gl_weights(0.5, 1.0, 5)
     np.testing.assert_allclose(
-        w.w, [1.0, -0.5, -0.125, -0.0625, -0.0390625, -0.02734375], rtol=1e-15)
+        w, [1.0, -0.5, -0.125, -0.0625, -0.0390625, -0.02734375], rtol=1e-15)
 
 
 def test_gl_first_order_convergence():
@@ -74,7 +73,7 @@ def test_gl_first_order_convergence():
     Ns = [32, 64, 128, 256]
     for N in Ns:
         h = 1.0 / N
-        w = gl_weights(0.5, h, N).w
+        w = gl_weights(0.5, h, N)
         f = (np.arange(N + 1) * h) ** 2
         approx = w[::-1] @ f
         errs.append(abs(approx - D_HALF_T2_COEF))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fvi import harness, models, stepper, tableau
-from fvi.cq import StageTrajectory, apply_midcq, compute_weights, midcq_weights
+from fvi.cq import StageTrajectory, apply_retarded, compute_weights, midcq_weights
 from fvi.galerkin import LagrangianProblem, basis_for, d_all_lagrangian
 from fvi.stepper import FviConfig, NewtonError
 
@@ -570,7 +570,9 @@ def test_midcq_solves_the_scalar_scheme():
     sol = stepper.run(prob, tableau.midpoint(), FviConfig(h=h, N=n), x0, p0)
     nodes = sol.node_positions
     w = midcq_weights(-2 * prob.alpha, h, n)
-    D = [apply_midcq(w, nodes - x0, k) for k in range(n)]
+    incr = nodes - x0
+    mids = StageTrajectory(0.5 * (incr[:-1] + incr[1:])[:, None, :], h)
+    D = [apply_retarded(w, mids, k)[0] for k in range(n)]
     tab = tableau.midpoint()
     basis = basis_for(tab)
     dL = [d_all_lagrangian(prob, tab, basis, nodes[k:k + 2], k * h, h)
