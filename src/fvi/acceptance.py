@@ -10,7 +10,7 @@ FAIL line in both places.
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -65,10 +65,6 @@ def criterion_1() -> CriterionResult:
                    f"tail={tail:.2e} (gate {1e-8 / h:.0e})", t0, 1.0)
 
 
-def _series(op: Callable, w, f: StageTrajectory) -> np.ndarray:
-    return np.stack([op(w, f, k) for k in range(f.nblocks)])
-
-
 def criterion_2() -> CriterionResult:
     """Weight semigroup and the two summation-by-parts identities."""
     t0 = time.perf_counter()
@@ -89,13 +85,12 @@ def criterion_2() -> CriterionResult:
         for _ in range(20):
             f = StageTrajectory(rng.standard_normal((n + 1, r, d)), h)
             g = StageTrajectory(rng.standard_normal((n + 1, r, d)), h)
-            lhs = float(np.sum(g.values * _series(apply_retarded, w, f)))
-            rhs = float(np.sum(_series(apply_advanced, w, g) * f.values))
+            lhs = float(np.sum(g.values * apply_retarded(w, f)))
+            rhs = float(np.sum(apply_advanced(w, g) * f.values))
             worst_ibp = max(worst_ibp, abs(lhs - rhs))
             bf = StageTrajectory(np.einsum("ij,kjd->kid", B, f.values), h)
-            lhs = float(np.sum(g.values * _series(apply_retarded, w, bf)))
-            rhs = float(np.sum(np.einsum("ij,kjd->kid", B,
-                                         _series(apply_advanced, w, g))
+            lhs = float(np.sum(g.values * apply_retarded(w, bf)))
+            rhs = float(np.sum(np.einsum("ij,kjd->kid", B, apply_advanced(w, g))
                                * f.values))
             worst_ibp = max(worst_ibp, abs(lhs - rhs))
     ok = worst_semi < 1e-7 and worst_ibp < 1e-10
@@ -115,7 +110,7 @@ def _quadrature_endpoint_slope(r: int, m: int, kind: str) -> float:
         w = compute_weights(tab, exponent, h, n)
         t_nodes = h * (np.arange(n)[:, None] + tab.c[None, :])
         f = StageTrajectory((t_nodes ** m)[:, :, None], h)
-        val = apply_retarded(w, f, n - 1)[-1, 0]
+        val = apply_retarded(w, f)[-1, -1, 0]
         hs.append(h)
         errs.append(abs(val - rl_monomial(m, 0.5, 1.0, kind=kind)))
     slope, _, _ = fit_slope(np.array(hs), np.array(errs),
@@ -258,24 +253,16 @@ def criterion_9() -> CriterionResult:
     for prob, x0, p0, horizon in cases:
         h = horizon / n
         cfg = FviConfig(h=h, N=n)
-        sol = run(prob, tab, cfg, x0, p0)
-        xb = np.zeros((n + 1, tab.r, prob.d))
-        xb[:n] = sol.trajectory.values
-        xb[n, 0] = sol.trajectory.values[-1, -1]
-        yb = solve_companion(prob, tab, cfg, rng.standard_normal(prob.d),
-                             rng.standard_normal(prob.d))
+        nodes = run(prob, tab, cfg, x0, p0).node_positions
+        y = solve_companion(prob, tab, cfg, rng.standard_normal(prob.d),
+                            rng.standard_normal(prob.d))
         w = compute_weights(tab, -2.0 * prob.alpha, h, n)
-        worst_resid = max(worst_resid,
-                          float(np.abs(companion_residuals(prob, tab, w, yb,
-                                                           h)).max()))
+        resid = companion_residuals(prob, tab, w, y, h)
+        worst_resid = max(worst_resid, float(np.abs(resid).max()))
         for _ in range(3):
-            main = np.zeros((n + 1, prob.d))
-            main[1:n] = rng.standard_normal((n - 1, prob.d))
-            db = np.zeros((n + 1, tab.r, prob.d))
-            db[:, 0] = main
-            db[:n, 1] = main[1:]
-            dv = action_variation(prob, tab, xb, yb, db, h)
-            worst = max(worst, abs(dv))
+            delta = np.zeros((n + 1, prob.d))
+            delta[1:n] = rng.standard_normal((n - 1, prob.d))
+            worst = max(worst, abs(action_variation(prob, tab, nodes, y, delta, h)))
     ok = worst < 1e-8 and worst_resid < 1e-10
     return _result(9, "discrete action stationarity", ok,
                    f"max |dS·delta| = {worst:.1e} (gate 1e-8), companion "

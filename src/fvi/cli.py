@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
     spec = by_name(args.spec)
     horizon = spec.default_horizon if args.horizon is None else args.horizon
     steps = _resolve_steps(args, horizon)
-    manifest = harness.simulate(args.spec, args.method, steps, horizon,
+    manifest = harness.simulate(spec, args.method, steps, horizon,
                                 out_dir=args.out_dir,
                                 derivative_order=args.derivative_order)
     out = Path(args.out_dir)

@@ -222,28 +222,31 @@ def _compute_weights(tab, exponent, h, N, M, lam, _retried=False):
     return W, lam
 
 
-def apply_retarded(w: WeightSequence, f: StageTrajectory, k: int) -> np.ndarray:
-    """Retarded operator at block k: sum_{n=0}^{k} W_{k-n} 𝐟_n, an r x d matrix."""
-    if not 0 <= k < f.nblocks:
-        raise IndexError(f"block index {k} out of range")
-    if k >= w.count:
-        raise IndexError(f"need weights up to index {k}, have {w.count - 1}")
+def _check_operator(w: WeightSequence, f: StageTrajectory) -> None:
+    """Reject a table too short for the trajectory or with another stage count."""
+    if f.nblocks > w.count:
+        raise IndexError(f"need weights up to index {f.nblocks - 1}, have {w.count - 1}")
     if w.r != f.r:
         raise ValueError("stage counts of weights and trajectory differ")
-    rev = w.W[: k + 1][::-1]  # W_k, ..., W_0 against f_0, ..., f_k
-    return np.tensordot(rev, f.values[: k + 1], axes=([0, 2], [0, 1]))
 
 
-def apply_advanced(w: WeightSequence, g: StageTrajectory, k: int) -> np.ndarray:
-    """Advanced operator at block k: sum_{n=0}^{N-k} (W_n)^T 𝐠_{k+n}, N+1 = g.nblocks."""
-    if not 0 <= k < g.nblocks:
-        raise IndexError(f"block index {k} out of range")
-    m = g.nblocks - k
-    if m > w.count:
-        raise IndexError(f"need weights up to index {m - 1}, have {w.count - 1}")
-    if w.r != g.r:
-        raise ValueError("stage counts of weights and trajectory differ")
-    return np.tensordot(w.W[:m], g.values[k:], axes=([0, 1], [0, 1]))
+def apply_retarded(w: WeightSequence, f: StageTrajectory) -> np.ndarray:
+    """Retarded operator, shaped like f.values: out[k] = sum_{n=0}^{k} W_{k-n} 𝐟_n."""
+    _check_operator(w, f)
+    out = np.empty_like(f.values)
+    for k in range(f.nblocks):
+        rev = w.W[: k + 1][::-1]  # W_k, ..., W_0 against f_0, ..., f_k
+        out[k] = np.tensordot(rev, f.values[: k + 1], axes=([0, 2], [0, 1]))
+    return out
+
+
+def apply_advanced(w: WeightSequence, g: StageTrajectory) -> np.ndarray:
+    """Advanced operator, shaped like g.values: out[k] = sum_{n=0}^{N-k} W_n^T 𝐠_{k+n}."""
+    _check_operator(w, g)
+    out = np.empty_like(g.values)
+    for k in range(g.nblocks):
+        out[k] = np.tensordot(w.W[: g.nblocks - k], g.values[k:], axes=([0, 1], [0, 1]))
+    return out
 
 
 def midcq_weights(exponent: float, h: float, N: int) -> WeightSequence:

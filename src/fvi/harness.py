@@ -76,7 +76,6 @@ class ConvergenceReport:
     err_p: np.ndarray
     slope_p: float
     excluded_p: Tuple[int, ...]
-    error_norm: str = ERROR_NORM
 
     def __post_init__(self):
         for name in ("steps", "step_sizes", "err_x", "err_p"):
@@ -325,7 +324,7 @@ def write_report_csv(report: ConvergenceReport, path) -> Path:
         return ";".join(str(i) for i in t) if t else "-"
 
     header = (f"# spec={report.spec_name} method={report.method}"
-              f" error_norm={report.error_norm.replace(' ', '-')}"
+              f" error_norm={ERROR_NORM.replace(' ', '-')}"
               f" slope_x={_fmt(report.slope_x)} slope_p={_fmt(report.slope_p)}"
               f" excluded_x={idx(report.excluded_x)}"
               f" excluded_p={idx(report.excluded_p)}"
@@ -339,7 +338,7 @@ def write_report_csv(report: ConvergenceReport, path) -> Path:
 def format_report(report: ConvergenceReport) -> str:
     """Human-readable rendering of a convergence report."""
     out = [f"{report.spec_name} / {report.method}  "
-           f"(error: {report.error_norm})"]
+           f"(error: {ERROR_NORM})"]
     out.append(f"{'N':>8} {'h':>12} {'err_x':>12} {'err_p':>12}")
     for i in range(report.steps.size):
         out.append(f"{int(report.steps[i]):>8} {report.step_sizes[i]:>12.5g} "

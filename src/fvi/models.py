@@ -33,8 +33,7 @@ __all__ = [
 class BenchmarkSpec:
     """Named benchmark: problem data, default initial state and horizon.
 
-    reference describes the experiment the benchmark reproduces.  The
-    initial momentum in default_initials is M xdot(0).  The problem's
+    The initial momentum in default_initials is M xdot(0).  The problem's
     exact_solution, when present, returns (x(t), xdot(t)) at t; exact_states
     turns it into positions and momenta.
     """
@@ -43,7 +42,6 @@ class BenchmarkSpec:
     name: str
     default_initials: Tuple[np.ndarray, np.ndarray]
     default_horizon: float
-    reference: str
 
     def __post_init__(self):
         x0 = np.asarray(self.default_initials[0], dtype=float).ravel()
@@ -114,8 +112,8 @@ def _underdamped_solution(eta: float, rho: float, x0: np.ndarray,
 def coupled_oscillator() -> BenchmarkSpec:
     """Two unit masses with identical linear restoring and damping coefficients.
 
-    eta=0.5, rho=0.25, alpha=1/2 so the damping operator is the classical
-    first derivative and the components decouple into underdamped oscillators.
+    eta=0.5, rho=0.25, alpha=1/2: the damping is the classical first derivative,
+    the half-order squared limit, and the components decouple into underdamped oscillators.
     """
     eta, rho = 0.5, 0.25
     x0 = np.array([0.8, -0.5])
@@ -132,13 +130,11 @@ def coupled_oscillator() -> BenchmarkSpec:
     )
     _check_exact(prob, 20.0, lambda t: np.asarray(exact(t)[1]))
     return BenchmarkSpec(problem=prob, name="coupled-oscillator",
-                         default_initials=(x0, v0.copy()), default_horizon=20.0,
-                         reference="pair of underdamped oscillators, classical "
-                                   "damping as the half-order squared limit")
+                         default_initials=(x0, v0.copy()), default_horizon=20.0)
 
 
 def bagley_torvik() -> BenchmarkSpec:
-    """Forced oscillator with half-derivative damping and exact solution t^3.
+    """Forced rigid plate in a Newtonian fluid: half-derivative damping, exact solution t^3.
 
     The damping operator is D^(1/2), i.e. alpha=1/4 in the D^(2 alpha)
     convention; the forcing is chosen so x(t)=t^3 solves
@@ -165,13 +161,11 @@ def bagley_torvik() -> BenchmarkSpec:
                  lambda t: np.array([rl_monomial(3, 0.5, t, kind="derivative")]))
     return BenchmarkSpec(problem=prob, name="bagley-torvik",
                          default_initials=(np.zeros(1), np.zeros(1)),
-                         default_horizon=1.0,
-                         reference="forced rigid plate in a Newtonian fluid, "
-                                   "half-derivative damping, cubic exact solution")
+                         default_horizon=1.0)
 
 
 def damped_oscillator_1d() -> BenchmarkSpec:
-    """Scalar underdamped oscillator xddot + 0.25 xdot + x = 0."""
+    """Scalar underdamped oscillator xddot + 0.25 xdot + x = 0: the classical damping limit."""
     eta, rho = 1.0, 0.25
     x0 = np.array([1.0])
     v0 = np.array([0.5])
@@ -187,9 +181,7 @@ def damped_oscillator_1d() -> BenchmarkSpec:
     )
     _check_exact(prob, 16.0, lambda t: np.asarray(exact(t)[1]))
     return BenchmarkSpec(problem=prob, name="damped-oscillator-1d",
-                         default_initials=(x0, v0.copy()), default_horizon=16.0,
-                         reference="scalar underdamped oscillator, classical "
-                                   "damping limit of the half-order theory")
+                         default_initials=(x0, v0.copy()), default_horizon=16.0)
 
 
 _FACTORIES = {
@@ -229,18 +221,15 @@ def with_derivative_order(spec: BenchmarkSpec, order: float) -> BenchmarkSpec:
 
 def energy(prob: LagrangianProblem, x: np.ndarray, p: np.ndarray) -> float:
     """Hamiltonian 1/2 p^T M^{-1} p + U(0, x) of the undamped part."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    kinetic = 0.5 * p @ np.linalg.solve(prob.mass_matrix, p)
-    return float(kinetic + prob.potential(0.0, x))
+    return float(_energies(prob, [x], [p])[0])
 
 
 def _energies(prob: LagrangianProblem, X, P) -> np.ndarray:
     """Energy of each row of X and P, with one stacked mass solve for all rows.
 
-    The solve and the 1 x d by d x 1 products are stacked per row, so they
-    round as energy's 0.5 p @ M^-1 p does; a multi-column solve or an
-    einsum sum does not for d > 1.
+    energy is its one-row case.  The solve and the 1 x d by d x 1 products
+    are stacked per row, so each row rounds as it would alone; a
+    multi-column solve or an einsum sum does not for d > 1.
     """
     P = np.asarray(P, dtype=float)
     v = np.linalg.solve(prob.mass_matrix, P[:, :, None])

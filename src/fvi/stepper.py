@@ -271,8 +271,10 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
 
 def _node_momentum(prob, tab, weights, history, k, plus):
     _require_two_stages(tab, "legendre_plus" if plus else "legendre_minus")
-    vals = history.values
-    dcq = apply_retarded(weights, StageTrajectory(vals - vals[0, 0], history.h), k)
+    if not 0 <= k < history.nblocks:
+        raise IndexError(f"block index {k} out of range")
+    vals = history.values[: k + 1]
+    dcq = apply_retarded(weights, StageTrajectory(vals - vals[0, 0], history.h))[-1]
     dL = d_all_lagrangian(prob, tab, basis_for(tab), vals[k], k * history.h, history.h)
     rho_h = prob.rho * history.h
     if plus:
@@ -389,96 +391,91 @@ def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
     return _integrate(prob, tab, cfg, V, x0, p0)
 
 
-def _advanced_weighted(weights, y_blocks, b):
-    """Advanced operator applied to the b-weighted blocks, all k at once."""
-    by = StageTrajectory(values=b[None, :, None] * y_blocks, h=weights.h)
-    return np.stack([apply_advanced(weights, by, k)
-                     for k in range(y_blocks.shape[0])])
+def _require_exactly_two_stages(tab, name):
+    # the doubled action pairs the blocks (x_k, x_{k+1}) of _two_stage_blocks
+    if tab.r != 2:
+        raise ValueError(f"{name} needs exactly two stages, got {tab.r}-stage "
+                         f"tableau {tab.label!r}")
+
+
+def _two_stage_blocks(nodes):
+    """Blocks (x_k, x_{k+1}) of main nodes x_0..x_N, then the terminal block (x_N, 0)."""
+    nodes = np.asarray(nodes, dtype=float)
+    blocks = np.zeros((nodes.shape[0], 2, nodes.shape[1]))
+    blocks[:, 0] = nodes
+    blocks[:-1, 1] = nodes[1:]
+    return blocks
+
+
+def _block_gradients(prob, tab, blocks, h):
+    """D L_d of blocks 0..N-1 stacked; the terminal block N has none."""
+    basis = basis_for(tab)
+    return np.stack([d_all_lagrangian(prob, tab, basis, blocks[k], k * h, h)
+                     for k in range(blocks.shape[0] - 1)])
 
 
 def companion_residuals(prob: LagrangianProblem, tab: ButcherTableau,
-                        weights: WeightSequence, y_blocks: np.ndarray,
+                        weights: WeightSequence, y_nodes: np.ndarray,
                         h: float) -> np.ndarray:
-    """Residuals of the anti-causal companion equations on blocks 0..N.
+    """Residuals of the anti-causal companion equations at main nodes 1..N-1.
 
-    y_blocks has N+1 blocks; block N is the terminal block whose stages
-    beyond the first are zero.  The damping uses the advanced operator on
-    b-weighted stages, with no additional quadrature factor.
+    y_nodes holds the main nodes y_0..y_N of a two-stage series.  The
+    damping uses the advanced operator on the b-weighted blocks, the
+    terminal block (y_N, 0) included, with no additional quadrature factor.
     """
-    basis = basis_for(tab)
-    n_steps = y_blocks.shape[0] - 1
-    s = tab.r - 1
-    adv = _advanced_weighted(weights, y_blocks, tab.b)
-    dL = np.stack([d_all_lagrangian(prob, tab, basis, y_blocks[k], k * h, h)
-                   for k in range(n_steps)])
-    rows = []
-    for k in range(1, n_steps):
-        rows.append(dL[k - 1][-1] + dL[k][0]
-                    - prob.rho * h * (adv[k][0] + adv[k - 1][-1]))
-    for k in range(n_steps):
-        for i in range(2, s + 1):
-            rows.append(dL[k][i - 1] - prob.rho * h * adv[k][i - 1])
-    return np.concatenate(rows) if rows else np.zeros(0)
+    _require_exactly_two_stages(tab, "companion_residuals")
+    blocks = _two_stage_blocks(y_nodes)
+    adv = apply_advanced(weights, StageTrajectory(tab.b[:, None] * blocks, h))[:-1]
+    dL = _block_gradients(prob, tab, blocks, h)
+    return (dL[:-1, -1] + dL[1:, 0]
+            - prob.rho * h * (adv[1:, 0] + adv[:-1, -1])).ravel()
 
 
 def solve_companion(prob: LagrangianProblem, tab: ButcherTableau,
                     cfg: FviConfig, y_start, y_end) -> np.ndarray:
-    """Two-stage companion series with fixed endpoint values, as blocks 0..N.
+    """Two-stage companion series with fixed endpoint values, as main nodes 0..N.
 
     Solves the anti-causal closure equations for the interior main nodes by
-    Newton iteration with a finite-difference Jacobian; returns the N+1
-    blocks including the zero-padded terminal block.
+    Newton iteration with a finite-difference Jacobian.
     """
-    if tab.r != 2:
-        raise ValueError("companion solve is implemented for two stages")
+    _require_exactly_two_stages(tab, "solve_companion")
     weights = compute_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N)
-    d = prob.d
     y_start = np.asarray(y_start, dtype=float).ravel()
     y_end = np.asarray(y_end, dtype=float).ravel()
 
-    def build(u):
-        main = np.vstack([y_start, u.reshape(cfg.N - 1, d), y_end])
-        blocks = np.stack([main[:-1], main[1:]], axis=1)
-        terminal = np.zeros((1, 2, d))
-        terminal[0, 0] = y_end
-        return np.concatenate([blocks, terminal])
+    def nodes(u):
+        return np.vstack([y_start, u.reshape(cfg.N - 1, prob.d), y_end])
 
     def residual(u):
-        return companion_residuals(prob, tab, weights, build(u), cfg.h)
+        return companion_residuals(prob, tab, weights, nodes(u), cfg.h)
 
     guess = np.linspace(y_start, y_end, cfg.N + 1)[1:-1].ravel()
     u, _, _, _ = _newton(residual, lambda v: _fd_jacobian(residual, v), guess,
                          _NEWTON_TOL)
-    return build(u)
+    return nodes(u)
 
 
 def action_variation(prob: LagrangianProblem, tab: ButcherTableau,
-                     x_blocks: np.ndarray, y_blocks: np.ndarray,
-                     delta_blocks: np.ndarray, h: float) -> float:
-    """Directional derivative of the doubled discrete action.
+                     x_nodes: np.ndarray, y_nodes: np.ndarray,
+                     delta_nodes: np.ndarray, h: float) -> float:
+    """Directional derivative of the doubled discrete action of two-stage series.
 
-    The same variation is applied to both series; the damping pairing uses
-    half-order weights on the raw trajectories, so the result vanishes on
-    solutions of the forward and companion equations when the forward series
-    starts at the origin.  All block arrays carry N+1 blocks including the
-    zero-padded terminal block.
+    All three arguments are main nodes x_0..x_N.  The same variation is
+    applied to both series; the damping pairing uses half-order weights on
+    the raw trajectories, so the result vanishes on solutions of the forward
+    and companion equations when the forward series starts at the origin.
     """
-    basis = basis_for(tab)
-    n_steps = x_blocks.shape[0] - 1
-    conservative = 0.0
-    for k in range(n_steps):
-        dLx = d_all_lagrangian(prob, tab, basis, x_blocks[k], k * h, h)
-        dLy = d_all_lagrangian(prob, tab, basis, y_blocks[k], k * h, h)
-        conservative += float(((dLx + dLy) * delta_blocks[k]).sum())
-    weights = compute_weights(tab, -prob.alpha, h, n_steps)
-    x_traj = StageTrajectory(values=x_blocks, h=h)
-    delta_traj = StageTrajectory(values=delta_blocks, h=h)
-    adv_delta = _advanced_weighted(weights, delta_blocks, tab.b)
-    adv_y = _advanced_weighted(weights, y_blocks, tab.b)
-    fractional = 0.0
-    for k in range(n_steps + 1):
-        ret_x = apply_retarded(weights, x_traj, k)
-        ret_delta = apply_retarded(weights, delta_traj, k)
-        fractional += float((adv_delta[k] * ret_x).sum())
-        fractional += float((adv_y[k] * ret_delta).sum())
+    _require_exactly_two_stages(tab, "action_variation")
+    x, y, delta = (_two_stage_blocks(v) for v in (x_nodes, y_nodes, delta_nodes))
+    conservative = float(((_block_gradients(prob, tab, x, h)
+                           + _block_gradients(prob, tab, y, h)) * delta[:-1]).sum())
+    weights = compute_weights(tab, -prob.alpha, h, x.shape[0] - 1)
+
+    def ret(blocks):
+        return apply_retarded(weights, StageTrajectory(blocks, h))
+
+    def adv(blocks):
+        return apply_advanced(weights, StageTrajectory(tab.b[:, None] * blocks, h))
+
+    fractional = float((adv(delta) * ret(x)).sum() + (adv(y) * ret(delta)).sum())
     return conservative - prob.rho * h * fractional

@@ -32,6 +32,17 @@ def test_simulate_resolves_steps_from_h(tmp_path, capsys):
     assert "max node error x" in capsys.readouterr().out
 
 
+def test_simulate_builds_the_benchmark_once(tmp_path, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(fvi.models, "_FACTORIES", {
+        name: (lambda f=factory: built.append(f) or f())
+        for name, factory in fvi.models._FACTORIES.items()})
+    code = cli.main(["simulate", "--spec", "bagley-torvik", "--steps", "4",
+                     "--out-dir", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("h", ["-0.1", "0", "nan", "inf"])
 def test_simulate_rejects_bad_h(tmp_path, capsys, h):
     code = cli.main(["simulate", "--spec", "bagley-torvik", "--h", h,

@@ -27,14 +27,6 @@ def _stage_times(N, h, c):
     return np.arange(N)[:, None] * h + c[None, :] * h
 
 
-def _retarded_series(w, f):
-    return np.stack([apply_retarded(w, f, k) for k in range(f.nblocks)])
-
-
-def _advanced_series(w, g):
-    return np.stack([apply_advanced(w, g, k) for k in range(g.nblocks)])
-
-
 def test_identity_kernel_gives_identity_weight():
     tab = lobatto_iiic(3)
     w = compute_weights(tab, 0.0, 0.1, 16)
@@ -85,13 +77,13 @@ def test_operator_semigroup(sign):
     wh = compute_weights(tab, sign * 0.5, h, N)
     w1 = compute_weights(tab, sign * 1.0, h, N)
     if sign < 0:
-        once = StageTrajectory(_retarded_series(wh, f), h)
-        twice = _retarded_series(wh, once)
-        direct = _retarded_series(w1, f)
+        once = StageTrajectory(apply_retarded(wh, f), h)
+        twice = apply_retarded(wh, once)
+        direct = apply_retarded(w1, f)
     else:
-        once = StageTrajectory(_advanced_series(wh, f), h)
-        twice = _advanced_series(wh, once)
-        direct = _advanced_series(w1, f)
+        once = StageTrajectory(apply_advanced(wh, f), h)
+        twice = apply_advanced(wh, once)
+        direct = apply_advanced(w1, f)
     assert np.abs(twice - direct).max() / np.abs(direct).max() < 1e-7
 
 
@@ -105,8 +97,8 @@ def test_asymmetric_integration_by_parts(r):
     for _ in range(20):
         f = StageTrajectory(rng.standard_normal((N + 1, tab.r, d)), h)
         g = StageTrajectory(rng.standard_normal((N + 1, tab.r, d)), h)
-        lhs = float(np.sum(g.values * _retarded_series(w, f)))
-        rhs = float(np.sum(_advanced_series(w, g) * f.values))
+        lhs = float(np.sum(g.values * apply_retarded(w, f)))
+        rhs = float(np.sum(apply_advanced(w, g) * f.values))
         assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs) + 1.0)
 
 
@@ -122,8 +114,8 @@ def test_weighted_integration_by_parts(r):
         f = StageTrajectory(rng.standard_normal((N + 1, tab.r, d)), h)
         g = StageTrajectory(rng.standard_normal((N + 1, tab.r, d)), h)
         bf = StageTrajectory(np.einsum("ij,kjd->kid", B, f.values), h)
-        lhs = float(np.sum(g.values * _retarded_series(w, bf)))
-        rhs = float(np.sum(np.einsum("ij,kjd->kid", B, _advanced_series(w, g)) * f.values))
+        lhs = float(np.sum(g.values * apply_retarded(w, bf)))
+        rhs = float(np.sum(np.einsum("ij,kjd->kid", B, apply_advanced(w, g)) * f.values))
         assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs) + 1.0)
 
 
@@ -142,7 +134,7 @@ def test_half_integral_convergence_order(r, bound):
         w = compute_weights(tab, 0.5, h, N)
         vals = _stage_times(N, h, tab.c) ** 2
         f = StageTrajectory(vals[:, :, None], h, continuity_flag=True)
-        end = apply_retarded(w, f, N - 1)[-1, 0]
+        end = apply_retarded(w, f)[-1, -1, 0]
         errs.append(abs(end - HALF_INTEGRAL_T2_COEF))
     slope = -np.polyfit(np.log(Ns), np.log(errs), 1)[0]
     assert slope >= bound - 0.3
@@ -311,9 +303,11 @@ def test_retarded_matches_brute_force():
     w = compute_weights(tab, -0.5, h, N)
     rng = np.random.default_rng(1)
     f = StageTrajectory(rng.standard_normal((N + 1, tab.r, d)), h)
+    out = apply_retarded(w, f)
+    assert out.shape == f.values.shape
     for k in (0, 3, N):
         brute = sum(w.W[k - n] @ f.values[n] for n in range(k + 1))
-        np.testing.assert_allclose(apply_retarded(w, f, k), brute, rtol=1e-13)
+        np.testing.assert_allclose(out[k], brute, rtol=1e-13)
 
 
 def test_advanced_matches_brute_force():
@@ -322,9 +316,11 @@ def test_advanced_matches_brute_force():
     w = compute_weights(tab, -0.5, h, N)
     rng = np.random.default_rng(2)
     g = StageTrajectory(rng.standard_normal((N + 1, tab.r, d)), h)
+    out = apply_advanced(w, g)
+    assert out.shape == g.values.shape
     for k in (0, 3, N):
         brute = sum(w.W[n].T @ g.values[k + n] for n in range(g.nblocks - k))
-        np.testing.assert_allclose(apply_advanced(w, g, k), brute, rtol=1e-13)
+        np.testing.assert_allclose(out[k], brute, rtol=1e-13)
 
 
 def test_midcq_weights_frozen_values():
@@ -399,18 +395,17 @@ def test_retarded_on_midpoint_blocks_matches_brute_force():
     w = midcq_weights(-0.5, h, N)
     rng = np.random.default_rng(9)
     nodes = rng.standard_normal((N + 1, d))
+    out = apply_retarded(w, _midpoint_blocks(nodes, h))
     for k in (0, 4, N - 1):
         brute = sum(w.W[k - j, 0, 0] * 0.5 * (nodes[j] + nodes[j + 1]) for j in range(k + 1))
-        np.testing.assert_allclose(apply_retarded(w, _midpoint_blocks(nodes, h), k),
-                                   [brute], rtol=1e-13)
+        np.testing.assert_allclose(out[k], [brute], rtol=1e-13)
 
 
 def test_retarded_on_midpoint_blocks_of_scalar_nodes():
     w = midcq_weights(-1.0, 1.0, 4)
     f = _midpoint_blocks([0.0, 1.0, 2.0, 3.0, 4.0], 1.0)
     # exponent -1 discretizes d/dt; midpoint averaging of the linear ramp is exact
-    for k in range(4):
-        np.testing.assert_allclose(apply_retarded(w, f, k), [[1.0]], atol=1e-12)
+    np.testing.assert_allclose(apply_retarded(w, f), np.ones((4, 1, 1)), atol=1e-12)
 
 
 def test_stage_trajectory_continuity_enforced():
@@ -444,15 +439,11 @@ def test_operator_index_errors():
     h, N = 0.1, 6
     w = compute_weights(tab, -0.5, h, N)
     f = StageTrajectory(np.zeros((N + 1, 2, 1)), h)
-    with pytest.raises(IndexError):
-        apply_retarded(w, f, N + 1)
-    with pytest.raises(IndexError):
-        apply_advanced(w, f, -1)
     short = compute_weights(tab, -0.5, h, 2)
-    with pytest.raises(IndexError):
-        apply_retarded(short, f, 5)
-    with pytest.raises(IndexError):
-        apply_advanced(short, f, 0)
+    for op in (apply_retarded, apply_advanced):
+        with pytest.raises(IndexError, match=f"need weights up to index {N}, have 2"):
+            op(short, f)
     f3 = StageTrajectory(np.zeros((N + 1, 3, 1)), h)
-    with pytest.raises(ValueError, match="stage counts"):
-        apply_retarded(w, f3, 0)
+    for op in (apply_retarded, apply_advanced):
+        with pytest.raises(ValueError, match="stage counts"):
+            op(w, f3)

@@ -1,7 +1,9 @@
 """Every exported name resolves, so a removed entry point leaves no dangling export."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,19 @@ def test_run_midcq_is_not_exported(name):
     for module in _modules():
         assert name not in getattr(module, "__all__", ()), module.__name__
         assert not hasattr(module, name), module.__name__
+
+
+def test_traced_names_resolve():
+    """Every span of bench/tracer.py finds at least one fvi name to wrap.
+
+    The tracer reports a span whose names are all gone as absent, so a
+    removed import of a traced name would otherwise pass unnoticed here.
+    """
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_fvi_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = [span for span, sites in tracer.SITES.items()
+                  if not any(hasattr(importlib.import_module(module), attr)
+                             for module, attr in sites)]
+    assert not unresolved

@@ -227,13 +227,13 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="dimension"):
         BenchmarkSpec(problem=spec.problem, name="x",
                       default_initials=(np.zeros(3), np.zeros(3)),
-                      default_horizon=1.0, reference="")
+                      default_horizon=1.0)
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError,
                            match=f"horizon must be positive and finite, got {bad!r}"):
             BenchmarkSpec(problem=spec.problem, name="x",
                           default_initials=(np.zeros(2), np.zeros(2)),
-                          default_horizon=bad, reference="")
+                          default_horizon=bad)
 
 
 def test_exact_states_reads_position_and_velocity():
@@ -273,7 +273,7 @@ def _heavy_oscillator():
     )
     return BenchmarkSpec(problem=prob, name="heavy-oscillator",
                          default_initials=(np.ones(1), np.zeros(1)),
-                         default_horizon=8.0, reference="m = 2, undamped")
+                         default_horizon=8.0)
 
 
 def test_exact_momentum_is_mass_times_velocity_for_heavy_mass():

@@ -572,7 +572,7 @@ def test_midcq_solves_the_scalar_scheme():
     w = midcq_weights(-2 * prob.alpha, h, n)
     incr = nodes - x0
     mids = StageTrajectory(0.5 * (incr[:-1] + incr[1:])[:, None, :], h)
-    D = [apply_retarded(w, mids, k)[0] for k in range(n)]
+    D = apply_retarded(w, mids)[:, 0]
     tab = tableau.midpoint()
     basis = basis_for(tab)
     dL = [d_all_lagrangian(prob, tab, basis, nodes[k:k + 2], k * h, h)
@@ -591,42 +591,6 @@ def test_midcq_single_step():
     assert np.abs(sol.momenta[0] - 0.5).max() < 1e-15
 
 
-def _terminal_padded(blocks):
-    d = blocks.shape[2]
-    tail = np.zeros((1, blocks.shape[1], d))
-    tail[0, 0] = blocks[-1, -1]
-    return np.concatenate([blocks, tail])
-
-
-def test_action_variation_vanishes_on_solutions():
-    rng = np.random.default_rng(11)
-    tab = tableau.lobatto_iiic(2)
-    cases = []
-    bt = models.bagley_torvik()
-    cases.append((bt.problem, bt.default_initials[0], bt.default_initials[1], 1.0))
-    zero_start = _harmonic(d=2, eta=1.0, rho=0.3)
-    cases.append((zero_start, np.zeros(2), np.array([0.4, -0.3]), 2.0))
-    for prob, x0, p0, horizon in cases:
-        n = 8
-        h = horizon / n
-        cfg = FviConfig(h=h, N=n)
-        sol = stepper.run(prob, tab, cfg, x0, p0)
-        xb = _terminal_padded(sol.trajectory.values)
-        yb = stepper.solve_companion(prob, tab, cfg,
-                                     rng.standard_normal(prob.d),
-                                     rng.standard_normal(prob.d))
-        w = compute_weights(tab, -2 * prob.alpha, h, n)
-        resid = stepper.companion_residuals(prob, tab, w, yb, h)
-        assert np.abs(resid).max() < 1e-10
-        for _ in range(3):
-            main = np.zeros((n + 1, prob.d))
-            main[1:n] = rng.standard_normal((n - 1, prob.d))
-            db = _terminal_padded(np.stack([main[:-1], main[1:]], axis=1))
-            db[-1] = 0.0
-            dv = stepper.action_variation(prob, tab, xb, yb, db, h)
-            assert abs(dv) < 1e-8
-
-
 def test_action_variation_detects_non_solution():
     rng = np.random.default_rng(3)
     tab = tableau.lobatto_iiic(2)
@@ -634,24 +598,34 @@ def test_action_variation_detects_non_solution():
     prob = bt.problem
     n, h = 8, 1.0 / 8
     cfg = FviConfig(h=h, N=n)
-    sol = stepper.run(prob, tab, cfg, *bt.default_initials)
-    xb = _terminal_padded(sol.trajectory.values)
-    yb = stepper.solve_companion(prob, tab, cfg, [0.5], [-0.1])
-    xb_bad = xb.copy()
-    xb_bad[4] += 1e-2
-    main = np.zeros((n + 1, 1))
-    main[1:n] = rng.standard_normal((n - 1, 1))
-    db = _terminal_padded(np.stack([main[:-1], main[1:]], axis=1))
-    db[-1] = 0.0
-    dv = stepper.action_variation(prob, tab, xb_bad, yb, db, h)
+    x = stepper.run(prob, tab, cfg, *bt.default_initials).node_positions
+    y = stepper.solve_companion(prob, tab, cfg, [0.5], [-0.1])
+    assert y.shape == (n + 1, 1)
+    x_bad = x.copy()
+    x_bad[4] += 1e-2
+    delta = np.zeros((n + 1, 1))
+    delta[1:n] = rng.standard_normal((n - 1, 1))
+    dv = stepper.action_variation(prob, tab, x_bad, y, delta, h)
     assert abs(dv) > 1e-6
 
 
 def test_solve_companion_requires_two_stages():
+    """The doubled action rejects every tableau but a two-stage one, by its label."""
     bt = models.bagley_torvik()
-    with pytest.raises(ValueError, match="two stages"):
-        stepper.solve_companion(bt.problem, tableau.lobatto_iiic(3),
-                                FviConfig(h=0.125, N=8), [0.0], [1.0])
+    prob, n, h = bt.problem, 8, 0.125
+    nodes = np.zeros((n + 1, 1))
+    for tab in (tableau.lobatto_iiic(3), tableau.midpoint()):
+        w = compute_weights(tab, -2 * prob.alpha, h, n)
+        calls = [("solve_companion", lambda: stepper.solve_companion(
+                     prob, tab, FviConfig(h=h, N=n), [0.0], [1.0])),
+                 ("companion_residuals", lambda: stepper.companion_residuals(
+                     prob, tab, w, nodes, h)),
+                 ("action_variation", lambda: stepper.action_variation(
+                     prob, tab, nodes, nodes, nodes, h))]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"{name} needs exactly two stages, "
+                               f"got {tab.r}-stage tableau '{tab.label}'"):
+                call()
 
 
 def test_config_validation():
@@ -676,3 +650,17 @@ def test_node_positions_shape_and_continuity():
     assert sol.node_positions.shape == (11, 2)
     vals = sol.trajectory.values
     assert np.array_equal(vals[:-1, -1, :], vals[1:, 0, :])
+
+
+def test_legendre_rejects_block_index_out_of_range():
+    spec = models.bagley_torvik()
+    prob, tab = spec.problem, tableau.lobatto_iiic(2)
+    cfg = FviConfig(h=1.0 / 16, N=16)
+    traj = stepper.run(prob, tab, cfg, *spec.default_initials).trajectory
+    w = _loop_weights(prob, tab, cfg)
+    for k in (-1, cfg.N):
+        with pytest.raises(IndexError, match=f"block index {k} out of range"):
+            stepper.legendre_minus(prob, tab, w, traj, k)
+    short = compute_weights(tab, -2 * prob.alpha, cfg.h, 4)
+    with pytest.raises(IndexError, match="need weights up to index 5, have 4"):
+        stepper.legendre_plus(prob, tab, short, traj, 5)
