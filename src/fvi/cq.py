@@ -56,7 +56,7 @@ class WeightSequence:
     contour_points: int
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
+        W = np.array(self.W, dtype=float)  # a copy: the caller's array stays writeable
         if W.ndim != 3 or W.shape[1] != W.shape[2]:
             raise ValueError("W must have shape (N+1, r, r)")
         W.setflags(write=False)
@@ -85,7 +85,7 @@ class StageTrajectory:
     continuity_flag: bool = False
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a copy, frozen below
         if vals.ndim != 3:
             raise ValueError("values must have shape (blocks, r, d)")
         if self.continuity_flag and vals.shape[0] > 1:

@@ -41,9 +41,10 @@ class LagrangeBasis:
     deriv_matrix: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float).ravel()
-        ev = np.atleast_2d(np.asarray(self.eval_matrix, dtype=float))
-        dv = np.atleast_2d(np.asarray(self.deriv_matrix, dtype=float))
+        # copies, frozen below: the caller's arrays stay writeable
+        nodes = np.array(self.nodes, dtype=float).ravel()
+        ev = np.array(self.eval_matrix, dtype=float, ndmin=2)
+        dv = np.array(self.deriv_matrix, dtype=float, ndmin=2)
         if ev.shape != dv.shape or ev.shape[0] != nodes.size:
             raise ValueError("inconsistent basis matrix shapes")
         for arr in (nodes, ev, dv):
@@ -83,8 +84,8 @@ class LagrangianProblem:
         if not isinstance(self.d, numbers.Integral) or self.d < 1:
             raise ValueError(
                 f"state dimension must be an integer >= 1, got {self.d!r}")
-        M = np.eye(self.d) if self.mass is None else np.atleast_2d(
-            np.asarray(self.mass, dtype=float))
+        M = np.eye(self.d) if self.mass is None else np.array(
+            self.mass, dtype=float, ndmin=2)  # a copy, frozen below
         if M.shape != (self.d, self.d):
             raise ValueError("mass matrix has wrong shape")
         if np.abs(M - M.T).max() > 1e-12 * max(np.abs(M).max(), 1.0):
@@ -156,7 +157,10 @@ def stage_gradient(prob: LagrangianProblem, tab: ButcherTableau,
     """dL(stages, t_k): d_all_lagrangian on steps of size h, constants bound once.
 
     The returned function takes stages of shape (s+1, d) as a float array and
-    does no checks; it is the one formula d_all_lagrangian evaluates.
+    does no checks; it is the one formula d_all_lagrangian evaluates.  It also
+    takes a batch of w steps at once, stages of shape (w, s+1, d) and t_k a
+    sequence of w start times, and returns the w gradients, each bitwise the
+    one of its own step.
     """
     E, D = basis.eval_matrix, basis.deriv_matrix
     Et = None if np.array_equal(E, np.eye(*E.shape)) else E.T  # I @ S is S
@@ -166,8 +170,9 @@ def stage_gradient(prob: LagrangianProblem, tab: ButcherTableau,
     def dL(stages, t_k):
         q = stages if Et is None else Et @ stages
         v = Dt @ stages / h
-        G = np.array([grad(t_k + c, qj) for c, qj in zip(ch, q)])
-        return mhE @ (b * G) + D @ (b * (v @ Mt))
+        ts = np.add.outer(t_k, ch).ravel().tolist()
+        G = np.array([grad(t, qj) for t, qj in zip(ts, q.reshape(-1, q.shape[-1]))])
+        return mhE @ (b * G.reshape(q.shape)) + D @ (b * (v @ Mt))
 
     return dL
 

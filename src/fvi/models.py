@@ -44,8 +44,9 @@ class BenchmarkSpec:
     default_horizon: float
 
     def __post_init__(self):
-        x0 = np.asarray(self.default_initials[0], dtype=float).ravel()
-        p0 = np.asarray(self.default_initials[1], dtype=float).ravel()
+        # copies, frozen below: no view of the caller's arrays
+        x0 = np.array(self.default_initials[0], dtype=float).ravel()
+        p0 = np.array(self.default_initials[1], dtype=float).ravel()
         if x0.size != self.problem.d or p0.size != self.problem.d:
             raise ValueError("initial state dimension mismatch")
         if not (math.isfinite(self.default_horizon) and self.default_horizon > 0):

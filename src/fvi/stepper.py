@@ -11,9 +11,19 @@ point basis at the quadrature nodes.  Lobatto IIIC has its nodes at the
 control points, so E = I; the midpoint rule has E = [1/2, 1/2]^T and 1 x 1
 weights w_n, so V_n = w_n 11^T / 4.  Damping acts on x - x0, which
 reproduces the classical damped update in the half-order-squared limit and
-avoids the start-up jump of a zero-extended history at nonzero x0.  `run` is
-the way into the loop; `init_step` and `step` solve one Lobatto block of it
-from an outside weight table and history.
+avoids the start-up jump of a zero-extended history at nonzero x0.
+
+Block k's closure depends on blocks 0..k only, so the closures form a block
+lower-triangular system, and the loop solves up to _WINDOW_CAP consecutive
+blocks at a time with one simplified Newton iteration (Hairer & Wanner,
+Solving ODEs II, IV.8; Hairer, Lubich & Schlichte 1985 do the same for
+convolution equations).  The window Jacobian is block lower-triangular
+Toeplitz, and the leading w-block corner of the inverse of a block
+lower-triangular matrix is the inverse of its leading corner, so one inverse
+at the cap serves every window size.  The solution agrees with a
+block-by-block solve to the Newton tolerance, not bitwise.  `run` is the way
+into the loop; `init_step` and `step` solve one Lobatto block of it, a
+one-block window, from an outside weight table and history.
 """
 
 import math
@@ -54,9 +64,10 @@ __all__ = [
     "action_variation",
 ]
 
-_NEWTON_TOL = 1e-12  # relative to the block's scale, see _block_solver
+_NEWTON_TOL = 1e-12  # relative to the block's scale, see _window_solver
 _NEWTON_MAX_ITER = 50
 _FD_STEP = np.finfo(float).eps ** (1 / 3)  # central-difference optimum
+_WINDOW_CAP = 16  # most blocks solved together, see _integrate
 
 
 def _check_step_count(N):
@@ -82,9 +93,14 @@ class FviConfig:
 class FviSolution:
     """Integrator output: stage trajectory, node momenta, times, diagnostics.
 
-    newton_stats holds one (solve count, final residual) pair per nonlinear
-    system; each residual is at most 1e-12 times the size of the terms it
-    cancels, max(1, |M| max(|first|, |guess|) / h + |p_in|) in the max norm.
+    newton_stats holds one (solve count, final residual) pair per block.  The
+    blocks are solved in windows of several blocks, and a block's solve count
+    is the number of Newton corrections its window made before the block
+    settled, each correction updating every unsettled block of the window at
+    once; a window that settles in one correction gives each of its blocks a
+    count of 1.  Each residual is at most 1e-12 times the size of the terms
+    it cancels, max(1, |M| max|S_k| / h + |p_in|) in the max norm at the
+    block's final control points S_k and incoming momentum p_in.
     Node energies are fvi.models.energy of node_positions and momenta.
     """
 
@@ -95,7 +111,7 @@ class FviSolution:
 
     def __post_init__(self):
         for name in ("momenta", "times"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)  # a copy, frozen
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -116,12 +132,10 @@ class NewtonError(RuntimeError):
         self.iterations = iterations
 
 
-def _newton(residual, jacobian, u0, tol, Jinv=None):
-    """Undamped Newton to max-norm residual <= tol; (solution, solves, residual, Jinv).
+def _newton(residual, jacobian, u0, tol):
+    """Undamped Newton to max-norm residual <= tol; (solution, solves, residual).
 
-    Each correction is u - Jinv F with Jinv the inverse of a Jacobian.  The
-    first one uses the Jinv it is given, if any; every later one inverts
-    jacobian at the current iterate.  The returned Jinv is the last one used.
+    Each correction is u - J^-1 F with J the Jacobian at the current iterate.
     """
     u = np.array(u0, dtype=float)
     for solves in range(_NEWTON_MAX_ITER + 1):
@@ -129,12 +143,10 @@ def _newton(residual, jacobian, u0, tol, Jinv=None):
         norm = float(np.abs(F).max()) if F.size else 0.0
         finite = math.isfinite(norm)
         if finite and norm <= tol:
-            return u, solves, norm, Jinv
+            return u, solves, norm
         if not finite or solves == _NEWTON_MAX_ITER:
             break
-        if solves or Jinv is None:
-            Jinv = np.linalg.inv(jacobian(u))
-        u = u - Jinv @ F
+        u = u - np.linalg.inv(jacobian(u)) @ F
     raise NewtonError(f"newton stopped at residual {norm:.3e} after {solves} "
                       "iterations", norm, u, solves)
 
@@ -169,62 +181,144 @@ def _check_weights(prob, tab, cfg, weights):
         raise ValueError("weights were computed for another tableau")
 
 
-def _block_solver(prob, tab, cfg, V0, x0):
-    """solve(t_k, first, p_in, hist, guess) -> (stages, R, (solves, residual)).
+def _lower_toeplitz(blocks):
+    """The block lower-triangular Toeplitz matrix with blocks[m] at block (i, i-m)."""
+    cap, p, q = blocks.shape
+    lag = np.subtract.outer(np.arange(cap), np.arange(cap))
+    full = np.concatenate([blocks, np.zeros((1, p, q))])[np.where(lag >= 0, lag, cap)]
+    return full.transpose(0, 2, 1, 3).reshape(cap * p, cap * q)
 
-    Newton on one block with its first control point fixed at `first` and
-    hist = H_k; R = dL(stages, t_k) - rho h (V0 (stages - x0) + hist) is the
-    residual at the returned stages, dL being stage_gradient bound once per
-    solver.  Without a guess Newton starts on the line from `first` with
-    velocity M^-1 p_in.  The Jacobian is analytic when the problem has
-    hess_potential and a central difference of the residual otherwise.  Its
-    inverse lags by one block: a block's first correction uses the last
-    inverse of the block before, and later corrections invert a Jacobian built
-    at the iterate, so with a constant Hessian one Jacobian is built and
-    inverted per solver (Hairer & Wanner, Solving ODEs II, IV.8).  The
-    residual cancels momenta of size |M x| / h and p_in, so Newton stops at
-    _NEWTON_TOL times that size or 1 (the mixed scale of the same section).
+
+def _window_jacobian(hess, V, rho_h):
+    """Jacobian of the closures of len(V) consecutive blocks in their inner points.
+
+    hess[a, b] = d(D_a L_d)/dS[b], shape (n, n, d, d), is one block's second
+    derivative of L_d; R_i depends on block i through hess - rho h V_0 and on
+    block j < i through -rho h V_{i-j}.  Block i's closure is R_i[0] +
+    R_{i-1}[-1] and R_i[1..n-2], and its first point is block i-1's last
+    inner point, so the (i, j) block depends on i - j only and vanishes for
+    j > i: the matrix is block lower-triangular Toeplitz.  Rows are ordered
+    (block, equation, coordinate) and columns (block, inner point,
+    coordinate).
+    """
+    cap, n, d = V.shape[0], hess.shape[0], hess.shape[2]
+    D = -rho_h * V[:, :, :, None, None] * np.eye(d)  # D[m] = dR_i / dS_{i-m}
+    D[0] += hess
+    T = D[:, :-1].copy()  # T[m] = d closure_i / dS_{i-m}
+    T[1:, 0] += D[:-1, -1]
+    J = T[:, :, 1:].copy()  # d closure_i / d(inner points of block i-m)
+    J[1:, :, -1] += T[:-1, :, 0]
+    size = (n - 1) * d
+    return _lower_toeplitz(J.transpose(0, 1, 3, 2, 4).reshape(cap, size, size))
+
+
+def _window_solver(prob, tab, cfg, V, x0):
+    """solve(k0, p_in, hist, prev) -> (stages, R, stats) for blocks k0..k0+w-1.
+
+    A window is w = len(hist) <= len(V) consecutive blocks whose inner control
+    points are solved together; hist[i] is the damping history of block k0+i
+    from the blocks before the window, p_in block k0's incoming momentum and
+    prev block k0-1 (None at k0 = 0, where the first point is x0).  Block i's
+    first point is block i-1's last, its incoming momentum R_{i-1}[-1], and
+    R_i = dL(S_i, t_i) - rho h (V_0 (S_i - x0) + hist[i] + sum_{j<i} V_{i-j}
+    (S_j - x0)), every block's dL coming from one batched stage_gradient
+    call.  At w = 1 this is the one-block residual.  Block i starts from
+    prev shifted by (i+1) times prev's displacement, or without prev on the
+    line from x0 with velocity M^-1 p_in.
+
+    The window Jacobian is block lower-triangular Toeplitz (_window_jacobian),
+    built from one block's second derivative (hessian_blocks, or a central
+    difference of dL when the problem has no hess_potential) at len(V)
+    blocks and inverted once; a window of w blocks uses the leading w-block
+    corner of that inverse, which is the inverse of the leading corner of the
+    Jacobian.
+    The inverse lags like a one-block Newton's (Hairer & Wanner, Solving
+    ODEs II, IV.8): a window's first correction uses the last inverse, and
+    each later one rebuilds it at the first unsettled block, so a constant
+    Hessian builds and inverts one Jacobian per solver.
+
+    The blocks are lower-triangular, so they settle in order: a block stops
+    when its own residual is at most _NEWTON_TOL times the size of the terms
+    it cancels, max(1, |M| max|S_i| / h + |p_in|) in the max norm (the mixed
+    scale of the same section), and so have the blocks before it.  Later
+    corrections leave it alone, and its stats entry is (corrections made
+    before it stopped, its residual).  A non-finite residual or
+    _NEWTON_MAX_ITER corrections at the first unsettled block raise
+    NewtonError; a non-finite residual further on ends the window before
+    that block, which the next window then starts at.
     """
     basis = basis_for(tab)
     n, d, h = basis.control_count, prob.d, cfg.h
     rho_h = prob.rho * h
+    V0 = V[0]
     dL = stage_gradient(prob, tab, basis, h)
-    damp = rho_h * np.kron(V0[:-1, 1:], np.eye(d))
+    # the in-window history: V_{i-j} at block (i, j) for j < i
+    inside = _lower_toeplitz(np.concatenate([np.zeros_like(V[:1]), V[1:]]))
     analytic = prob.hess_potential is not None
-    mass = float(np.abs(prob.mass_matrix).sum(axis=1).max())
+    mass_h = float(np.abs(prob.mass_matrix).sum(axis=1).max()) / h
     Jinv = None
 
-    def solve(t_k, first, p_in, hist, guess=None):
+    def second_derivative(stages, t):
+        if analytic:
+            return hessian_blocks(prob, tab, basis, stages, t, h)
+        fd = _fd_jacobian(lambda u: dL(u.reshape(n, d), t).ravel(), stages.ravel())
+        return fd.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+
+    def solve(k0, p_in, hist, prev=None):
         nonlocal Jinv
-        if guess is None:
+        w = hist.shape[0]
+        if prev is None:
             v = np.linalg.solve(prob.mass_matrix, p_in)
-            guess = (first + basis.nodes[1:, None] * h * v).ravel()
-        # max over floats: a numpy reduction on these few values costs microseconds
-        size = max(map(abs, first.tolist() + guess.tolist()))
-        tol = _NEWTON_TOL * max(1.0, mass * size / h + max(map(abs, p_in.tolist())))
-        R = None  # _newton's last residual call is at the iterate it returns
-        stages = np.empty((n, d))  # the block's own array, returned as is
-        stages[0] = first
-
-        def build(u):
-            stages[1:] = u.reshape(n - 1, d)
-            return stages
-
-        def residual(u):
-            nonlocal R
-            stages = build(u)
-            R = dL(stages, t_k) - rho_h * (V0 @ (stages - x0) + hist)
-            eqs = R[:-1].copy()
-            eqs[0] += p_in
-            return eqs.ravel()
-
-        def jacobian(u):
-            hess = hessian_blocks(prob, tab, basis, build(u), t_k, h)[:-1, 1:]
-            return hess.transpose(0, 2, 1, 3).reshape(damp.shape) - damp
-
-        jac = jacobian if analytic else (lambda u: _fd_jacobian(residual, u))
-        u, solves, norm, Jinv = _newton(residual, jac, guess, tol, Jinv)
-        return build(u), R, (solves, norm)
+            S = x0 + (np.arange(w)[:, None] + basis.nodes)[:, :, None] * h * v
+            S[0, 0] = x0
+        else:
+            S = prev + np.arange(1, w + 1)[:, None, None] * (prev[-1] - prev[0])
+            S[0, 0] = prev[-1]
+        S[1:, 0] = S[:-1, -1]
+        times = [(k0 + i) * h for i in range(w)]
+        R = np.empty((w, n, d))
+        stats = []
+        m = corrections = 0  # blocks k0..k0+m-1 have settled
+        while True:
+            incr = S - x0
+            H = hist[m:]
+            if w > 1:
+                H = H + (inside[m * n:w * n, :w * n]
+                         @ incr.reshape(w * n, d)).reshape(w - m, n, d)
+            Rm = dL(S[m:], times[m:]) - rho_h * (V0 @ incr[m:] + H)
+            P = np.empty((w - m, d))  # incoming momenta
+            P[0] = p_in
+            P[1:] = Rm[:-1, -1]
+            F = Rm[:, :-1].copy()
+            F[:, 0] += P
+            norms = np.abs(F).max(axis=(1, 2))
+            scale = np.abs(S[m:]).max(axis=(1, 2)) * mass_h + np.abs(P).max(axis=1)
+            settled = norms <= _NEWTON_TOL * np.maximum(scale, 1.0)
+            j = w - m if settled.all() else int(settled.argmin())
+            R[m:m + j] = Rm[:j]
+            stats += [(corrections, norm) for norm in norms[:j].tolist()]
+            m += j
+            if m == w:
+                return S, R, stats
+            p_in, norm = P[j], float(norms[j])
+            if not math.isfinite(norm) or corrections == _NEWTON_MAX_ITER:
+                phase = f"step {k0 + m}" if k0 + m else "init step"
+                raise NewtonError(
+                    f"{phase} failed: newton stopped at residual {norm:.3e} "
+                    f"after {corrections} iterations", norm, S[m, 1:].ravel(),
+                    corrections)
+            finite = np.isfinite(norms[j:])
+            if not finite.all():  # end the window before its first non-finite block
+                w = m + int(finite.argmin())
+                S, R, hist, times = S[:w], R[:w], hist[:w], times[:w]
+            if corrections or Jinv is None:
+                hess = second_derivative(S[m], times[m])
+                Jinv = np.linalg.inv(_window_jacobian(hess, V, rho_h))
+            size = (w - m) * (n - 1) * d
+            S[m:, 1:] -= (Jinv[:size, :size] @ F[j:j + w - m].ravel()
+                          ).reshape(w - m, n - 1, d)
+            S[m + 1:, 0] = S[m:-1, -1]
+            corrections += 1
 
     return solve
 
@@ -235,14 +329,15 @@ def init_step(prob: LagrangianProblem, tab: ButcherTableau,
 
     Solves p0 = -D_1 L_d + rho h b_1 [CQ x]^1 together with the inner stage
     equations i = 2..s for the unknowns x_0^2..x_0^{s+1}; x_0^1 = x0 is fixed.
-    This is block 0 of the stepping loop of `run`.
+    This is a one-block window of the stepping loop of `run` at block 0.
     """
     _require_two_stages(tab, "init_step")
     _check_weights(prob, tab, cfg, weights)
     x0 = np.asarray(x0, dtype=float).ravel()
     p0 = np.asarray(p0, dtype=float).ravel()
-    solve = _block_solver(prob, tab, cfg, tab.b[:, None] * weights.W[0], x0)
-    return solve(0.0, x0, p0, 0.0)[0]
+    V0 = tab.b[:, None] * weights.W[0]
+    solve = _window_solver(prob, tab, cfg, V0[None], x0)
+    return solve(0, p0, np.zeros((1, tab.r, prob.d)))[0][0]
 
 
 def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
@@ -252,7 +347,8 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
     history must hold blocks 0..k-1; the new block's first stage is the last
     stage of block k-1.  The incoming momentum legendre_plus(k-1) and the
     damping history sum over weights n >= 1, which the stepping loop of `run`
-    carries along, are recomputed here from the history.
+    carries along, are recomputed here from the history, and the block is a
+    one-block window of that loop.
     """
     _require_two_stages(tab, "step")
     if k < 1 or history.nblocks != k:
@@ -264,17 +360,19 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
     vals = history.values
     hist = np.tensordot(V[k:0:-1], vals - vals[0, 0], axes=([0, 2], [0, 1]))
     p_in = _node_momentum(prob, tab, weights, history, k - 1, plus=True)
-    solve = _block_solver(prob, tab, cfg, V[0], vals[0, 0])
-    return solve(k * cfg.h, vals[k - 1, -1], p_in, hist,
-                 vals[k - 1, 1:].ravel())[0]
+    solve = _window_solver(prob, tab, cfg, V[:1], vals[0, 0])
+    return solve(k, p_in, hist[None], vals[k - 1])[0][0]
 
 
 def _node_momentum(prob, tab, weights, history, k, plus):
     _require_two_stages(tab, "legendre_plus" if plus else "legendre_minus")
     if not 0 <= k < history.nblocks:
         raise IndexError(f"block index {k} out of range")
-    vals = history.values[: k + 1]
-    dcq = apply_retarded(weights, StageTrajectory(vals - vals[0, 0], history.h))[-1]
+    if weights.count <= k:
+        raise IndexError(f"need weights up to index {k}, have {weights.count - 1}")
+    vals = history.values
+    # block k of apply_retarded(weights, blocks 0..k - x0), without the others
+    dcq = np.tensordot(weights.W[k::-1], vals[:k + 1] - vals[0, 0], axes=([0, 2], [0, 1]))
     dL = d_all_lagrangian(prob, tab, basis_for(tab), vals[k], k * history.h, history.h)
     rho_h = prob.rho * history.h
     if plus:
@@ -323,32 +421,49 @@ def qp_closed_form(prob: LagrangianProblem, h: float, x_k, p_k,
 
 
 def _integrate(prob, tab, cfg, V, x0, p0) -> FviSolution:
-    """The stepping loop of every method; it reads weights V_0..V_{N-1} of V."""
+    """The stepping loop of every method; it reads weights V_0..V_{N-1} of V.
+
+    It solves the blocks in windows (_window_solver) of at most _WINDOW_CAP
+    blocks.  The first window is one block.  A window that settled within two
+    corrections, so with at most one Jacobian rebuild, is followed by one
+    twice its size, and any other by a one-block window.  A problem with a
+    constant Hessian settles every window in one correction and runs in full
+    windows after four doublings; a nonlinear one with small steps settles
+    full windows in two corrections, one rebuild per window instead of about
+    one per block; with coarse steps, whose extrapolated start guesses are
+    poor over many blocks, the windows stay short.  A window whose blocks
+    settle in one correction costs two batched residual evaluations.  Each
+    block's history from the blocks before its window is one product with
+    the reversed weights.
+    """
     x0 = np.asarray(x0, dtype=float).ravel()
     p0 = np.asarray(p0, dtype=float).ravel()
     N, n, d, h = cfg.N, V.shape[1], prob.d, cfg.h
-    solve = _block_solver(prob, tab, cfg, V[0], x0)
-    # V_{N-1} | ... | V_1, so that H_k = rev[:, (N-1-k) n:] @ incr[:k n]
+    cap = min(_WINDOW_CAP, N)
+    solve = _window_solver(prob, tab, cfg, V[:cap], x0)
+    # V_{N-1} | ... | V_1: the history of block k from blocks 0..j-1 is
+    # rev[:, (N-1-k) n:(N-1-k+j) n] @ incr[:j n]
     rev = V[N - 1:0:-1].transpose(1, 0, 2).reshape(n, (N - 1) * n)
     blocks = np.empty((N, n, d))
     incr = np.empty((N * n, d))  # blocks - x0, one control point per row
     momenta = np.empty((N + 1, d))
     stats: list = []
-    first, p_in, hist, guess = x0, p0, 0.0, None
-    for k in range(N):
-        if k:
-            hist = rev[:, (N - 1 - k) * n:] @ incr[:k * n]
-        try:
-            stages, R, stats_k = solve(k * h, first, p_in, hist, guess)
-        except NewtonError as exc:
-            phase = f"step {k}" if k else "init step"
-            raise NewtonError(f"{phase} failed: {exc}", exc.residual_norm,
-                              exc.iterate, exc.iterations) from exc
-        stats.append(stats_k)
-        blocks[k] = stages
-        incr[k * n:(k + 1) * n] = stages - x0
-        momenta[k] = -R[0] if k else p0
-        first, p_in, guess = stages[-1], R[-1], stages[1:].ravel()
+    k, w, p_in, prev = 0, 1, p0, None
+    while k < N:
+        w = min(w, N - k)
+        hist = np.empty((w, n, d))
+        for i in range(w):
+            hist[i] = rev[:, (N - 1 - k - i) * n:(N - 1 - i) * n] @ incr[:k * n]
+        stages, R, window_stats = solve(k, p_in, hist, prev)
+        m = stages.shape[0]
+        blocks[k:k + m] = stages
+        incr[k * n:(k + m) * n] = (stages - x0).reshape(m * n, d)
+        momenta[k:k + m] = -R[:, 0]
+        stats += window_stats
+        w = min(2 * w, cap) if m == w and window_stats[-1][0] <= 2 else 1
+        k += m
+        p_in, prev = R[-1, -1], stages[-1]
+    momenta[0] = p0
     momenta[N] = p_in
     trajectory = StageTrajectory(values=blocks, h=h, continuity_flag=True)
     return FviSolution(trajectory=trajectory, momenta=momenta,
@@ -450,7 +565,7 @@ def solve_companion(prob: LagrangianProblem, tab: ButcherTableau,
         return companion_residuals(prob, tab, weights, nodes(u), cfg.h)
 
     guess = np.linspace(y_start, y_end, cfg.N + 1)[1:-1].ravel()
-    u, _, _, _ = _newton(residual, lambda v: _fd_jacobian(residual, v), guess,
+    u, _, _ = _newton(residual, lambda v: _fd_jacobian(residual, v), guess,
                          _NEWTON_TOL)
     return nodes(u)
 

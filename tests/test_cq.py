@@ -343,6 +343,25 @@ def test_midcq_weights_are_the_midpoint_weight_sequence():
     assert not w.W.flags.writeable
 
 
+def test_trajectory_copies_the_callers_values():
+    # the frozen copy belongs to the trajectory; the caller's array stays writeable
+    a = np.zeros((3, 2, 1))
+    traj = StageTrajectory(values=a, h=0.1)
+    a[0, 0, 0] = 1.0
+    assert traj.values[0, 0, 0] == 0.0
+    assert not traj.values.flags.writeable
+
+
+def test_weight_sequence_copies_the_callers_table():
+    W = np.ones((3, 2, 2))
+    w = WeightSequence(exponent=-1.0, h=0.1, W=W, tableau_label="lobatto_iiic_2",
+                       max_imag_residue=0.0, radius=0.5, eps=1e-16,
+                       contour_points=6)
+    W[0, 0, 0] = 2.0
+    assert w.W[0, 0, 0] == 1.0
+    assert not w.W.flags.writeable
+
+
 def _midcq_reference(beta, N):
     """The recurrence (n+1) c_(n+1) = (n-1) c_(n-1) - 2 beta c_n in exact rationals."""
     c = [Fraction(1), -2 * beta]

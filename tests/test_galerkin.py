@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fvi.galerkin import (
+    LagrangeBasis,
     LagrangianProblem,
     basis_for,
     d_all_lagrangian,
@@ -192,6 +193,42 @@ def test_stage_gradient_is_d_all_lagrangian_bitwise(tab, d, random_mass):
             assert np.array_equal(dL(stages, t_k), ref)
             assert np.array_equal(
                 d_all_lagrangian(prob, tab, basis, stages, t_k, h), ref)
+
+
+@pytest.mark.parametrize("tab", ALL_TABLEAUX, ids=lambda t: t.label)
+def test_stage_gradient_batch_is_each_step_bitwise(tab):
+    # the stepping loop evaluates a window of steps in one call; each step's
+    # gradient must be the one a single-step call gives
+    rng = np.random.default_rng(41)
+    basis = basis_for(tab)
+    for d, random_mass in ((1, False), (2, True)):
+        prob = _random_problem(rng, d, random_mass=random_mass)
+        dL = stage_gradient(prob, tab, basis, 0.2)
+        stages = rng.normal(size=(5, basis.control_count, d))
+        times = rng.uniform(0.0, 2.0, size=5).tolist()
+        batch = dL(stages, times)
+        assert batch.shape == stages.shape
+        for k in range(5):
+            assert np.array_equal(batch[k], dL(stages[k], times[k]))
+
+
+def test_problem_copies_the_callers_mass():
+    # the frozen copy belongs to the problem; the caller's array stays writeable
+    mass = np.array([[2.0, 0.5], [0.5, 1.0]])
+    prob = LagrangianProblem(d=2, potential=lambda t, x: 0.0,
+                             grad_potential=lambda t, x: np.zeros(2), mass=mass)
+    mass[0, 0] = 3.0
+    assert prob.mass_matrix[0, 0] == 2.0
+    assert not prob.mass_matrix.flags.writeable
+
+
+def test_basis_copies_the_callers_arrays():
+    nodes, ev, dv = np.array([0.0, 1.0]), np.array([[0.5], [0.5]]), np.array([[-1.0], [1.0]])
+    basis = LagrangeBasis(nodes=nodes, eval_matrix=ev, deriv_matrix=dv)
+    nodes[0], ev[0, 0], dv[0, 0] = 0.25, 1.0, 2.0
+    assert (basis.nodes[0], basis.eval_matrix[0, 0], basis.deriv_matrix[0, 0]) == (0.0, 0.5, -1.0)
+    for arr in (basis.nodes, basis.eval_matrix, basis.deriv_matrix):
+        assert not arr.flags.writeable
 
 
 def test_translation_invariance_free_particle():

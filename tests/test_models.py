@@ -236,6 +236,20 @@ def test_spec_validation():
                           default_horizon=bad)
 
 
+def test_spec_copies_the_callers_initial_state():
+    # the frozen copies belong to the spec: a later write by the caller
+    # neither fails nor reaches the spec
+    spec = coupled_oscillator()
+    from fvi.models import BenchmarkSpec
+
+    x0, p0 = np.zeros(2), np.zeros(2)
+    copy = BenchmarkSpec(problem=spec.problem, name="x",
+                         default_initials=(x0, p0), default_horizon=1.0)
+    x0[0], p0[0] = 1.0, 2.0
+    assert not copy.default_initials[0].any() and not copy.default_initials[1].any()
+    assert not copy.default_initials[0].flags.writeable
+
+
 def test_exact_states_reads_position_and_velocity():
     spec = coupled_oscillator()
     mass = np.array([[2.0, 0.3], [0.3, 1.5]])

@@ -9,7 +9,7 @@ import pytest
 
 from fvi import harness, models, stepper, tableau
 from fvi.cq import StageTrajectory, apply_retarded, compute_weights, midcq_weights
-from fvi.galerkin import LagrangianProblem, basis_for, d_all_lagrangian
+from fvi.galerkin import LagrangianProblem, basis_for, d_all_lagrangian, hessian_blocks
 from fvi.stepper import FviConfig, NewtonError
 
 # one step of the closed-form map at eta=0.5, rho=0.25, h=0.2, x=0.8, p=0.4,
@@ -85,10 +85,11 @@ def test_init_recovers_momentum():
 
 
 def test_single_block_steps_reproduce_run():
+    # run solves windows of 1, 2, 4, 8, 16, 16, 16 and 1 blocks here
     spec = models.bagley_torvik()
     prob = spec.problem
     x0, p0 = spec.default_initials
-    cfg = FviConfig(h=1.0 / 16, N=16)
+    cfg = FviConfig(h=1.0 / 64, N=64)
     for r in (2, 3, 4):
         tab = tableau.lobatto_iiic(r)
         w = _loop_weights(prob, tab, cfg)
@@ -247,6 +248,63 @@ def test_jacobian_built_once_per_run_on_quadratic_problems(monkeypatch):
             assert len(calls) == 1 and max(solves) <= 1, (name, tab.label)
 
 
+def _second_derivative(spec, tab, h, N):
+    """One block's hessian_blocks for spec's problem, and V_0..V_N."""
+    prob = spec.problem
+    basis = basis_for(tab)
+    V = tab.b[:, None] * stepper._run_weights(prob, tab, h, N)
+    stages = np.random.default_rng(7).normal(size=(basis.control_count, prob.d))
+    return hessian_blocks(prob, tab, basis, stages, 0.0, h), V
+
+
+@pytest.mark.parametrize("name,r", [("bagley-torvik", 3), ("coupled-oscillator", 4)])
+def test_window_jacobian_is_block_lower_triangular(name, r):
+    spec, tab = models.by_name(name), tableau.lobatto_iiic(r)
+    h, cap = 0.05, stepper._WINDOW_CAP
+    hess, V = _second_derivative(spec, tab, h, 2 * cap)
+    J = stepper._window_jacobian(hess, V[:cap], spec.problem.rho * h)
+    b = (r - 1) * spec.problem.d  # unknowns per block
+    blocks = J.reshape(cap, b, cap, b)
+    for i in range(cap):
+        assert not blocks[i, :, i + 1:].any()
+        for j in range(i + 1):  # block Toeplitz: (i, j) depends on i - j only
+            assert np.array_equal(blocks[i, :, j], blocks[i - j, :, 0])
+    Jinv = np.linalg.inv(J)
+    for w in (1, 2, 4, 8):
+        corner = np.linalg.inv(J[:w * b, :w * b])
+        assert np.abs(Jinv[:w * b, :w * b] - corner).max() <= 1e-13 * np.abs(corner).max()
+
+
+def test_constant_hessian_run_batches_stage_gradient(monkeypatch):
+    # 256 blocks in windows of 1, 2, 4, 8, then 15 of 16 and a last one of 1:
+    # 20 windows, each settling in one correction, evaluate the stage gradient
+    # twice, once at the start guess and once after the correction, against
+    # twice per block when blocks are solved one at a time
+    spec = models.bagley_torvik()
+    calls = []
+    bind = stepper.stage_gradient
+
+    def counting(*args):
+        dL = bind(*args)
+
+        def counted(stages, t_k):
+            calls.append(len(stages))
+            return dL(stages, t_k)
+
+        return counted
+
+    monkeypatch.setattr(stepper, "stage_gradient", counting)
+    hess = _counted(monkeypatch, "hessian_blocks")
+    counts = _count_linalg_from_stepper(monkeypatch)
+    cfg = FviConfig(h=1.0 / 256, N=256)
+    sol = stepper.run(spec.problem, tableau.lobatto_iiic(3), cfg,
+                      *spec.default_initials)
+    assert len(calls) <= 2 * 20
+    assert max(calls) == stepper._WINDOW_CAP
+    assert len(hess) == 1 and counts["inv"] == 1
+    assert max(iters for iters, _ in sol.newton_stats) <= 1
+
+
 def _count_linalg_from_stepper(monkeypatch):
     """Count np.linalg.inv and np.linalg.solve calls made by fvi.stepper."""
     counts = {"inv": 0, "solve": 0}
@@ -292,15 +350,32 @@ def test_block_residual_keeps_its_grouping(method):
     rng = np.random.default_rng(5)
     n, d = basis.control_count, prob.d
     x0 = rng.normal(size=d)
-    solve = stepper._block_solver(prob, tab, cfg, V[0], x0)
+    solve = stepper._window_solver(prob, tab, cfg, V[:1], x0)
     for k in range(4):
-        first, p_in = rng.normal(size=d), rng.normal(size=d)
+        prev, p_in = rng.normal(size=(n, d)), rng.normal(size=d)
         hist = rng.normal(size=(n, d))
-        guess = rng.normal(size=(n - 1) * d)
-        stages, R, _ = solve(k * cfg.h, first, p_in, hist, guess)
+        (stages,), (R,), _ = solve(k, p_in, hist[None], prev)
+        assert np.array_equal(stages[0], prev[-1])
         ref = d_all_lagrangian(prob, tab, basis, stages, k * cfg.h, cfg.h) \
             - prob.rho * cfg.h * (V[0] @ (stages - x0) + hist)
         assert np.array_equal(R, ref)
+
+
+def test_legendre_momenta_read_block_k_of_apply_retarded():
+    spec = models.bagley_torvik()
+    prob, tab = spec.problem, tableau.lobatto_iiic(3)
+    cfg = FviConfig(h=1.0 / 16, N=16)
+    traj = stepper.run(prob, tab, cfg, *spec.default_initials).trajectory
+    w = _loop_weights(prob, tab, cfg)
+    vals = traj.values
+    dcq = apply_retarded(w, StageTrajectory(vals - vals[0, 0], cfg.h))
+    rho_h = prob.rho * cfg.h
+    for k in range(cfg.N):
+        dL = d_all_lagrangian(prob, tab, basis_for(tab), vals[k], k * cfg.h, cfg.h)
+        assert np.array_equal(stepper.legendre_minus(prob, tab, w, traj, k),
+                              -dL[0] + rho_h * tab.b[0] * dcq[k, 0])
+        assert np.array_equal(stepper.legendre_plus(prob, tab, w, traj, k),
+                              dL[-1] - rho_h * tab.b[-1] * dcq[k, -1])
 
 
 def test_step_and_legendre_reject_one_stage_tableau():
@@ -364,7 +439,7 @@ def test_newton_quadratic_convergence():
     def jac(u):
         return np.array([[3.0 * u[0] ** 2]])
 
-    u, solves, final, _ = stepper._newton(residual, jac, np.array([2.0]), 1e-13)
+    u, solves, final = stepper._newton(residual, jac, np.array([2.0]), 1e-13)
     assert abs(u[0] - 2.0 ** (1.0 / 3.0)) < 1e-13
     clean = [n for n in norms if n > 1e-14]
     for a, b in zip(clean[-3:-1], clean[-2:]):
@@ -412,6 +487,30 @@ def test_run_reports_failing_phase():
     with pytest.raises(NewtonError, match="step 1 failed: .*residual nan") as info:
         stepper.run(_nan_gradient_from(0.15), tab, cfg, [1.0], [0.5])
     assert info.value.iterations == 0
+
+
+def test_window_ends_before_a_non_finite_block():
+    # blocks 1 and 2 form the second window; block 2 evaluates the gradient at
+    # t = 0.3 and block 1 only up to t = 0.2, so block 1 settles in a shorter
+    # window and block 2 fails in its own, before any correction
+    cfg = FviConfig(h=0.1, N=4)
+    with pytest.raises(NewtonError, match="step 2 failed: .*residual nan") as info:
+        stepper.run(_nan_gradient_from(0.25), tableau.lobatto_iiic(2), cfg,
+                    [1.0], [0.5])
+    assert info.value.iterations == 0
+
+
+def test_shifted_start_guess_keeps_fine_step_errors():
+    # a window's block i starts from the block before the window shifted by
+    # i+1 times its displacement; starting every block from that block
+    # unshifted leaves errors of 1.6e-12 to 8.2e-12 here after one correction
+    tab = tableau.lobatto_iiic(4)
+    for spec in (models.coupled_oscillator(), models.bagley_torvik(),
+                 models.damped_oscillator_1d()):
+        cfg = FviConfig(h=spec.default_horizon / 1024, N=1024)
+        sol = stepper.run(spec.problem, tab, cfg, *spec.default_initials)
+        X, _ = models.exact_states(spec.problem, sol.times)
+        assert np.abs(sol.node_positions - X).max() < 1e-12, spec.name
 
 
 def test_undamped_energy_stays_in_band():
@@ -640,6 +739,17 @@ def test_config_validation():
     with pytest.raises(ValueError, match="N must be an integer >= 1, got 4.0"):
         FviConfig(h=0.1, N=4.0)
     FviConfig(h=0.1, N=np.int64(4))
+
+
+def test_solution_copies_the_callers_arrays():
+    # the frozen copies belong to the solution; the caller's arrays stay writeable
+    traj = StageTrajectory(values=np.zeros((2, 2, 1)), h=0.5, continuity_flag=True)
+    momenta, times = np.zeros((3, 1)), np.array([0.0, 0.5, 1.0])
+    sol = stepper.FviSolution(trajectory=traj, momenta=momenta, times=times,
+                              newton_stats=((1, 0.0), (1, 0.0)))
+    momenta[0, 0], times[0] = 1.0, 2.0
+    assert sol.momenta[0, 0] == 0.0 and sol.times[0] == 0.0
+    assert not sol.momenta.flags.writeable and not sol.times.flags.writeable
 
 
 def test_node_positions_shape_and_continuity():
