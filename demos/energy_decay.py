@@ -43,8 +43,7 @@ def main() -> int:
                                        exact_solution=None)
     x0, p0 = spec.default_initials
     sol = run(conservative, lobatto_iiic(2), FviConfig(h=0.2, N=100), x0, p0)
-    e_free = np.array([energy(conservative, x, p)
-                       for x, p in zip(sol.node_positions, sol.momenta)])
+    e_free = energy(conservative, sol.node_positions, sol.momenta)
     e0 = energy(conservative, x0, p0)
     drift = np.abs(e_free - e0) / e0
     print(f"\nundamped run: relative energy ripple stays below "

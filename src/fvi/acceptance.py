@@ -238,7 +238,7 @@ def criterion_9() -> CriterionResult:
     bt = by_name("bagley-torvik")
     harmonic = LagrangianProblem(
         d=2,
-        potential=lambda t, x: 0.5 * (x @ x),
+        potential=lambda t, x: 0.5 * (x[..., None, :] @ x[..., None])[..., 0, 0],
         grad_potential=lambda t, x: x,
         hess_potential=lambda t, x: np.eye(2),
         rho=0.3,

@@ -66,18 +66,25 @@ class LagrangianProblem:
     forcing f(t) is folded in as U(x) - x.f(t).  rho and alpha describe the
     damping term built on the half-order operator of order 2*alpha.
     hess_potential is optional and enables analytic Newton Jacobians.
-    exact_solution, when known, returns (x(t), xdot(t)) at t, the position and
-    the velocity; fvi.models.exact_states forms the momentum M xdot.
+    exact_solution, when known, returns (x(t), xdot(t)), the position and the
+    velocity; fvi.models.exact_states forms the momentum M xdot.
+
+    Every callable broadcasts over leading axes: for t of shape S and x of
+    shape S + (d,), potential returns S, grad_potential S + (d,),
+    hess_potential S + (d, d) and exact_solution(t) two S + (d,) arrays, or
+    shapes that broadcast to these.  One point is S = ().  fvi calls each once
+    on all the points it needs and rejects a result of any other shape.
+    Stacked products, (K @ x[..., None])[..., 0], round each point alone.
     """
 
     d: int
-    potential: Callable[[float, np.ndarray], float]
-    grad_potential: Callable[[float, np.ndarray], np.ndarray]
+    potential: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    grad_potential: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mass: Optional[np.ndarray] = None
-    hess_potential: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    hess_potential: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     rho: float = 0.0
     alpha: float = 0.5
-    exact_solution: Optional[Callable[[float], tuple]] = None
+    exact_solution: Optional[Callable[[np.ndarray], tuple]] = None
     mass_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -129,10 +136,29 @@ def basis_for(tab: ButcherTableau) -> LagrangeBasis:
                          deriv_matrix=D.T)
 
 
-def _nodes(prob, tab, basis, stages, t_k, h):
+def _conform(value, name: str, shape: tuple) -> np.ndarray:
+    """The value problem callable `name` returned, broadcast to shape, or a ValueError."""
+    value = np.asarray(value, dtype=float)
+    if value.shape == shape:
+        return value
+    if value.ndim > len(shape) or any(
+            got not in (1, want) for got, want in zip(value.shape[::-1], shape[::-1])):
+        raise ValueError(f"{name} returned shape {value.shape}, expected {shape}")
+    return np.broadcast_to(value, shape)
+
+
+def _checked_stages(prob, basis, stages, h) -> np.ndarray:
+    """The stages as a float array, once h and their shape are checked."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     stages = np.asarray(stages, dtype=float)
     if stages.shape != (basis.control_count, prob.d):
         raise ValueError(f"stages must have shape {(basis.control_count, prob.d)}")
+    return stages
+
+
+def _nodes(prob, tab, basis, stages, t_k, h):
+    stages = _checked_stages(prob, basis, stages, h)
     q = basis.eval_matrix.T @ stages
     v = basis.deriv_matrix.T @ stages / h
     ts = t_k + tab.c * h
@@ -142,14 +168,10 @@ def _nodes(prob, tab, basis, stages, t_k, h):
 def discrete_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
                         basis: LagrangeBasis, stages, t_k: float, h: float) -> float:
     """Quadrature value h sum_i b_i L(t_k + c_i h, q_d(c_i h), qdot_d(c_i h))."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be positive and finite, got {h!r}")
     q, v, ts = _nodes(prob, tab, basis, stages, t_k, h)
-    total = 0.0
-    for j in range(tab.r):
-        kinetic = 0.5 * v[j] @ prob.mass_matrix @ v[j]
-        total += tab.b[j] * (kinetic - prob.potential(ts[j], q[j]))
-    return h * total
+    potential = _conform(prob.potential(ts, q), "potential", ts.shape)
+    kinetic = 0.5 * np.einsum("ja,ab,jb->j", v, prob.mass_matrix, v)
+    return h * float(tab.b @ (kinetic - potential))
 
 
 def stage_gradient(prob: LagrangianProblem, tab: ButcherTableau,
@@ -160,19 +182,19 @@ def stage_gradient(prob: LagrangianProblem, tab: ButcherTableau,
     does no checks; it is the one formula d_all_lagrangian evaluates.  It also
     takes a batch of w steps at once, stages of shape (w, s+1, d) and t_k a
     sequence of w start times, and returns the w gradients, each bitwise the
-    one of its own step.
+    one of its own step.  Each dL call calls grad_potential once, on the
+    (r,) or (w, r) quadrature times and the (r, d) or (w, r, d) points.
     """
     E, D = basis.eval_matrix, basis.deriv_matrix
     Et = None if np.array_equal(E, np.eye(*E.shape)) else E.T  # I @ S is S
     mhE, Dt, b = -h * E, D.T, tab.b[:, None]
-    ch, Mt, grad = (tab.c * h).tolist(), prob.mass_matrix.T, prob.grad_potential
+    ch, Mt, grad = tab.c * h, prob.mass_matrix.T, prob.grad_potential
 
     def dL(stages, t_k):
         q = stages if Et is None else Et @ stages
         v = Dt @ stages / h
-        ts = np.add.outer(t_k, ch).ravel().tolist()
-        G = np.array([grad(t, qj) for t, qj in zip(ts, q.reshape(-1, q.shape[-1]))])
-        return mhE @ (b * G.reshape(q.shape)) + D @ (b * (v @ Mt))
+        G = _conform(grad(np.add.outer(t_k, ch), q), "grad_potential", q.shape)
+        return mhE @ (b * G) + D @ (b * (v @ Mt))
 
     return dL
 
@@ -181,11 +203,9 @@ def d_all_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
                      basis: LagrangeBasis, stages, t_k: float, h: float) -> np.ndarray:
     """Analytic partials of the discrete Lagrangian w.r.t. all stages, shape (s+1, d).
 
-    Checks the stages' shape and evaluates stage_gradient(prob, tab, basis, h).
+    Checks h and the stages' shape and evaluates stage_gradient(prob, tab, basis, h).
     """
-    stages = np.asarray(stages, dtype=float)
-    if stages.shape != (basis.control_count, prob.d):
-        raise ValueError(f"stages must have shape {(basis.control_count, prob.d)}")
+    stages = _checked_stages(prob, basis, stages, h)
     return stage_gradient(prob, tab, basis, h)(stages, t_k)
 
 
@@ -193,17 +213,16 @@ def hessian_blocks(prob: LagrangianProblem, tab: ButcherTableau,
                    basis: LagrangeBasis, stages, t_k: float, h: float) -> np.ndarray:
     """Second stage derivatives: blocks[i-1, m-1] = d(D_i L_d)/d(stage m), (s+1, s+1, d, d).
 
-    Requires hess_potential on the problem.
+    Requires hess_potential on the problem; it is called once, on the r points.
     """
     if prob.hess_potential is None:
         raise ValueError("problem has no hess_potential; use finite differences")
     q, v, ts = _nodes(prob, tab, basis, stages, t_k, h)
+    H = _conform(prob.hess_potential(ts, q), "hess_potential", q.shape + (prob.d,))
     n = basis.control_count
     out = np.zeros((n, n, prob.d, prob.d))
     for j in range(tab.r):
-        Hj = np.asarray(prob.hess_potential(ts[j], q[j]), dtype=float)
-        ev = basis.eval_matrix[:, j]
-        dv = basis.deriv_matrix[:, j]
-        out -= h * tab.b[j] * np.einsum("i,m,ab->imab", ev, ev, Hj)
+        ev, dv = basis.eval_matrix[:, j], basis.deriv_matrix[:, j]
+        out -= h * tab.b[j] * np.einsum("i,m,ab->imab", ev, ev, H[j])
         out += (tab.b[j] / h) * np.einsum("i,m,ab->imab", dv, dv, prob.mass_matrix)
     return out

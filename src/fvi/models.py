@@ -12,7 +12,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .galerkin import LagrangianProblem
+from .galerkin import LagrangianProblem, _conform
 from .oracle import rl_monomial
 
 __all__ = [
@@ -33,9 +33,7 @@ __all__ = [
 class BenchmarkSpec:
     """Named benchmark: problem data, default initial state and horizon.
 
-    The initial momentum in default_initials is M xdot(0).  The problem's
-    exact_solution, when present, returns (x(t), xdot(t)) at t; exact_states
-    turns it into positions and momenta.
+    The initial momentum in default_initials is M xdot(0).
     """
 
     problem: LagrangianProblem
@@ -60,23 +58,23 @@ class BenchmarkSpec:
 def exact_states(prob: LagrangianProblem, t) -> Tuple[np.ndarray, np.ndarray]:
     """Exact positions X and momenta P at the times t, each of shape (len(t), d).
 
-    exact_solution returns (x(t), xdot(t)); the momentum is M xdot.  The
-    products are stacked per row, so they round as M @ xdot does; V @ M^T
-    does not for d > 1 and a full M.
+    One exact_solution call on all the times gives (x(t), xdot(t)); the
+    momentum is M xdot.  The products are stacked per row, so they round as
+    M @ xdot does; V @ M^T does not for d > 1 and a full M.
     """
     if prob.exact_solution is None:
         raise ValueError("benchmark has no exact solution")
-    states = [prob.exact_solution(float(tk))
-              for tk in np.asarray(t, dtype=float).ravel()]
-    X = np.array([x for x, _ in states], dtype=float).reshape(-1, prob.d)
-    V = np.array([v for _, v in states], dtype=float).reshape(-1, prob.d)
+    t = np.asarray(t, dtype=float).ravel()
+    X, V = (_conform(a, "exact_solution", t.shape + (prob.d,))
+            for a in prob.exact_solution(t))
     return X, (prob.mass_matrix @ V[:, :, None])[:, :, 0]
 
 
 def _check_exact(prob: LagrangianProblem, horizon: float,
-                 damping_term: Callable[[float], np.ndarray]) -> None:
+                 damping_term: Callable[[np.ndarray], np.ndarray]) -> None:
     """Residual of pdot + rho*damping + grad U at 20 times up to horizon.
 
+    damping_term maps the times to the damping of the exact solution, (20, d).
     pdot is a central difference of the exact momentum, so the check does
     not reuse any analytic derivative of the closed form it validates.
     """
@@ -85,29 +83,44 @@ def _check_exact(prob: LagrangianProblem, horizon: float,
     X, _ = exact_states(prob, ts)
     pdot = (exact_states(prob, ts + delta)[1]
             - exact_states(prob, ts - delta)[1]) / (2.0 * delta)
-    for t, x, dp in zip(ts.tolist(), X, pdot):
-        resid = dp + prob.rho * damping_term(t) + prob.grad_potential(t, x)
-        if np.abs(resid).max() > 1e-8:
-            raise RuntimeError(
-                f"exact solution residual {np.abs(resid).max():.3e} at t={t}")
+    grad = _conform(prob.grad_potential(ts, X), "grad_potential", X.shape)
+    resid = np.abs(pdot + prob.rho * damping_term(ts) + grad).max(axis=1)
+    k = int(resid.argmax())
+    if resid[k] > 1e-8:
+        raise RuntimeError(f"exact solution residual {resid[k]:.3e} at t={ts[k]}")
 
 
-def _underdamped_solution(eta: float, rho: float, x0: np.ndarray,
-                          v0: np.ndarray) -> Callable[[float], tuple]:
-    """Closed form of xddot + rho xdot + eta x = 0 per component, underdamped."""
+def _underdamped(name: str, eta: float, rho: float, x0, v0,
+                 horizon: float) -> BenchmarkSpec:
+    """Unit masses under xddot + rho xdot + eta x = 0 per component, underdamped.
+
+    alpha = 1/2 makes the damping the classical first derivative, the
+    half-order squared limit, and the closed form is the underdamped one.
+    """
+    x0, v0 = np.array(x0), np.array(v0)
     omega = math.sqrt(eta - rho * rho / 4.0)
     a = rho / 2.0
     c2 = (v0 + a * x0) / omega
 
-    def solution(t: float) -> tuple:
-        decay = math.exp(-a * t)
-        cos_t = math.cos(omega * t)
-        sin_t = math.sin(omega * t)
+    def exact(t) -> tuple:
+        t = np.asarray(t, dtype=float)[..., None]
+        decay, cos_t, sin_t = np.exp(-a * t), np.cos(omega * t), np.sin(omega * t)
         x = decay * (x0 * cos_t + c2 * sin_t)
         v = decay * ((-a * x0 + c2 * omega) * cos_t - (a * c2 + x0 * omega) * sin_t)
         return x, v
 
-    return solution
+    prob = LagrangianProblem(
+        d=x0.size,
+        potential=lambda t, x: 0.5 * eta * (x[..., None, :] @ x[..., None])[..., 0, 0],
+        grad_potential=lambda t, x: eta * x,
+        hess_potential=lambda t, x: eta * np.eye(x0.size),
+        rho=rho,
+        alpha=0.5,
+        exact_solution=exact,
+    )
+    _check_exact(prob, horizon, lambda t: exact(t)[1])
+    return BenchmarkSpec(problem=prob, name=name, default_initials=(x0, v0),
+                         default_horizon=horizon)
 
 
 def coupled_oscillator() -> BenchmarkSpec:
@@ -116,22 +129,7 @@ def coupled_oscillator() -> BenchmarkSpec:
     eta=0.5, rho=0.25, alpha=1/2: the damping is the classical first derivative,
     the half-order squared limit, and the components decouple into underdamped oscillators.
     """
-    eta, rho = 0.5, 0.25
-    x0 = np.array([0.8, -0.5])
-    v0 = np.array([0.4, 0.0])
-    exact = _underdamped_solution(eta, rho, x0, v0)
-    prob = LagrangianProblem(
-        d=2,
-        potential=lambda t, x: 0.5 * eta * (x @ x),
-        grad_potential=lambda t, x: eta * x,
-        hess_potential=lambda t, x: eta * np.eye(2),
-        rho=rho,
-        alpha=0.5,
-        exact_solution=exact,
-    )
-    _check_exact(prob, 20.0, lambda t: np.asarray(exact(t)[1]))
-    return BenchmarkSpec(problem=prob, name="coupled-oscillator",
-                         default_initials=(x0, v0.copy()), default_horizon=20.0)
+    return _underdamped("coupled-oscillator", 0.5, 0.25, [0.8, -0.5], [0.4, 0.0], 20.0)
 
 
 def bagley_torvik() -> BenchmarkSpec:
@@ -143,23 +141,25 @@ def bagley_torvik() -> BenchmarkSpec:
     """
     gamma_half = math.gamma(0.5)
 
-    def forcing(t: float) -> float:
+    def forcing(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         return t ** 3 + 6.0 * t + 3.2 * t ** 2.5 / gamma_half
 
-    def exact(t: float) -> tuple:
-        return np.array([t ** 3]), np.array([3.0 * t ** 2])
+    def exact(t) -> tuple:
+        t = np.asarray(t, dtype=float)[..., None]
+        return t ** 3, 3.0 * t ** 2
 
     prob = LagrangianProblem(
         d=1,
-        potential=lambda t, x: 0.5 * x[0] ** 2 - x[0] * forcing(t),
-        grad_potential=lambda t, x: x - forcing(t),
+        potential=lambda t, x: 0.5 * x[..., 0] ** 2 - x[..., 0] * forcing(t),
+        grad_potential=lambda t, x: x - forcing(t)[..., None],
         hess_potential=lambda t, x: np.eye(1),
         rho=1.0,
         alpha=0.25,
         exact_solution=exact,
     )
     _check_exact(prob, 1.0,
-                 lambda t: np.array([rl_monomial(3, 0.5, t, kind="derivative")]))
+                 lambda t: rl_monomial(3, 0.5, 1.0, kind="derivative") * t[:, None] ** 2.5)
     return BenchmarkSpec(problem=prob, name="bagley-torvik",
                          default_initials=(np.zeros(1), np.zeros(1)),
                          default_horizon=1.0)
@@ -167,22 +167,7 @@ def bagley_torvik() -> BenchmarkSpec:
 
 def damped_oscillator_1d() -> BenchmarkSpec:
     """Scalar underdamped oscillator xddot + 0.25 xdot + x = 0: the classical damping limit."""
-    eta, rho = 1.0, 0.25
-    x0 = np.array([1.0])
-    v0 = np.array([0.5])
-    exact = _underdamped_solution(eta, rho, x0, v0)
-    prob = LagrangianProblem(
-        d=1,
-        potential=lambda t, x: 0.5 * eta * (x @ x),
-        grad_potential=lambda t, x: eta * x,
-        hess_potential=lambda t, x: eta * np.eye(1),
-        rho=rho,
-        alpha=0.5,
-        exact_solution=exact,
-    )
-    _check_exact(prob, 16.0, lambda t: np.asarray(exact(t)[1]))
-    return BenchmarkSpec(problem=prob, name="damped-oscillator-1d",
-                         default_initials=(x0, v0.copy()), default_horizon=16.0)
+    return _underdamped("damped-oscillator-1d", 1.0, 0.25, [1.0], [0.5], 16.0)
 
 
 _FACTORIES = {
@@ -220,23 +205,20 @@ def with_derivative_order(spec: BenchmarkSpec, order: float) -> BenchmarkSpec:
     return dataclasses.replace(spec, problem=prob)
 
 
-def energy(prob: LagrangianProblem, x: np.ndarray, p: np.ndarray) -> float:
-    """Hamiltonian 1/2 p^T M^{-1} p + U(0, x) of the undamped part."""
-    return float(_energies(prob, [x], [p])[0])
+def energy(prob: LagrangianProblem, x, p):
+    """Hamiltonian 1/2 p^T M^{-1} p + U(0, x) of the undamped part, per row.
 
-
-def _energies(prob: LagrangianProblem, X, P) -> np.ndarray:
-    """Energy of each row of X and P, with one stacked mass solve for all rows.
-
-    energy is its one-row case.  The solve and the 1 x d by d x 1 products
-    are stacked per row, so each row rounds as it would alone; a
-    multi-column solve or an einsum sum does not for d > 1.
+    x and p stack states as rows, shape S + (d,), and the result has shape
+    S: one value per row, a float for one state.  The mass solve and the
+    1 x d by d x 1 products are stacked per row, so each row rounds as it
+    would alone; a multi-column solve or an einsum sum does not for d > 1.
     """
-    P = np.asarray(P, dtype=float)
-    v = np.linalg.solve(prob.mass_matrix, P[:, :, None])
-    kinetic = ((0.5 * P)[:, None, :] @ v)[:, 0, 0]
-    return kinetic + np.array([prob.potential(0.0, xk)
-                               for xk in np.asarray(X, dtype=float)])
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    v = np.linalg.solve(prob.mass_matrix, p[..., None])
+    kinetic = ((0.5 * p)[..., None, :] @ v)[..., 0, 0]
+    rows = p.shape[:-1]
+    e = kinetic + _conform(prob.potential(np.zeros(rows), x), "potential", rows)
+    return float(e) if e.ndim == 0 else e
 
 
 def energy_series(spec: BenchmarkSpec, t: np.ndarray, x: np.ndarray,
@@ -247,15 +229,12 @@ def energy_series(spec: BenchmarkSpec, t: np.ndarray, x: np.ndarray,
     with E_err = (E_num - E_exact) scaled by max_t |E_exact|.  Requires the
     benchmark's exact solution.
     """
-    prob = spec.problem
-    return _energy_columns(prob, x, p, *exact_states(prob, t))
+    return _energy_columns(spec.problem, x, p, *exact_states(spec.problem, t))
 
 
 def _energy_columns(prob: LagrangianProblem, x, p, X, P) -> tuple:
     """energy_series of the states (x, p) against exact states (X, P) already read."""
-    e_exact = _energies(prob, X, P)
-    e_num = _energies(prob, x, p)
-    scale = np.abs(e_exact).max()
-    if scale == 0.0:
-        scale = 1.0
+    e_exact = energy(prob, X, P)
+    e_num = energy(prob, x, p)
+    scale = np.abs(e_exact).max() or 1.0
     return e_num, e_exact, (e_num - e_exact) / scale

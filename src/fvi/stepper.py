@@ -523,10 +523,9 @@ def _two_stage_blocks(nodes):
 
 
 def _block_gradients(prob, tab, blocks, h):
-    """D L_d of blocks 0..N-1 stacked; the terminal block N has none."""
-    basis = basis_for(tab)
-    return np.stack([d_all_lagrangian(prob, tab, basis, blocks[k], k * h, h)
-                     for k in range(blocks.shape[0] - 1)])
+    """D L_d of blocks 0..N-1 from one batched call; the terminal block N has none."""
+    dL = stage_gradient(prob, tab, basis_for(tab), h)
+    return dL(blocks[:-1], h * np.arange(blocks.shape[0] - 1))
 
 
 def companion_residuals(prob: LagrangianProblem, tab: ButcherTableau,

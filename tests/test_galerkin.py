@@ -12,7 +12,9 @@ from fvi.galerkin import (
     hessian_blocks,
     stage_gradient,
 )
+from fvi.models import BENCHMARK_NAMES, by_name
 from fvi.tableau import ButcherTableau, lobatto_iiic, midpoint
+from test_stepper import _pendulum
 
 ALL_TABLEAUX = [lobatto_iiic(2), lobatto_iiic(3), lobatto_iiic(4), midpoint()]
 
@@ -28,8 +30,9 @@ def _random_problem(rng, d, time_dependent=True, with_hessian=False, random_mass
         mass = M0 @ M0.T + d * np.eye(d)
     return LagrangianProblem(
         d=d,
-        potential=lambda t, x: 0.5 * x @ K @ x + g @ x + np.sin(t) * (w @ x),
-        grad_potential=lambda t, x: K @ x + g + np.sin(t) * w,
+        potential=lambda t, x: (0.5 * (x[..., None, :] @ K @ x[..., None])[..., 0, 0]
+                                + x @ g + np.sin(t) * (x @ w)),
+        grad_potential=lambda t, x: (K @ x[..., None])[..., 0] + g + np.multiply.outer(np.sin(t), w),
         hess_potential=(lambda t, x: K) if with_hessian else None,
         mass=mass,
     )
@@ -195,14 +198,26 @@ def test_stage_gradient_is_d_all_lagrangian_bitwise(tab, d, random_mass):
                 d_all_lagrangian(prob, tab, basis, stages, t_k, h), ref)
 
 
-@pytest.mark.parametrize("tab", ALL_TABLEAUX, ids=lambda t: t.label)
-def test_stage_gradient_batch_is_each_step_bitwise(tab):
+def _batch_problems(name, rng):
+    # lazily, so the random problems draw from rng between the stage draws
+    if name == "random":
+        yield _random_problem(rng, 1)
+        yield _random_problem(rng, 2, random_mass=True)
+    else:
+        yield _pendulum() if name == "pendulum" else by_name(name).problem
+
+
+# the random problems run under the bare tableau id, the others under name-tableau
+@pytest.mark.parametrize("tab,problem", [
+    pytest.param(tab, name, id=tab.label if name == "random" else f"{name}-{tab.label}")
+    for name in ("random", *BENCHMARK_NAMES, "pendulum") for tab in ALL_TABLEAUX])
+def test_stage_gradient_batch_is_each_step_bitwise(tab, problem):
     # the stepping loop evaluates a window of steps in one call; each step's
     # gradient must be the one a single-step call gives
     rng = np.random.default_rng(41)
     basis = basis_for(tab)
-    for d, random_mass in ((1, False), (2, True)):
-        prob = _random_problem(rng, d, random_mass=random_mass)
+    for prob in _batch_problems(problem, rng):
+        d = prob.d
         dL = stage_gradient(prob, tab, basis, 0.2)
         stages = rng.normal(size=(5, basis.control_count, d))
         times = rng.uniform(0.0, 2.0, size=5).tolist()
@@ -234,8 +249,8 @@ def test_basis_copies_the_callers_arrays():
 def test_translation_invariance_free_particle():
     # with no potential the sum of all stage partials must vanish
     rng = np.random.default_rng(31)
-    free = LagrangianProblem(d=2, potential=lambda t, x: 0.0,
-                             grad_potential=lambda t, x: np.zeros(2))
+    free = LagrangianProblem(d=2, potential=lambda t, x: np.zeros(x.shape[:-1]),
+                             grad_potential=lambda t, x: np.zeros_like(x))
     for tab in ALL_TABLEAUX:
         basis = basis_for(tab)
         stages = rng.normal(size=(basis.control_count, 2))
@@ -248,8 +263,8 @@ def test_action_exact_for_quadratic_free_trajectory():
     rng = np.random.default_rng(37)
     tab = lobatto_iiic(3)
     basis = basis_for(tab)
-    free = LagrangianProblem(d=2, potential=lambda t, x: 0.0,
-                             grad_potential=lambda t, x: np.zeros(2))
+    free = LagrangianProblem(d=2, potential=lambda t, x: np.zeros(x.shape[:-1]),
+                             grad_potential=lambda t, x: np.zeros_like(x))
     coefs = rng.normal(size=(2, 3))
     t_k, h = 0.4, 0.3
     polys = [np.polynomial.Polynomial(coefs[k]) for k in range(2)]
@@ -264,7 +279,7 @@ def test_action_exact_for_linear_trajectory_quadratic_potential():
     rng = np.random.default_rng(41)
     tab = lobatto_iiic(3)
     basis = basis_for(tab)
-    prob = LagrangianProblem(d=1, potential=lambda t, x: 0.5 * x[0] ** 2,
+    prob = LagrangianProblem(d=1, potential=lambda t, x: 0.5 * x[..., 0] ** 2,
                              grad_potential=lambda t, x: x)
     a, bcoef = rng.normal(size=2)
     t_k, h = 0.2, 0.45
@@ -337,14 +352,16 @@ def test_problem_validation():
 
 
 def test_argument_validation():
+    # the three stage functions share one check of h and of the stages' shape
     rng = np.random.default_rng(47)
     tab = lobatto_iiic(2)
     basis = basis_for(tab)
-    prob = _random_problem(rng, 2)
+    prob = _random_problem(rng, 2, with_hessian=True)
     good = np.zeros((2, 2))
-    with pytest.raises(ValueError, match="shape"):
-        discrete_lagrangian(prob, tab, basis, np.zeros((3, 2)), 0.0, 0.1)
-    with pytest.raises(ValueError, match="h must be positive"):
-        discrete_lagrangian(prob, tab, basis, good, 0.0, 0.0)
-    with pytest.raises(ValueError, match="h must be positive and finite, got nan"):
-        discrete_lagrangian(prob, tab, basis, good, 0.0, float("nan"))
+    for fn in (discrete_lagrangian, d_all_lagrangian, hessian_blocks):
+        with pytest.raises(ValueError, match="shape"):
+            fn(prob, tab, basis, np.zeros((3, 2)), 0.0, 0.1)
+        for bad in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError,
+                               match=f"h must be positive and finite, got {bad!r}"):
+                fn(prob, tab, basis, good, 0.0, bad)

@@ -209,15 +209,14 @@ def test_construction_check_rejects_wrong_solution():
 
     bad = LagrangianProblem(
         d=1,
-        potential=lambda t, x: 0.5 * x @ x,
+        potential=lambda t, x: 0.5 * (x[..., None, :] @ x[..., None])[..., 0, 0],
         grad_potential=lambda t, x: x,
         rho=0.25,
         alpha=0.5,
-        exact_solution=lambda t: (np.array([math.cos(t)]),
-                                  np.array([-math.sin(t)])),
+        exact_solution=lambda t: (np.cos(t)[..., None], -np.sin(t)[..., None]),
     )
     with pytest.raises(RuntimeError, match="residual"):
-        _check_exact(bad, 10.0, lambda t: np.array([-math.sin(t)]))
+        _check_exact(bad, 10.0, lambda t: -np.sin(t)[:, None])
 
 
 def test_spec_validation():
@@ -250,19 +249,22 @@ def test_spec_copies_the_callers_initial_state():
     assert not copy.default_initials[0].flags.writeable
 
 
-def test_exact_states_reads_position_and_velocity():
-    spec = coupled_oscillator()
-    mass = np.array([[2.0, 0.3], [0.3, 1.5]])
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_exact_states_reads_position_and_velocity(name):
+    # one call on all times gives each time's per-time value, bit for bit
+    spec = by_name(name)
+    d = spec.problem.d
+    mass = np.array([[2.0, 0.3], [0.3, 1.5]])[:d, :d]
     prob = dataclasses.replace(spec.problem, mass=mass)
     t = np.linspace(0.0, 3.0, 7)
     X, P = exact_states(prob, t)
-    assert X.shape == P.shape == (7, 2)
+    assert X.shape == P.shape == (7, d)
     for k, tk in enumerate(t):
         x, v = prob.exact_solution(tk)
         assert np.array_equal(X[k], x)
         assert np.array_equal(P[k], mass @ v)
     X1, P1 = exact_states(prob, [1.0])
-    assert X1.shape == P1.shape == (1, 2)
+    assert X1.shape == P1.shape == (1, d)
     no_exact = with_derivative_order(bagley_torvik(), 1.0).problem
     with pytest.raises(ValueError, match="benchmark has no exact solution"):
         exact_states(no_exact, t)
@@ -276,14 +278,14 @@ def _heavy_oscillator():
     w = 1.0 / math.sqrt(2.0)
     prob = LagrangianProblem(
         d=1,
-        potential=lambda t, x: 0.5 * (x @ x),
+        potential=lambda t, x: 0.5 * (x[..., None, :] @ x[..., None])[..., 0, 0],
         grad_potential=lambda t, x: x,
         mass=np.array([[2.0]]),
         hess_potential=lambda t, x: np.eye(1),
         rho=0.0,
         alpha=0.5,
-        exact_solution=lambda t: (np.array([math.cos(w * t)]),
-                                  np.array([-w * math.sin(w * t)])),
+        exact_solution=lambda t: (np.cos(w * np.asarray(t))[..., None],
+                                  -w * np.sin(w * np.asarray(t))[..., None]),
     )
     return BenchmarkSpec(problem=prob, name="heavy-oscillator",
                          default_initials=(np.ones(1), np.zeros(1)),

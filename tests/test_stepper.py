@@ -22,7 +22,7 @@ def _harmonic(d=1, eta=1.0, rho=0.0, alpha=0.5):
     eye = np.eye(d)
     return LagrangianProblem(
         d=d,
-        potential=lambda t, x: 0.5 * eta * float(x @ x),
+        potential=lambda t, x: 0.5 * eta * (x[..., None, :] @ x[..., None])[..., 0, 0],
         grad_potential=lambda t, x: eta * x,
         hess_potential=lambda t, x: eta * eye,
         rho=rho,
@@ -33,9 +33,9 @@ def _harmonic(d=1, eta=1.0, rho=0.0, alpha=0.5):
 def _free_particle(d=1, rho=0.0):
     return LagrangianProblem(
         d=d,
-        potential=lambda t, x: 0.0,
-        grad_potential=lambda t, x: np.zeros(d),
-        hess_potential=lambda t, x: np.zeros((d, d)),
+        potential=lambda t, x: np.zeros(x.shape[:-1]),
+        grad_potential=lambda t, x: np.zeros_like(x),
+        hess_potential=lambda t, x: np.zeros(x.shape + (d,)),
         rho=rho,
         alpha=0.5,
     )
@@ -44,9 +44,9 @@ def _free_particle(d=1, rho=0.0):
 def _pendulum(eta=1.0, rho=0.2, alpha=0.5):
     return LagrangianProblem(
         d=1,
-        potential=lambda t, x: eta * (1.0 - float(np.cos(x[0]))),
+        potential=lambda t, x: eta * (1.0 - np.cos(x[..., 0])),
         grad_potential=lambda t, x: eta * np.sin(x),
-        hess_potential=lambda t, x: eta * np.cos(x)[:, None],
+        hess_potential=lambda t, x: eta * np.cos(x)[..., None],
         rho=rho,
         alpha=alpha,
     )
@@ -121,7 +121,7 @@ def test_qp_closed_form_validation():
         stepper.qp_closed_form(_harmonic(alpha=0.3), 0.1, [1.0], [0.0])
     skew = LagrangianProblem(
         d=2,
-        potential=lambda t, x: 0.5 * float(x @ x),
+        potential=lambda t, x: 0.5 * (x[..., None, :] @ x[..., None])[..., 0, 0],
         grad_potential=lambda t, x: x,
         mass=np.diag([1.0, 2.0]),
         alpha=0.5,
@@ -472,10 +472,32 @@ def _nan_gradient_from(t_bad):
     """Unit harmonic oscillator whose gradient is NaN from time t_bad on."""
     return LagrangianProblem(
         d=1,
-        potential=lambda t, x: 0.5 * float(x @ x),
-        grad_potential=lambda t, x: x if t < t_bad else np.full(1, np.nan),
+        potential=lambda t, x: 0.5 * (x[..., None, :] @ x[..., None])[..., 0, 0],
+        grad_potential=lambda t, x: np.where(np.asarray(t)[..., None] < t_bad, x, np.nan),
         hess_potential=lambda t, x: np.eye(1),
     )
+
+
+def test_per_point_callables_are_rejected_with_their_shapes():
+    # written for one point at a time, x - f(t) broadcasts a block's (1, 2)
+    # times against its (1, 2, 1) points into (1, 2, 2)
+    per_point = LagrangianProblem(
+        d=1,
+        potential=lambda t, x: 0.5 * x[0] ** 2 - x[0] * (1.0 + t),
+        grad_potential=lambda t, x: x - (1.0 + t),
+        hess_potential=lambda t, x: np.outer(x, x),
+        exact_solution=lambda t: (np.array([t]), np.array([1.0])),
+    )
+    tab = tableau.lobatto_iiic(2)
+    with pytest.raises(ValueError, match=r"grad_potential returned shape "
+                       r"\(1, 2, 2\), expected \(1, 2, 1\)"):
+        stepper.run(per_point, tab, FviConfig(h=0.1, N=4), [0.0], [0.0])
+    with pytest.raises(ValueError, match=r"hess_potential returned shape "
+                       r"\(2, 2\), expected \(2, 1, 1\)"):
+        hessian_blocks(per_point, tab, basis_for(tab), np.zeros((2, 1)), 0.0, 0.1)
+    with pytest.raises(ValueError, match=r"exact_solution returned shape "
+                       r"\(1, 5\), expected \(5, 1\)"):
+        models.exact_states(per_point, np.linspace(0.0, 1.0, 5))
 
 
 def test_run_reports_failing_phase():
