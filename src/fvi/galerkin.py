@@ -179,7 +179,7 @@ def stage_gradient(prob: LagrangianProblem, tab: ButcherTableau,
     """dL(stages, t_k): d_all_lagrangian on steps of size h, constants bound once.
 
     The returned function takes stages of shape (s+1, d) as a float array and
-    does no checks; it is the one formula d_all_lagrangian evaluates.  It also
+    does not check them; it is the one formula d_all_lagrangian evaluates.  It also
     takes a batch of w steps at once, stages of shape (w, s+1, d) and t_k a
     sequence of w start times, and returns the w gradients, each bitwise the
     one of its own step.  Each dL call calls grad_potential once, on the
