@@ -85,8 +85,9 @@ def _check_exact(prob: LagrangianProblem, horizon: float,
             - exact_states(prob, ts - delta)[1]) / (2.0 * delta)
     grad = _conform(prob.grad_potential(ts, X), "grad_potential", X.shape)
     resid = np.abs(pdot + prob.rho * damping_term(ts) + grad).max(axis=1)
-    k = int(resid.argmax())
-    if resid[k] > 1e-8:
+    bad = ~np.isfinite(resid)
+    k = int(bad.argmax() if bad.any() else resid.argmax())  # first non-finite, else largest
+    if not resid.max() <= 1e-8:  # false for NaN too
         raise RuntimeError(f"exact solution residual {resid[k]:.3e} at t={ts[k]}")
 
 

@@ -24,6 +24,13 @@ at the cap serves every window size.  The solution agrees with a
 block-by-block solve to the Newton tolerance, not bitwise.  `run` is the way
 into the loop; `init_step` and `step` solve one Lobatto block of it, a
 one-block window, from an outside weight table and history.
+
+The history from the blocks before a window (_History) runs only over lags up
+to the table's last nonzero one, lag 1 at alpha = 1/2, where it costs O(N).
+Sources near the window are summed directly, one product per window; those
+further back come from the blocked FFT of Hairer, Lubich & Schlichte, so a
+full table costs O(N log^2 N).  The result agrees with the direct sum to
+rounding, and bitwise while no lag is dropped and the FFT is not used.
 """
 
 import math
@@ -68,6 +75,7 @@ _NEWTON_TOL = 1e-12  # relative to the block's scale, see _window_solver
 _NEWTON_MAX_ITER = 50
 _FD_STEP = np.finfo(float).eps ** (1 / 3)  # central-difference optimum
 _WINDOW_CAP = 16  # most blocks solved together, see _integrate
+_FFT_BLOCK = 128  # smallest far-field square of _History; must exceed _WINDOW_CAP
 
 
 def _check_step_count(N):
@@ -420,6 +428,79 @@ def qp_closed_form(prob: LagrangianProblem, h: float, x_k, p_k,
     return x_next, p_next
 
 
+class _History:
+    """Damping history H_t = sum_{j<k} V_{t-j} (block_j - x0) of a window k..k+w-1.
+
+    V holds V_0..V_{N-1}; s, the last nonzero lag among V_1..V_{N-1}, bounds
+    the sum to j >= t - s, so a banded table (V_m = 0 for m >= 2 at alpha =
+    1/2) costs O(N).  `settle` takes blocks as they settle, in order, and
+    `window(k, w)`, w <= cap, needs blocks 0..k-1 settled.
+
+    When s > cap, sources before j0(t) = B floor((t - cap) / B), B =
+    _FFT_BLOCK, come from the far field: the dyadic squares of Hairer, Lubich
+    & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985) with targets shifted by
+    cap.  For odd q the square of size L = B 2^l maps sources [(q-1)L, qL) to
+    targets [qL + cap, (q+1)L + cap), one rfft/irfft pair of length 2L with
+    the cached spectrum of V_cap..V_{cap+2L-1}, added into `far` as soon as
+    block qL - 1 settles; a window needs no square whose sources reach it.
+    The near field, sources max(j0, t - s)..k-1, is one matmul per group of
+    targets sharing j0 (at most two per window, as w <= cap < B) over a strided
+    view of the reversed table; the lags it reads past t - s are exact zeros.
+    O(N log^2 N) in all.
+    """
+
+    def __init__(self, V, cap, x0):
+        N, n = V.shape[:2]
+        nonzero = np.flatnonzero(np.abs(V[1:]).max(axis=(1, 2)))
+        self.s = int(nonzero[-1]) + 1 if nonzero.size else 0
+        self.far = np.zeros((N, n, x0.size)) if self.s > cap else None
+        top = min(N - 1, self.s + cap - 1, cap + _FFT_BLOCK - 1)  # largest near lag
+        self.rev = np.ascontiguousarray(  # V_top | ... | V_1
+            V[top:0:-1].transpose(1, 0, 2).reshape(n, top * n))
+        self.incr = np.empty((N * n, x0.size))  # blocks - x0, one control point per row
+        self.V, self.cap, self.x0, self.top, self.spectra = V, cap, x0, top, {}
+
+    def window(self, k, w):
+        n, d, far = self.rev.shape[0], self.x0.size, self.far is not None
+
+        def j0(t):  # the near field's first source for target t
+            return max(t - self.cap, 0) // _FFT_BLOCK * _FFT_BLOCK if far else 0
+
+        hist = np.zeros((w, n, d))
+        split = j0(k + w - 1) + self.cap if j0(k) != j0(k + w - 1) else k
+        for ta, tb in ((k, split), (split, k + w)):  # targets ta..tb-1 share j0
+            js = max(j0(ta), ta - self.s)
+            if ta == tb or js >= k:
+                continue
+            # batch i: V_{t-js} | ... | V_{t-k+1} for target t = tb - 1 - i
+            col = self.rev.itemsize
+            view = np.ndarray((tb - ta, n, (k - js) * n), buffer=self.rev,
+                              offset=(self.top - tb + 1 + js) * n * col,
+                              strides=(n * col, self.top * n * col, col))
+            hist[ta - k:tb - k] = (view @ self.incr[js * n:k * n])[::-1]
+        if far:
+            hist += self.far[k:k + w]
+        return hist
+
+    def settle(self, k, stages):
+        N, n = self.V.shape[:2]
+        m, d = stages.shape[0], self.x0.size
+        self.incr[k * n:(k + m) * n] = (stages - self.x0).reshape(m * n, d)
+        L = _FFT_BLOCK
+        while self.far is not None and L + self.cap < N:
+            q = (k + m) // L  # the square whose last source qL - 1 just settled
+            if q * L > k and q % 2 and q * L + self.cap < N:
+                if L not in self.spectra:  # V_cap..V_{cap+2L-1}, zero past s
+                    lags = self.V[self.cap:min(self.cap + 2 * L, self.s + 1)]
+                    self.spectra[L] = np.fft.rfft(lags, 2 * L, axis=0)
+                src = self.incr[(q - 1) * L * n:q * L * n].reshape(L, n, d)
+                out = np.fft.irfft(self.spectra[L] @ np.fft.rfft(src, 2 * L, axis=0),
+                                   2 * L, axis=0)[L:]
+                lo = q * L + self.cap
+                self.far[lo:lo + L] += out[:N - lo]
+            L *= 2
+
+
 def _integrate(prob, tab, cfg, V, x0, p0) -> FviSolution:
     """The stepping loop of every method; it reads weights V_0..V_{N-1} of V.
 
@@ -432,32 +513,27 @@ def _integrate(prob, tab, cfg, V, x0, p0) -> FviSolution:
     full windows in two corrections, one rebuild per window instead of about
     one per block; with coarse steps, whose extrapolated start guesses are
     poor over many blocks, the windows stay short.  A window whose blocks
-    settle in one correction costs two batched residual evaluations.  Each
-    block's history from the blocks before its window is one product with
-    the reversed weights.
+    settle in one correction costs two batched residual evaluations.  The
+    history from the blocks before a window comes from _History: a direct
+    sum over the table's nonzero lags near the window and a blocked FFT
+    further back.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     p0 = np.asarray(p0, dtype=float).ravel()
     N, n, d, h = cfg.N, V.shape[1], prob.d, cfg.h
     cap = min(_WINDOW_CAP, N)
     solve = _window_solver(prob, tab, cfg, V[:cap], x0)
-    # V_{N-1} | ... | V_1: the history of block k from blocks 0..j-1 is
-    # rev[:, (N-1-k) n:(N-1-k+j) n] @ incr[:j n]
-    rev = V[N - 1:0:-1].transpose(1, 0, 2).reshape(n, (N - 1) * n)
+    history = _History(V[:N], cap, x0)
     blocks = np.empty((N, n, d))
-    incr = np.empty((N * n, d))  # blocks - x0, one control point per row
     momenta = np.empty((N + 1, d))
     stats: list = []
     k, w, p_in, prev = 0, 1, p0, None
     while k < N:
         w = min(w, N - k)
-        hist = np.empty((w, n, d))
-        for i in range(w):
-            hist[i] = rev[:, (N - 1 - k - i) * n:(N - 1 - i) * n] @ incr[:k * n]
-        stages, R, window_stats = solve(k, p_in, hist, prev)
+        stages, R, window_stats = solve(k, p_in, history.window(k, w), prev)
         m = stages.shape[0]
         blocks[k:k + m] = stages
-        incr[k * n:(k + m) * n] = (stages - x0).reshape(m * n, d)
+        history.settle(k, stages)
         momenta[k:k + m] = -R[:, 0]
         stats += window_stats
         w = min(2 * w, cap) if m == w and window_stats[-1][0] <= 2 else 1

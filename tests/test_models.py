@@ -217,6 +217,12 @@ def test_construction_check_rejects_wrong_solution():
     )
     with pytest.raises(RuntimeError, match="residual"):
         _check_exact(bad, 10.0, lambda t: -np.sin(t)[:, None])
+    # an undamped closed form that turns NaN after t = 4.2: NaN fails every
+    # comparison, so the check must reject it, naming the first such time
+    nan_late = dataclasses.replace(bad, rho=0.0, exact_solution=lambda t: (
+        np.where(t > 4.2, np.nan, np.cos(t))[..., None], -np.sin(t)[..., None]))
+    with pytest.raises(RuntimeError, match=r"residual nan at t=4\.5$"):
+        _check_exact(nan_late, 10.0, lambda t: np.zeros((t.size, 1)))
 
 
 def test_spec_validation():

@@ -275,6 +275,44 @@ def test_window_jacobian_is_block_lower_triangular(name, r):
         assert np.abs(Jinv[:w * b, :w * b] - corner).max() <= 1e-13 * np.abs(corner).max()
 
 
+_CAP, _B = stepper._WINDOW_CAP, stepper._FFT_BLOCK
+
+
+@pytest.mark.parametrize("N", [1, 2, 17, _CAP + _B - 1, _CAP + _B + 1, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("support", ["full", 1, 2, 0])
+def test_history_matches_the_direct_sum(support, d, N):
+    # the direct sum sum_{j<k} V_{k+i-j} (block_j - x0) for target k+i is
+    # one product of V_{k+i} | ... | V_{i+1} with the increments of blocks
+    # 0..k-1; windows ramp 1, 2, 4, .. up to the cap, fall back to one block
+    # and settle fewer blocks than asked, as the stepping loop's do
+    rng = np.random.default_rng(N + 10 * d)
+    n = d + 1
+    V = rng.normal(size=(N, n, n))
+    if support != "full":
+        V[support + 1:] = 0.0
+    x0 = rng.normal(size=d)
+    blocks = rng.normal(size=(N, n, d))
+    incr = (blocks - x0).reshape(N * n, d)
+    rev = np.hstack([np.zeros((n, 0))] + list(V[N - 1:0:-1]))  # V_{N-1} | ... | V_1
+    cap = min(_CAP, N)
+    history = stepper._History(V, cap, x0)
+    assert (history.far is not None) == (support == "full" and N - 1 > cap)
+    exact = (history.far is None) and (support == "full" or N - 1 <= support)
+    k, w = 0, 1
+    while k < N:
+        w = min(w, N - k)
+        got = history.window(k, w)
+        ref = np.array([rev[:, (N - 1 - k - i) * n:(N - 1 - i) * n] @ incr[:k * n]
+                        for i in range(w)]).reshape(w, n, d)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(initial=0.0)
+        assert np.array_equal(got, ref) or not exact
+        m = int(rng.integers(1, w + 1)) if rng.random() < 0.2 else w
+        history.settle(k, blocks[k:k + m])
+        k += m
+        w = min(2 * w, cap) if m == w and rng.random() < 0.8 else 1
+
+
 def test_constant_hessian_run_batches_stage_gradient(monkeypatch):
     # 256 blocks in windows of 1, 2, 4, 8, then 15 of 16 and a last one of 1:
     # 20 windows, each settling in one correction, evaluate the stage gradient
