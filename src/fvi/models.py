@@ -87,7 +87,7 @@ def _check_exact(prob: LagrangianProblem, horizon: float,
     resid = np.abs(pdot + prob.rho * damping_term(ts) + grad).max(axis=1)
     bad = ~np.isfinite(resid)
     k = int(bad.argmax() if bad.any() else resid.argmax())  # first non-finite, else largest
-    if not resid.max() <= 1e-8:  # false for NaN too
+    if not resid.max() <= 1e-8:  # a NaN residual fails the <= and raises
         raise RuntimeError(f"exact solution residual {resid[k]:.3e} at t={ts[k]}")
 
 
