@@ -107,9 +107,27 @@ class StageTrajectory:
         return self.values.shape[2]
 
 
+class _LRU:
+    """The `size` values used last, by key; make() runs outside the lock."""
+
+    def __init__(self, size):
+        self.size, self.items, self.lock = size, OrderedDict(), threading.Lock()
+
+    def get(self, key, make):
+        with self.lock:
+            if key in self.items:
+                self.items.move_to_end(key)
+                return self.items[key]
+        value = make()
+        with self.lock:
+            self.items[key] = value
+            if len(self.items) > self.size:
+                self.items.popitem(last=False)
+        return value
+
+
 _CACHE_SIZE = 8  # weight tables kept, least recently used dropped first
-_cache: OrderedDict = OrderedDict()
-_cache_lock = threading.Lock()
+_cache = _LRU(_CACHE_SIZE)
 
 
 def _check_weight_args(exponent, h, N) -> int:
@@ -165,22 +183,8 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
                               tableau_label=tab.label, max_imag_residue=0.0,
                               radius=lam, eps=_EPS, contour_points=M)
 
-    return _cached((tab.label, tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(),
-                    float(exponent), float(h), N, contour_points), make)
-
-
-def _cached(key, make):
-    """The value cached under key, else make() cached; the _CACHE_SIZE latest are kept."""
-    with _cache_lock:
-        if key in _cache:
-            _cache.move_to_end(key)
-            return _cache[key]
-    value = make()
-    with _cache_lock:
-        _cache[key] = value
-        if len(_cache) > _CACHE_SIZE:
-            _cache.popitem(last=False)
-    return value
+    return _cache.get((tab.label, tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(),
+                       float(exponent), float(h), N, contour_points), make)
 
 
 def _polynomial_weights(tab, m, h, N):
@@ -271,4 +275,4 @@ def midcq_weights(exponent: float, h: float, N: int) -> WeightSequence:
                               tableau_label=midpoint().label, max_imag_residue=0.0,
                               radius=math.nan, eps=math.nan, contour_points=0)
 
-    return _cached(("midcq", float(exponent), float(h), N), make)
+    return _cache.get(("midcq", float(exponent), float(h), N), make)

@@ -7,6 +7,7 @@ L(t, q, qdot) = 1/2 qdot^T M qdot - U(t, q) are supported; the potential
 carries the time dependence so forced problems fit the same mould.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -72,8 +73,10 @@ class LagrangianProblem:
     Every callable broadcasts over leading axes: for t of shape S and x of
     shape S + (d,), potential returns S, grad_potential S + (d,),
     hess_potential S + (d, d) and exact_solution(t) two S + (d,) arrays, or
-    shapes that broadcast to these.  One point is S = ().  fvi calls each once
-    on all the points it needs and rejects a result of any other shape.
+    these shapes with leading axes left out (a constant d x d Hessian) or
+    length 1 in a point axis.  One point is S = ().  fvi calls each once on
+    all the points it needs and rejects a result of any other shape, such as
+    the (1,) of a potential that reads x[0] of a batch of points.
     Stacked products, (K @ x[..., None])[..., 0], round each point alone.
     """
 
@@ -112,37 +115,49 @@ def basis_for(tab: ButcherTableau) -> LagrangeBasis:
 
     Stage values then parameterize the interpolant directly.  A one-stage
     tableau gets the two-point convention: linear interpolation between the
-    step endpoints evaluated at its single abscissa.
+    step endpoints evaluated at its single abscissa.  The basis depends on
+    the abscissae alone and is frozen, so it is kept by their bytes.
     """
-    c = tab.c
-    if tab.r == 1:
+    return _basis(tab.c.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _basis(abscissae: bytes) -> LagrangeBasis:
+    c = np.frombuffer(abscissae)
+    r = c.size
+    if r == 1:
         t = c[0]
         return LagrangeBasis(nodes=np.array([0.0, 1.0]),
                              eval_matrix=np.array([[1.0 - t], [t]]),
                              deriv_matrix=np.array([[-1.0], [1.0]]))
     diff = c[:, None] - c[None, :]
-    off = diff[~np.eye(tab.r, dtype=bool)]
+    off = diff[~np.eye(r, dtype=bool)]
     if np.abs(off).min() < 1e-12:
         raise ValueError("degenerate nodes: tableau abscissae are not distinct")
     # barycentric weights and the standard differentiation matrix
-    wts = 1.0 / np.prod(np.where(np.eye(tab.r, dtype=bool), 1.0, diff), axis=1)
-    D = np.zeros((tab.r, tab.r))
-    for i in range(tab.r):
-        for nu in range(tab.r):
+    wts = 1.0 / np.prod(np.where(np.eye(r, dtype=bool), 1.0, diff), axis=1)
+    D = np.zeros((r, r))
+    for i in range(r):
+        for nu in range(r):
             if nu != i:
                 D[i, nu] = (wts[nu] / wts[i]) / (c[i] - c[nu])
         D[i, i] = -D[i].sum()
-    return LagrangeBasis(nodes=c.copy(), eval_matrix=np.eye(tab.r),
-                         deriv_matrix=D.T)
+    return LagrangeBasis(nodes=c.copy(), eval_matrix=np.eye(r), deriv_matrix=D.T)
 
 
-def _conform(value, name: str, shape: tuple) -> np.ndarray:
-    """The value problem callable `name` returned, broadcast to shape, or a ValueError."""
+def _conform(value, name: str, shape: tuple, point: int = 0) -> np.ndarray:
+    """The value problem callable `name` returned, broadcast to shape, or a ValueError.
+
+    The last `point` axes of shape belong to one point and may broadcast from
+    length 1; the batch axes before them may be left out but not stretched,
+    which is how a callable indexing x[0] of a batch gives itself away.
+    """
     value = np.asarray(value, dtype=float)
     if value.shape == shape:
         return value
     if value.ndim > len(shape) or any(
-            got not in (1, want) for got, want in zip(value.shape[::-1], shape[::-1])):
+            got != want and (got != 1 or axis >= point)
+            for axis, (got, want) in enumerate(zip(value.shape[::-1], shape[::-1]))):
         raise ValueError(f"{name} returned shape {value.shape}, expected {shape}")
     return np.broadcast_to(value, shape)
 
@@ -193,7 +208,7 @@ def stage_gradient(prob: LagrangianProblem, tab: ButcherTableau,
     def dL(stages, t_k):
         q = stages if Et is None else Et @ stages
         v = Dt @ stages / h
-        G = _conform(grad(np.add.outer(t_k, ch), q), "grad_potential", q.shape)
+        G = _conform(grad(np.add.outer(t_k, ch), q), "grad_potential", q.shape, 1)
         return mhE @ (b * G) + D @ (b * (v @ Mt))
 
     return dL
@@ -218,7 +233,7 @@ def hessian_blocks(prob: LagrangianProblem, tab: ButcherTableau,
     if prob.hess_potential is None:
         raise ValueError("problem has no hess_potential; use finite differences")
     q, v, ts = _nodes(prob, tab, basis, stages, t_k, h)
-    H = _conform(prob.hess_potential(ts, q), "hess_potential", q.shape + (prob.d,))
+    H = _conform(prob.hess_potential(ts, q), "hess_potential", q.shape + (prob.d,), 2)
     n = basis.control_count
     out = np.zeros((n, n, prob.d, prob.d))
     for j in range(tab.r):

@@ -65,7 +65,7 @@ def exact_states(prob: LagrangianProblem, t) -> Tuple[np.ndarray, np.ndarray]:
     if prob.exact_solution is None:
         raise ValueError("benchmark has no exact solution")
     t = np.asarray(t, dtype=float).ravel()
-    X, V = (_conform(a, "exact_solution", t.shape + (prob.d,))
+    X, V = (_conform(a, "exact_solution", t.shape + (prob.d,), 1)
             for a in prob.exact_solution(t))
     return X, (prob.mass_matrix @ V[:, :, None])[:, :, 0]
 
@@ -83,7 +83,7 @@ def _check_exact(prob: LagrangianProblem, horizon: float,
     X, _ = exact_states(prob, ts)
     pdot = (exact_states(prob, ts + delta)[1]
             - exact_states(prob, ts - delta)[1]) / (2.0 * delta)
-    grad = _conform(prob.grad_potential(ts, X), "grad_potential", X.shape)
+    grad = _conform(prob.grad_potential(ts, X), "grad_potential", X.shape, 1)
     resid = np.abs(pdot + prob.rho * damping_term(ts) + grad).max(axis=1)
     bad = ~np.isfinite(resid)
     k = int(bad.argmax() if bad.any() else resid.argmax())  # first non-finite, else largest

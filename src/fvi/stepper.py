@@ -14,19 +14,21 @@ reproduces the classical damped update in the half-order-squared limit and
 avoids the start-up jump of a zero-extended history at nonzero x0.
 
 Block k's closure depends on blocks 0..k only, so the closures form a block
-lower-triangular system, and the loop solves up to _WINDOW_CAP consecutive
-blocks at a time with one simplified Newton iteration (Hairer & Wanner,
+lower-triangular system, and the loop solves groups of up to _WINDOW_CAP
+consecutive blocks with one simplified Newton iteration (Hairer & Wanner,
 Solving ODEs II, IV.8; Hairer, Lubich & Schlichte 1985 do the same for
-convolution equations).  The window Jacobian is block lower-triangular
+convolution equations).  Its window slides: one batched residual evaluation
+checks the group corrected last and starts the next group, so a window holds
+up to 2 _WINDOW_CAP blocks.  The window Jacobian is block lower-triangular
 Toeplitz, and the leading w-block corner of the inverse of a block
 lower-triangular matrix is the inverse of its leading corner, so one inverse
-at the cap serves every window size.  The solution agrees with a
+at the cap serves every group size.  The solution agrees with a
 block-by-block solve to the Newton tolerance, not bitwise.  `run` is the way
-into the loop; `init_step` and `step` solve one Lobatto block of it, a
-one-block window, from an outside weight table and history.
+into the loop; `init_step` and `step` run it on one Lobatto block from an
+outside weight table and history.
 
-The history from the blocks before a window (_History) runs only over lags up
-to the table's last nonzero one, lag 1 at alpha = 1/2, where it costs O(N).
+The history from the blocks before the window (_History) runs only over lags
+up to the table's last nonzero one, lag 1 at alpha = 1/2, where it costs O(N).
 Sources near the window are summed directly, one product per window; those
 further back come from the blocked FFT of Hairer, Lubich & Schlichte, so a
 full table costs O(N log^2 N).  The result agrees with the direct sum to
@@ -42,6 +44,7 @@ import numpy as np
 from .cq import (
     StageTrajectory,
     WeightSequence,
+    _LRU,
     apply_advanced,
     apply_retarded,
     compute_weights,
@@ -71,11 +74,12 @@ __all__ = [
     "action_variation",
 ]
 
-_NEWTON_TOL = 1e-12  # relative to the block's scale, see _window_solver
+_NEWTON_TOL = 1e-12  # relative to the block's scale, see _integrate
 _NEWTON_MAX_ITER = 50
 _FD_STEP = np.finfo(float).eps ** (1 / 3)  # central-difference optimum
 _WINDOW_CAP = 16  # most blocks solved together, see _integrate
-_FFT_BLOCK = 128  # smallest far-field square of _History; must exceed _WINDOW_CAP
+_FFT_BLOCK = 128  # smallest far-field square of _History; must exceed 2 _WINDOW_CAP
+_inverses = _LRU(4)  # window-Jacobian inverses by the matrix's bytes, see _integrate
 
 
 def _check_step_count(N):
@@ -102,10 +106,10 @@ class FviSolution:
     """Integrator output: stage trajectory, node momenta, times, diagnostics.
 
     newton_stats holds one (solve count, final residual) pair per block.  The
-    blocks are solved in windows of several blocks, and a block's solve count
-    is the number of Newton corrections its window made before the block
-    settled, each correction updating every unsettled block of the window at
-    once; a window that settles in one correction gives each of its blocks a
+    blocks are solved in groups of several blocks, and a block's solve count
+    is the number of Newton corrections its group made before the block
+    settled, each correction updating every unsettled block of the group at
+    once; a group that settles in one correction gives each of its blocks a
     count of 1.  Each residual is at most 1e-12 times the size of the terms
     it cancels, max(1, |M| max|S_k| / h + |p_in|) in the max norm at the
     block's final control points S_k and incoming momentum p_in.
@@ -220,132 +224,20 @@ def _window_jacobian(hess, V, rho_h):
     return _lower_toeplitz(J.transpose(0, 1, 3, 2, 4).reshape(cap, size, size))
 
 
-def _window_solver(prob, tab, cfg, V, x0):
-    """solve(k0, p_in, hist, prev) -> (stages, R, stats) for blocks k0..k0+w-1.
-
-    A window is w = len(hist) <= len(V) consecutive blocks whose inner control
-    points are solved together; hist[i] is the damping history of block k0+i
-    from the blocks before the window, p_in block k0's incoming momentum and
-    prev block k0-1 (None at k0 = 0, where the first point is x0).  Block i's
-    first point is block i-1's last, its incoming momentum R_{i-1}[-1], and
-    R_i = dL(S_i, t_i) - rho h (V_0 (S_i - x0) + hist[i] + sum_{j<i} V_{i-j}
-    (S_j - x0)), every block's dL coming from one batched stage_gradient
-    call.  At w = 1 this is the one-block residual.  Block i starts from
-    prev shifted by (i+1) times prev's displacement, or without prev on the
-    line from x0 with velocity M^-1 p_in.
-
-    The window Jacobian is block lower-triangular Toeplitz (_window_jacobian),
-    built from one block's second derivative (hessian_blocks, or a central
-    difference of dL when the problem has no hess_potential) at len(V)
-    blocks and inverted once; a window of w blocks uses the leading w-block
-    corner of that inverse, which is the inverse of the leading corner of the
-    Jacobian.
-    The inverse lags like a one-block Newton's (Hairer & Wanner, Solving
-    ODEs II, IV.8): a window's first correction uses the last inverse, and
-    each later one rebuilds it at the first unsettled block, so a constant
-    Hessian builds and inverts one Jacobian per solver.
-
-    The blocks are lower-triangular, so they settle in order: a block stops
-    when its own residual is at most _NEWTON_TOL times the size of the terms
-    it cancels, max(1, |M| max|S_i| / h + |p_in|) in the max norm (the mixed
-    scale of the same section), and so have the blocks before it.  Later
-    corrections leave it alone, and its stats entry is (corrections made
-    before it stopped, its residual).  A non-finite residual or
-    _NEWTON_MAX_ITER corrections at the first unsettled block raise
-    NewtonError; a non-finite residual further on ends the window before
-    that block, which the next window then starts at.
-    """
-    basis = basis_for(tab)
-    n, d, h = basis.control_count, prob.d, cfg.h
-    rho_h = prob.rho * h
-    V0 = V[0]
-    dL = stage_gradient(prob, tab, basis, h)
-    # the in-window history: V_{i-j} at block (i, j) for j < i
-    inside = _lower_toeplitz(np.concatenate([np.zeros_like(V[:1]), V[1:]]))
-    analytic = prob.hess_potential is not None
-    mass_h = float(np.abs(prob.mass_matrix).sum(axis=1).max()) / h
-    Jinv = None
-
-    def second_derivative(stages, t):
-        if analytic:
-            return hessian_blocks(prob, tab, basis, stages, t, h)
-        fd = _fd_jacobian(lambda u: dL(u.reshape(n, d), t).ravel(), stages.ravel())
-        return fd.reshape(n, d, n, d).transpose(0, 2, 1, 3)
-
-    def solve(k0, p_in, hist, prev=None):
-        nonlocal Jinv
-        w = hist.shape[0]
-        if prev is None:
-            v = np.linalg.solve(prob.mass_matrix, p_in)
-            S = x0 + (np.arange(w)[:, None] + basis.nodes)[:, :, None] * h * v
-            S[0, 0] = x0
-        else:
-            S = prev + np.arange(1, w + 1)[:, None, None] * (prev[-1] - prev[0])
-            S[0, 0] = prev[-1]
-        S[1:, 0] = S[:-1, -1]
-        times = [(k0 + i) * h for i in range(w)]
-        R = np.empty((w, n, d))
-        stats = []
-        m = corrections = 0  # blocks k0..k0+m-1 have settled
-        while True:
-            incr = S - x0
-            H = hist[m:]
-            if w > 1:
-                H = H + (inside[m * n:w * n, :w * n]
-                         @ incr.reshape(w * n, d)).reshape(w - m, n, d)
-            Rm = dL(S[m:], times[m:]) - rho_h * (V0 @ incr[m:] + H)
-            P = np.empty((w - m, d))  # incoming momenta
-            P[0] = p_in
-            P[1:] = Rm[:-1, -1]
-            F = Rm[:, :-1].copy()
-            F[:, 0] += P
-            norms = np.abs(F).max(axis=(1, 2))
-            scale = np.abs(S[m:]).max(axis=(1, 2)) * mass_h + np.abs(P).max(axis=1)
-            settled = norms <= _NEWTON_TOL * np.maximum(scale, 1.0)
-            j = w - m if settled.all() else int(settled.argmin())
-            R[m:m + j] = Rm[:j]
-            stats += [(corrections, norm) for norm in norms[:j].tolist()]
-            m += j
-            if m == w:
-                return S, R, stats
-            p_in, norm = P[j], float(norms[j])
-            if not math.isfinite(norm) or corrections == _NEWTON_MAX_ITER:
-                phase = f"step {k0 + m}" if k0 + m else "init step"
-                raise NewtonError(
-                    f"{phase} failed: newton stopped at residual {norm:.3e} "
-                    f"after {corrections} iterations", norm, S[m, 1:].ravel(),
-                    corrections)
-            finite = np.isfinite(norms[j:])
-            if not finite.all():  # end the window before its first non-finite block
-                w = m + int(finite.argmin())
-                S, R, hist, times = S[:w], R[:w], hist[:w], times[:w]
-            if corrections or Jinv is None:
-                hess = second_derivative(S[m], times[m])
-                Jinv = np.linalg.inv(_window_jacobian(hess, V, rho_h))
-            size = (w - m) * (n - 1) * d
-            S[m:, 1:] -= (Jinv[:size, :size] @ F[j:j + w - m].ravel()
-                          ).reshape(w - m, n - 1, d)
-            S[m + 1:, 0] = S[m:-1, -1]
-            corrections += 1
-
-    return solve
-
-
 def init_step(prob: LagrangianProblem, tab: ButcherTableau,
               weights: WeightSequence, cfg: FviConfig, x0, p0) -> np.ndarray:
     """First-step stages from the momentum boundary condition at t=0.
 
     Solves p0 = -D_1 L_d + rho h b_1 [CQ x]^1 together with the inner stage
     equations i = 2..s for the unknowns x_0^2..x_0^{s+1}; x_0^1 = x0 is fixed.
-    This is a one-block window of the stepping loop of `run` at block 0.
+    This is the stepping loop of `run` on block 0 alone.
     """
     _require_two_stages(tab, "init_step")
     _check_weights(prob, tab, cfg, weights)
     x0 = np.asarray(x0, dtype=float).ravel()
     p0 = np.asarray(p0, dtype=float).ravel()
     V0 = tab.b[:, None] * weights.W[0]
-    solve = _window_solver(prob, tab, cfg, V0[None], x0)
-    return solve(0, p0, np.zeros((1, tab.r, prob.d)))[0][0]
+    return _integrate(prob, tab, cfg.h, V0[None], x0, p0)[0][0]
 
 
 def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
@@ -353,10 +245,9 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
     """Stages of block k from the discrete Euler-Lagrange closure.
 
     history must hold blocks 0..k-1; the new block's first stage is the last
-    stage of block k-1.  The incoming momentum legendre_plus(k-1) and the
-    damping history sum over weights n >= 1, which the stepping loop of `run`
-    carries along, are recomputed here from the history, and the block is a
-    one-block window of that loop.
+    stage of block k-1.  The incoming momentum legendre_plus(k-1), which the
+    stepping loop of `run` carries along, is recomputed here from the
+    history, and the block is that loop run on block k alone after it.
     """
     _require_two_stages(tab, "step")
     if k < 1 or history.nblocks != k:
@@ -366,10 +257,8 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
         raise ValueError(f"need weights up to index {k}, have {weights.count - 1}")
     V = tab.b[:, None] * weights.W[:k + 1]
     vals = history.values
-    hist = np.tensordot(V[k:0:-1], vals - vals[0, 0], axes=([0, 2], [0, 1]))
     p_in = _node_momentum(prob, tab, weights, history, k - 1, plus=True)
-    solve = _window_solver(prob, tab, cfg, V[:1], vals[0, 0])
-    return solve(k, p_in, hist[None], vals[k - 1])[0][0]
+    return _integrate(prob, tab, cfg.h, V, vals[0, 0], p_in, vals)[0][0]
 
 
 def _node_momentum(prob, tab, weights, history, k, plus):
@@ -433,8 +322,9 @@ class _History:
 
     V holds V_0..V_{N-1}; s, the last nonzero lag among V_1..V_{N-1}, bounds
     the sum to j >= t - s, so a banded table (V_m = 0 for m >= 2 at alpha =
-    1/2) costs O(N).  `settle` takes blocks as they settle, in order, and
-    `window(k, w)`, w <= cap, needs blocks 0..k-1 settled.
+    1/2) costs O(N).  `settle` takes blocks as they settle, in order and any
+    number at a time, and `window(k, w)`, w <= cap, needs blocks 0..k-1
+    settled; the stepping loop's cap is its window span, 2 _WINDOW_CAP.
 
     When s > cap, sources before j0(t) = B floor((t - cap) / B), B =
     _FFT_BLOCK, come from the far field: the dyadic squares of Hairer, Lubich
@@ -488,8 +378,9 @@ class _History:
         self.incr[k * n:(k + m) * n] = (stages - self.x0).reshape(m * n, d)
         L = _FFT_BLOCK
         while self.far is not None and L + self.cap < N:
-            q = (k + m) // L  # the square whose last source qL - 1 just settled
-            if q * L > k and q % 2 and q * L + self.cap < N:
+            for q in range(k // L + 1, (k + m) // L + 1):  # last source qL - 1 just settled
+                if not q % 2 or q * L + self.cap >= N:
+                    continue
                 if L not in self.spectra:  # V_cap..V_{cap+2L-1}, zero past s
                     lags = self.V[self.cap:min(self.cap + 2 * L, self.s + 1)]
                     self.spectra[L] = np.fft.rfft(lags, 2 * L, axis=0)
@@ -501,49 +392,139 @@ class _History:
             L *= 2
 
 
-def _integrate(prob, tab, cfg, V, x0, p0) -> FviSolution:
-    """The stepping loop of every method; it reads weights V_0..V_{N-1} of V.
+def _integrate(prob, tab, h, V, x0, p_in, past=None):
+    """The stepping loop of every method: blocks k..N-1 after past, N = len(V).
 
-    It solves the blocks in windows (_window_solver) of at most _WINDOW_CAP
-    blocks.  The first window is one block.  A window that settled within two
+    V holds the weights V_0..V_{N-1}, past the blocks 0..k-1 (None at k = 0,
+    where block 0 starts on the line from x0 with velocity M^-1 p_in) and p_in
+    block k's incoming momentum.  Returns the stages of blocks k..N-1, their
+    final residuals R (block i's momentum is -R_i[0], block i+1's incoming
+    one R_i[-1]) and their newton_stats entries.
+
+    The blocks are solved in groups of 1, 2, 4, .. up to _WINDOW_CAP by one
+    simplified Newton iteration.  A group that settled within two
     corrections, so with at most one Jacobian rebuild, is followed by one
-    twice its size, and any other by a one-block window.  A problem with a
-    constant Hessian settles every window in one correction and runs in full
-    windows after four doublings; a nonlinear one with small steps settles
-    full windows in two corrections, one rebuild per window instead of about
-    one per block; with coarse steps, whose extrapolated start guesses are
-    poor over many blocks, the windows stay short.  A window whose blocks
-    settle in one correction costs two batched residual evaluations.  The
-    history from the blocks before a window comes from _History: a direct
-    sum over the table's nonzero lags near the window and a blocked FFT
-    further back.
+    twice its size, and any other by a one-block group.  The loop keeps a
+    window of at most 2 _WINDOW_CAP unsettled blocks: the group corrected
+    last, then the next group's start guesses, whose block i is the last
+    corrected block shifted by i+1 times its displacement.  The closures are
+    block lower-triangular, so one evaluation of the window both checks the
+    corrected group and starts the next: R_i = dL(S_i, t_i) - rho h (V_0
+    (S_i - x0) + H_i), with H_i the history from _History plus the in-window
+    Toeplitz sum of V_1.., all blocks in one stage_gradient call.  Each pass
+    then settles the leading blocks whose residual is at most _NEWTON_TOL
+    times the size of the terms it cancels, max(1, |M| max|S_i| / h + |p_in|)
+    in the max norm (the mixed scale of Hairer & Wanner IV.8), and feeds them
+    to _History; a block's stats entry is (corrections made before it
+    settled, its residual).  A group that did not settle continues alone,
+    and the guesses after it are dropped.  The unsettled blocks, one group,
+    are corrected with the leading corner of the lagged inverse of the
+    window Jacobian (_window_jacobian at _WINDOW_CAP blocks, from
+    hessian_blocks or a central difference of dL): a group's first
+    correction uses the last inverse and each later one rebuilds it at the
+    first unsettled block, so a constant Hessian builds one Jacobian per run
+    and settles a group per evaluation.  A run's first inverse is looked up
+    by the Jacobian's bytes in _inverses, so runs that build the same one
+    share it; the later ones of nonlinear runs are not kept.  A non-finite
+    residual or _NEWTON_MAX_ITER corrections at the first unsettled block
+    raise NewtonError; a non-finite residual further on cuts the group before
+    that block, and a cut group is followed by one block.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    p0 = np.asarray(p0, dtype=float).ravel()
-    N, n, d, h = cfg.N, V.shape[1], prob.d, cfg.h
-    cap = min(_WINDOW_CAP, N)
-    solve = _window_solver(prob, tab, cfg, V[:cap], x0)
-    history = _History(V[:N], cap, x0)
-    blocks = np.empty((N, n, d))
-    momenta = np.empty((N + 1, d))
-    stats: list = []
-    k, w, p_in, prev = 0, 1, p0, None
-    while k < N:
-        w = min(w, N - k)
-        stages, R, window_stats = solve(k, p_in, history.window(k, w), prev)
-        m = stages.shape[0]
-        blocks[k:k + m] = stages
-        history.settle(k, stages)
-        momenta[k:k + m] = -R[:, 0]
-        stats += window_stats
-        w = min(2 * w, cap) if m == w and window_stats[-1][0] <= 2 else 1
-        k += m
-        p_in, prev = R[-1, -1], stages[-1]
-    momenta[0] = p0
-    momenta[N] = p_in
-    trajectory = StageTrajectory(values=blocks, h=h, continuity_flag=True)
-    return FviSolution(trajectory=trajectory, momenta=momenta,
-                       times=h * np.arange(N + 1), newton_stats=tuple(stats))
+    basis = basis_for(tab)
+    N, n, d = V.shape[0], basis.control_count, prob.d
+    k0 = k = 0 if past is None else past.shape[0]
+    cap, span = min(_WINDOW_CAP, N), min(2 * _WINDOW_CAP, N)
+    rho_h, V0, times = prob.rho * h, V[0], h * np.arange(N)
+    steps = np.arange(1.0, span + 1)[:, None, None]
+    dL = stage_gradient(prob, tab, basis, h)
+    # the in-window history: V_{i-j} at block (i, j) for j < i
+    inside = _lower_toeplitz(np.concatenate([np.zeros_like(V[:1]), V[1:span]]))
+    history = _History(V, span, x0)
+    mass_h = float(np.abs(prob.mass_matrix).sum(axis=1).max()) / h
+    blocks, R = np.empty((N - k, n, d)), np.empty((N - k, n, d))
+    stats, Jinv = [], None
+
+    def second_derivative(stages, t):
+        if prob.hess_potential is not None:
+            return hessian_blocks(prob, tab, basis, stages, t, h)
+        fd = _fd_jacobian(lambda u: dL(u.reshape(n, d), t).ravel(), stages.ravel())
+        return fd.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+
+    def guess(prev, a, w):  # blocks a..a+w-1 start as prev shifted by i+1 displacements
+        S = blocks[a:a + w]
+        np.multiply(steps[:w], prev[-1] - prev[0], out=S)
+        S += prev
+        S[0, 0] = prev[-1]
+        S[1:, 0] = S[:-1, -1]
+
+    if past is None:
+        v = np.linalg.solve(prob.mass_matrix, p_in)
+        blocks[0] = x0 + basis.nodes[:, None] * h * v
+        blocks[0, 0] = x0
+    else:
+        history.settle(0, past)
+        guess(past[-1], 0, 1)
+    # the window is blocks[a:a + w]: its first `lead` blocks are the group
+    # corrected last, c times, asked for with `size` blocks and `cut` if
+    # shortened; the rest are start guesses of a group asked for with `ahead`
+    a, w, lead, c, hist = 0, 1, 0, 0, None
+    size, cut, ahead = 1, False, 1
+    while True:
+        if hist is None:
+            hist = history.window(k, min(span, N - k))
+        S = blocks[a:a + w]
+        incr = S - x0
+        H = hist[:w]
+        if w > 1:
+            H = H + (inside[:w * n, :w * n] @ incr.reshape(w * n, d)).reshape(w, n, d)
+        Rw = dL(S, times[k:k + w]) - rho_h * (V0 @ incr + H)
+        P = np.empty((w, d))  # incoming momenta
+        P[0] = p_in
+        P[1:] = Rw[:-1, -1]
+        F = Rw[:, :-1].copy()
+        F[:, 0] += P
+        norms = np.abs(F).max(axis=(1, 2))
+        scale = np.abs(S).max(axis=(1, 2)) * mass_h + np.abs(P).max(axis=1)
+        settled = norms <= _NEWTON_TOL * np.maximum(scale, 1.0)
+        j = w if settled.all() else int(settled.argmin())
+        if j:
+            R[a:a + j] = Rw[:j]
+            stats += zip([c] * min(j, lead) + [0] * (j - lead), norms[:j].tolist())
+            history.settle(k, S[:j])
+            a, k, lead, hist = a + j, k + j, max(lead - j, 0), None
+            if k == N:
+                return blocks, R, stats
+        if not lead:  # the start guesses are the group now, of the size they were given
+            c, size, cut = 0, ahead, False
+        if j == w:
+            p_in, w = Rw[-1, -1], 0
+        else:
+            p_in, norm = P[j], float(norms[j])
+            if not math.isfinite(norm) or c == _NEWTON_MAX_ITER:
+                phase = f"step {k}" if k else "init step"
+                raise NewtonError(
+                    f"{phase} failed: newton stopped at residual {norm:.3e} "
+                    f"after {c} iterations", norm, S[j, 1:].ravel(), c)
+            w = lead or w - j  # the group continues alone
+            finite = np.isfinite(norms[j:j + w])
+            if not finite.all():
+                w, cut = int(finite.argmin()), True
+            if c or Jinv is None:
+                J = _window_jacobian(second_derivative(S[j], times[k]), V[:cap], rho_h)
+                if Jinv is None:  # the run's first inverse may be an earlier run's
+                    Jinv = _inverses.get((J.shape, J.tobytes()), lambda: np.linalg.inv(J))
+                    Jinv.setflags(write=False)  # shared with later runs
+                else:
+                    Jinv = np.linalg.inv(J)
+            S, u = blocks[a:a + w], w * (n - 1) * d  # the group and its unknowns
+            S[:, 1:] -= (Jinv[:u, :u] @ F[j:j + w].ravel()).reshape(w, n - 1, d)
+            S[1:, 0] = S[:-1, -1]
+            lead, c = w, c + 1
+        ahead = min(2 * size, cap) if c <= 2 and not cut else 1
+        more = min(ahead, N - k - w)
+        if more:
+            guess(blocks[a + w - 1], a + w, more)
+            w += more
 
 
 def _run_weights(prob: LagrangianProblem, tab: ButcherTableau, h: float,
@@ -578,8 +559,16 @@ def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
     scheme to first order at damping order one.
     """
     E = basis_for(tab).eval_matrix
-    V = E @ (tab.b[:, None] * _run_weights(prob, tab, cfg.h, cfg.N)) @ E.T
-    return _integrate(prob, tab, cfg, V, x0, p0)
+    V = tab.b[:, None] * _run_weights(prob, tab, cfg.h, cfg.N)[:cfg.N]
+    if not np.array_equal(E, np.eye(*E.shape)):  # I @ V @ I is V
+        V = E @ V @ E.T
+    x0 = np.asarray(x0, dtype=float).ravel()
+    p0 = np.asarray(p0, dtype=float).ravel()
+    blocks, R, stats = _integrate(prob, tab, cfg.h, V, x0, p0)
+    trajectory = StageTrajectory(values=blocks, h=cfg.h, continuity_flag=True)
+    return FviSolution(trajectory=trajectory,
+                       momenta=np.vstack([p0, -R[1:, 0], R[-1:, -1]]),
+                       times=cfg.h * np.arange(cfg.N + 1), newton_stats=tuple(stats))
 
 
 def _require_exactly_two_stages(tab, name):

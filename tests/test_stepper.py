@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from fvi import harness, models, stepper, tableau
-from fvi.cq import StageTrajectory, apply_retarded, compute_weights, midcq_weights
-from fvi.galerkin import LagrangianProblem, basis_for, d_all_lagrangian, hessian_blocks
+from fvi.cq import _LRU, StageTrajectory, apply_retarded, compute_weights, midcq_weights
+from fvi.galerkin import (LagrangianProblem, basis_for, d_all_lagrangian,
+                          discrete_lagrangian, hessian_blocks)
 from fvi.stepper import FviConfig, NewtonError
 
 # one step of the closed-form map at eta=0.5, rho=0.25, h=0.2, x=0.8, p=0.4,
@@ -85,7 +86,7 @@ def test_init_recovers_momentum():
 
 
 def test_single_block_steps_reproduce_run():
-    # run solves windows of 1, 2, 4, 8, 16, 16, 16 and 1 blocks here
+    # run solves groups of 1, 2, 4, 8, 16, 16, 16 and 1 blocks here
     spec = models.bagley_torvik()
     prob = spec.problem
     x0, p0 = spec.default_initials
@@ -313,11 +314,27 @@ def test_history_matches_the_direct_sum(support, d, N):
         w = min(2 * w, cap) if m == w and rng.random() < 0.8 else 1
 
 
+def test_history_takes_many_blocks_in_one_settle():
+    # `step` hands _History all earlier blocks at once, so one settle must
+    # add every far-field square it completes
+    rng = np.random.default_rng(3)
+    N, n, d, cap = 1026, 3, 2, 2 * _CAP  # block 1025 needs the square of 768..895
+    V = rng.normal(size=(N, n, n))
+    x0 = rng.normal(size=d)
+    blocks = rng.normal(size=(N - 1, n, d))
+    history = stepper._History(V, cap, x0)
+    history.settle(0, blocks)
+    assert history.far.any()
+    ref = np.tensordot(V[N - 1:0:-1], blocks - x0, axes=([0, 2], [0, 1]))
+    got = history.window(N - 1, 1)[0]
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_constant_hessian_run_batches_stage_gradient(monkeypatch):
-    # 256 blocks in windows of 1, 2, 4, 8, then 15 of 16 and a last one of 1:
-    # 20 windows, each settling in one correction, evaluate the stage gradient
-    # twice, once at the start guess and once after the correction, against
-    # twice per block when blocks are solved one at a time
+    # 256 blocks in groups of 1, 2, 4, 8, then 15 of 16 and a last one of 1:
+    # each of the 21 evaluations checks the group corrected last and starts
+    # the next one, so the largest batch is two full groups; one Hessian and
+    # one inverse serve the run, and every group settles in one correction
     spec = models.bagley_torvik()
     calls = []
     bind = stepper.stage_gradient
@@ -337,14 +354,19 @@ def test_constant_hessian_run_batches_stage_gradient(monkeypatch):
     cfg = FviConfig(h=1.0 / 256, N=256)
     sol = stepper.run(spec.problem, tableau.lobatto_iiic(3), cfg,
                       *spec.default_initials)
-    assert len(calls) <= 2 * 20
-    assert max(calls) == stepper._WINDOW_CAP
+    assert len(calls) <= 21
+    assert max(calls) <= 2 * stepper._WINDOW_CAP
     assert len(hess) == 1 and counts["inv"] == 1
     assert max(iters for iters, _ in sol.newton_stats) <= 1
 
 
 def _count_linalg_from_stepper(monkeypatch):
-    """Count np.linalg.inv and np.linalg.solve calls made by fvi.stepper."""
+    """Count np.linalg.inv and np.linalg.solve calls made by fvi.stepper.
+
+    The window-Jacobian inverses cached by earlier runs are set aside, so the
+    count does not depend on which tests ran before.
+    """
+    monkeypatch.setattr(stepper, "_inverses", _LRU(stepper._inverses.size))
     counts = {"inv": 0, "solve": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(np.linalg, name)):
@@ -388,15 +410,62 @@ def test_block_residual_keeps_its_grouping(method):
     rng = np.random.default_rng(5)
     n, d = basis.control_count, prob.d
     x0 = rng.normal(size=d)
-    solve = stepper._window_solver(prob, tab, cfg, V[:1], x0)
-    for k in range(4):
-        prev, p_in = rng.normal(size=(n, d)), rng.normal(size=d)
-        hist = rng.normal(size=(n, d))
-        (stages,), (R,), _ = solve(k, p_in, hist[None], prev)
-        assert np.array_equal(stages[0], prev[-1])
+    for k in range(1, 5):  # block k alone, after k given blocks
+        past, p_in = rng.normal(size=(k, n, d)), rng.normal(size=d)
+        (stages,), (R,), _ = stepper._integrate(prob, tab, cfg.h, V[:k + 1], x0,
+                                                p_in, past)
+        assert np.array_equal(stages[0], past[-1, -1])
+        history = stepper._History(V[:k + 1], k + 1, x0)
+        history.settle(0, past)
+        hist = history.window(k, 1)[0]
         ref = d_all_lagrangian(prob, tab, basis, stages, k * cfg.h, cfg.h) \
             - prob.rho * cfg.h * (V[0] @ (stages - x0) + hist)
         assert np.array_equal(R, ref)
+
+
+@pytest.mark.parametrize("method", ["lobatto2", "lobatto3", "lobatto4", "midcq"])
+def test_window_run_agrees_with_one_block_at_a_time(monkeypatch, method):
+    # with _WINDOW_CAP = 1 every group is one block; both solutions pass the
+    # same stopping test, so they agree to _NEWTON_TOL times its scale
+    tab = harness._tableau_for(method)
+    runs = [(spec.problem, spec.default_horizon, spec.default_initials)
+            for spec in map(models.by_name, models.BENCHMARK_NAMES)]
+    runs.append((_pendulum(), 40.0, ([0.9], [0.4])))
+    for prob, horizon, initials in runs:
+        cfg = FviConfig(h=horizon / 256, N=256)
+        sol = stepper.run(prob, tab, cfg, *initials)
+        with monkeypatch.context() as patch:
+            patch.setattr(stepper, "_WINDOW_CAP", 1)
+            ref = stepper.run(prob, tab, cfg, *initials)
+        mass = np.abs(prob.mass_matrix).sum(axis=1).max()
+        scale = mass * np.abs(ref.trajectory.values).max() / cfg.h \
+            + np.abs(ref.momenta).max()
+        tol = stepper._NEWTON_TOL * max(scale, 1.0)
+        assert np.abs(sol.trajectory.values - ref.trajectory.values).max() <= tol
+        assert np.abs(sol.momenta - ref.momenta).max() <= tol
+
+
+def test_runs_with_the_same_jacobian_share_its_inverse(monkeypatch):
+    # an ensemble's runs build one and the same window Jacobian, so only the
+    # first inverts it; the inverse is found by the matrix's bytes, so a run
+    # with another h or rho inverts its own, and the cache stays bounded
+    spec, tab = models.coupled_oscillator(), tableau.lobatto_iiic(4)
+    prob, (x0, p0) = spec.problem, spec.default_initials
+    cfg = FviConfig(h=0.3125, N=64)
+    counts = _count_linalg_from_stepper(monkeypatch)
+    first = stepper.run(prob, tab, cfg, x0, p0)
+    assert counts["inv"] == 1
+    again = stepper.run(prob, tab, cfg, x0, p0)
+    stepper.run(prob, tab, cfg, -x0, 2.0 * p0)
+    assert counts["inv"] == 1
+    assert np.array_equal(again.trajectory.values, first.trajectory.values)
+    assert np.array_equal(again.momenta, first.momenta)
+    stepper.run(prob, tab, FviConfig(h=0.3, N=64), x0, p0)
+    stepper.run(dataclasses.replace(prob, rho=0.5), tab, cfg, x0, p0)
+    assert counts["inv"] == 3
+    for N in range(10, 10 + 2 * stepper._inverses.size):
+        stepper.run(prob, tab, FviConfig(h=1.0 / N, N=N), x0, p0)
+    assert len(stepper._inverses.items) == stepper._inverses.size
 
 
 def test_legendre_momenta_read_block_k_of_apply_retarded():
@@ -536,6 +605,18 @@ def test_per_point_callables_are_rejected_with_their_shapes():
     with pytest.raises(ValueError, match=r"exact_solution returned shape "
                        r"\(1, 5\), expected \(5, 1\)"):
         models.exact_states(per_point, np.linspace(0.0, 1.0, 5))
+    # x[0] of a batch is the first point's state, shape (1,), which would
+    # broadcast to every point: 1.0652 for 1.0212 here, and energies 0.5,
+    # 0.5, 0.5 for 0.5, 2, 4.5
+    row0 = dataclasses.replace(per_point, potential=lambda t, x: 0.5 * x[0] ** 2)
+    lob3 = tableau.lobatto_iiic(3)
+    with pytest.raises(ValueError, match=r"potential returned shape "
+                       r"\(1,\), expected \(3,\)"):
+        discrete_lagrangian(row0, lob3, basis_for(lob3), [[0.1], [0.5], [0.9]],
+                            0.0, 0.3)
+    with pytest.raises(ValueError, match=r"potential returned shape "
+                       r"\(1,\), expected \(3,\)"):
+        models.energy(row0, np.array([[1.0], [2.0], [3.0]]), np.zeros((3, 1)))
 
 
 def test_run_reports_failing_phase():
@@ -550,9 +631,9 @@ def test_run_reports_failing_phase():
 
 
 def test_window_ends_before_a_non_finite_block():
-    # blocks 1 and 2 form the second window; block 2 evaluates the gradient at
+    # blocks 1 and 2 form the second group; block 2 evaluates the gradient at
     # t = 0.3 and block 1 only up to t = 0.2, so block 1 settles in a shorter
-    # window and block 2 fails in its own, before any correction
+    # group and block 2 fails in its own, before any correction
     cfg = FviConfig(h=0.1, N=4)
     with pytest.raises(NewtonError, match="step 2 failed: .*residual nan") as info:
         stepper.run(_nan_gradient_from(0.25), tableau.lobatto_iiic(2), cfg,
@@ -561,7 +642,7 @@ def test_window_ends_before_a_non_finite_block():
 
 
 def test_shifted_start_guess_keeps_fine_step_errors():
-    # a window's block i starts from the block before the window shifted by
+    # a group's block i starts from the block before the group shifted by
     # i+1 times its displacement; starting every block from that block
     # unshifted leaves errors of 1.6e-12 to 8.2e-12 here after one correction
     tab = tableau.lobatto_iiic(4)
