@@ -27,12 +27,12 @@ block-by-block solve to the Newton tolerance, not bitwise.  `run` is the way
 into the loop; `init_step` and `step` run it on one Lobatto block from an
 outside weight table and history.
 
-The history from the blocks before the window (_History) runs only over lags
-up to the table's last nonzero one, lag 1 at alpha = 1/2, where it costs O(N).
-Sources near the window are summed directly, one product per window; those
-further back come from the blocked FFT of Hairer, Lubich & Schlichte, so a
-full table costs O(N log^2 N).  The result agrees with the direct sum to
-rounding, and bitwise while no lag is dropped and the FFT is not used.
+The window's history H (_History) sums the settled blocks and the window's
+own in one product per window, over lags up to the table's last nonzero one
+(lag 1 at alpha = 1/2, where it costs O(N)); sources further back come from
+the blocked FFT of Hairer, Lubich & Schlichte, so a full table costs
+O(N log^2 N).  The result agrees with the direct sum to rounding, and bitwise
+while no lag is dropped and the FFT is not used.
 """
 
 import math
@@ -84,7 +84,7 @@ _inverses = _LRU(4)  # window-Jacobian inverses by the matrix's bytes, see _inte
 
 def _check_step_count(N):
     """Reject a step count that is not an integer >= 1, giving the value."""
-    if not isinstance(N, numbers.Integral) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
         raise ValueError(f"N must be an integer >= 1, got {N!r}")
 
 
@@ -184,6 +184,15 @@ def _require_two_stages(tab, name):
                          f"tableau {tab.label!r}")
 
 
+def _initial_state(name, value, d):
+    """value as d finite floats, or a ValueError naming the argument and its shape."""
+    arr = np.asarray(value, dtype=float).ravel()
+    if arr.size != d or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be {d} finite values, got {arr} of shape "
+                         f"{np.shape(value)}")
+    return arr
+
+
 def _check_weights(prob, tab, cfg, weights):
     if abs(weights.exponent + 2.0 * prob.alpha) > 1e-12:
         raise ValueError("weights exponent does not match the damping order")
@@ -234,8 +243,7 @@ def init_step(prob: LagrangianProblem, tab: ButcherTableau,
     """
     _require_two_stages(tab, "init_step")
     _check_weights(prob, tab, cfg, weights)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    p0 = np.asarray(p0, dtype=float).ravel()
+    x0, p0 = _initial_state("x0", x0, prob.d), _initial_state("p0", p0, prob.d)
     V0 = tab.b[:, None] * weights.W[0]
     return _integrate(prob, tab, cfg.h, V0[None], x0, p0)[0][0]
 
@@ -263,6 +271,9 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
 
 def _node_momentum(prob, tab, weights, history, k, plus):
     _require_two_stages(tab, "legendre_plus" if plus else "legendre_minus")
+    if history.h != weights.h:
+        raise ValueError(f"history step size {history.h!r} does not match the "
+                         f"weights step size {weights.h!r}")
     if not 0 <= k < history.nblocks:
         raise IndexError(f"block index {k} out of range")
     if weights.count <= k:
@@ -318,13 +329,14 @@ def qp_closed_form(prob: LagrangianProblem, h: float, x_k, p_k,
 
 
 class _History:
-    """Damping history H_t = sum_{j<k} V_{t-j} (block_j - x0) of a window k..k+w-1.
+    """Damping history H_t = sum_{j<t} V_{t-j} (block_j - x0) of a window k..k+w-1.
 
     V holds V_0..V_{N-1}; s, the last nonzero lag among V_1..V_{N-1}, bounds
     the sum to j >= t - s, so a banded table (V_m = 0 for m >= 2 at alpha =
     1/2) costs O(N).  `settle` takes blocks as they settle, in order and any
-    number at a time, and `window(k, w)`, w <= cap, needs blocks 0..k-1
-    settled; the stepping loop's cap is its window span, 2 _WINDOW_CAP.
+    number at a time; `window(k, incr)` needs blocks 0..k-1 settled and the
+    increments block - x0 of the window's w <= cap blocks, the stepping
+    loop's cap being its window span, 2 _WINDOW_CAP.
 
     When s > cap, sources before j0(t) = B floor((t - cap) / B), B =
     _FFT_BLOCK, come from the far field: the dyadic squares of Hairer, Lubich
@@ -333,10 +345,10 @@ class _History:
     targets [qL + cap, (q+1)L + cap), one rfft/irfft pair of length 2L with
     the cached spectrum of V_cap..V_{cap+2L-1}, added into `far` as soon as
     block qL - 1 settles; a window needs no square whose sources reach it.
-    The near field, sources max(j0, t - s)..k-1, is one matmul per group of
-    targets sharing j0 (at most two per window, as w <= cap < B) over a strided
-    view of the reversed table; the lags it reads past t - s are exact zeros.
-    O(N log^2 N) in all.
+    The near field, sources max(j0, t - s)..k+w-1, is one matmul per group
+    of targets sharing j0 (at most two per window, as w <= cap < B) over a
+    strided view of the reversed table; its lags past t - s and its cap zero
+    blocks at lags <= 0 are exact zeros.  O(N log^2 N) in all.
     """
 
     def __init__(self, V, cap, x0):
@@ -345,29 +357,30 @@ class _History:
         self.s = int(nonzero[-1]) + 1 if nonzero.size else 0
         self.far = np.zeros((N, n, x0.size)) if self.s > cap else None
         top = min(N - 1, self.s + cap - 1, cap + _FFT_BLOCK - 1)  # largest near lag
-        self.rev = np.ascontiguousarray(  # V_top | ... | V_1
-            V[top:0:-1].transpose(1, 0, 2).reshape(n, top * n))
+        rev = np.concatenate([V[top:0:-1], np.zeros((cap, n, n))])  # lags top..1, then <= 0
+        self.rev = rev.transpose(1, 0, 2).reshape(n, (top + cap) * n)  # V_top | ... | V_1 | 0
         self.incr = np.empty((N * n, x0.size))  # blocks - x0, one control point per row
         self.V, self.cap, self.x0, self.top, self.spectra = V, cap, x0, top, {}
 
-    def window(self, k, w):
-        n, d, far = self.rev.shape[0], self.x0.size, self.far is not None
+    def window(self, k, incr):
+        (w, n, d), far = incr.shape, self.far is not None
 
         def j0(t):  # the near field's first source for target t
             return max(t - self.cap, 0) // _FFT_BLOCK * _FFT_BLOCK if far else 0
 
-        hist = np.zeros((w, n, d))
+        self.incr[k * n:(k + w) * n] = incr.reshape(w * n, d)
+        hist = np.empty((w, n, d))
         split = j0(k + w - 1) + self.cap if j0(k) != j0(k + w - 1) else k
         for ta, tb in ((k, split), (split, k + w)):  # targets ta..tb-1 share j0
-            js = max(j0(ta), ta - self.s)
-            if ta == tb or js >= k:
+            if ta == tb:
                 continue
-            # batch i: V_{t-js} | ... | V_{t-k+1} for target t = tb - 1 - i
+            js = max(j0(ta), ta - self.s)
+            # batch i: V_{t-js} | ... | V_{t-k-w+1} for target t = tb - 1 - i
             col = self.rev.itemsize
-            view = np.ndarray((tb - ta, n, (k - js) * n), buffer=self.rev,
+            view = np.ndarray((tb - ta, n, (k + w - js) * n), buffer=self.rev,
                               offset=(self.top - tb + 1 + js) * n * col,
-                              strides=(n * col, self.top * n * col, col))
-            hist[ta - k:tb - k] = (view @ self.incr[js * n:k * n])[::-1]
+                              strides=(n * col, self.rev.strides[0], col))
+            hist[ta - k:tb - k] = (view @ self.incr[js * n:(k + w) * n])[::-1]
         if far:
             hist += self.far[k:k + w]
         return hist
@@ -410,8 +423,8 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
     corrected block shifted by i+1 times its displacement.  The closures are
     block lower-triangular, so one evaluation of the window both checks the
     corrected group and starts the next: R_i = dL(S_i, t_i) - rho h (V_0
-    (S_i - x0) + H_i), with H_i the history from _History plus the in-window
-    Toeplitz sum of V_1.., all blocks in one stage_gradient call.  Each pass
+    (S_i - x0) + H_i), with H_i from _History over every block before i, the
+    window's own included, all blocks in one stage_gradient call.  Each pass
     then settles the leading blocks whose residual is at most _NEWTON_TOL
     times the size of the terms it cancels, max(1, |M| max|S_i| / h + |p_in|)
     in the max norm (the mixed scale of Hairer & Wanner IV.8), and feeds them
@@ -437,11 +450,9 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
     rho_h, V0, times = prob.rho * h, V[0], h * np.arange(N)
     steps = np.arange(1.0, span + 1)[:, None, None]
     dL = stage_gradient(prob, tab, basis, h)
-    # the in-window history: V_{i-j} at block (i, j) for j < i
-    inside = _lower_toeplitz(np.concatenate([np.zeros_like(V[:1]), V[1:span]]))
     history = _History(V, span, x0)
     mass_h = float(np.abs(prob.mass_matrix).sum(axis=1).max()) / h
-    blocks, R = np.empty((N - k, n, d)), np.empty((N - k, n, d))
+    blocks, R = np.empty((N, n, d)), np.empty((N, n, d))  # by step number
     stats, Jinv = [], None
 
     def second_derivative(stages, t):
@@ -450,8 +461,8 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
         fd = _fd_jacobian(lambda u: dL(u.reshape(n, d), t).ravel(), stages.ravel())
         return fd.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
-    def guess(prev, a, w):  # blocks a..a+w-1 start as prev shifted by i+1 displacements
-        S = blocks[a:a + w]
+    def guess(prev, j, w):  # block j+i, i < w, starts as prev shifted by i+1 displacements
+        S = blocks[j:j + w]
         np.multiply(steps[:w], prev[-1] - prev[0], out=S)
         S += prev
         S[0, 0] = prev[-1]
@@ -462,22 +473,18 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
         blocks[0] = x0 + basis.nodes[:, None] * h * v
         blocks[0, 0] = x0
     else:
+        blocks[:k] = past
         history.settle(0, past)
-        guess(past[-1], 0, 1)
-    # the window is blocks[a:a + w]: its first `lead` blocks are the group
+        guess(past[-1], k, 1)
+    # the window is blocks[k:k + w]: its first `lead` blocks are the group
     # corrected last, c times, asked for with `size` blocks and `cut` if
     # shortened; the rest are start guesses of a group asked for with `ahead`
-    a, w, lead, c, hist = 0, 1, 0, 0, None
+    w, lead, c = 1, 0, 0
     size, cut, ahead = 1, False, 1
     while True:
-        if hist is None:
-            hist = history.window(k, min(span, N - k))
-        S = blocks[a:a + w]
+        S = blocks[k:k + w]
         incr = S - x0
-        H = hist[:w]
-        if w > 1:
-            H = H + (inside[:w * n, :w * n] @ incr.reshape(w * n, d)).reshape(w, n, d)
-        Rw = dL(S, times[k:k + w]) - rho_h * (V0 @ incr + H)
+        Rw = dL(S, times[k:k + w]) - rho_h * (V0 @ incr + history.window(k, incr))
         P = np.empty((w, d))  # incoming momenta
         P[0] = p_in
         P[1:] = Rw[:-1, -1]
@@ -488,12 +495,12 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
         settled = norms <= _NEWTON_TOL * np.maximum(scale, 1.0)
         j = w if settled.all() else int(settled.argmin())
         if j:
-            R[a:a + j] = Rw[:j]
+            R[k:k + j] = Rw[:j]
             stats += zip([c] * min(j, lead) + [0] * (j - lead), norms[:j].tolist())
             history.settle(k, S[:j])
-            a, k, lead, hist = a + j, k + j, max(lead - j, 0), None
+            k, lead = k + j, max(lead - j, 0)
             if k == N:
-                return blocks, R, stats
+                return blocks[k0:], R[k0:], stats
         if not lead:  # the start guesses are the group now, of the size they were given
             c, size, cut = 0, ahead, False
         if j == w:
@@ -516,14 +523,14 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
                     Jinv.setflags(write=False)  # shared with later runs
                 else:
                     Jinv = np.linalg.inv(J)
-            S, u = blocks[a:a + w], w * (n - 1) * d  # the group and its unknowns
+            S, u = blocks[k:k + w], w * (n - 1) * d  # the group and its unknowns
             S[:, 1:] -= (Jinv[:u, :u] @ F[j:j + w].ravel()).reshape(w, n - 1, d)
             S[1:, 0] = S[:-1, -1]
             lead, c = w, c + 1
         ahead = min(2 * size, cap) if c <= 2 and not cut else 1
         more = min(ahead, N - k - w)
         if more:
-            guess(blocks[a + w - 1], a + w, more)
+            guess(blocks[k + w - 1], k + w, more)
             w += more
 
 
@@ -562,8 +569,7 @@ def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
     V = tab.b[:, None] * _run_weights(prob, tab, cfg.h, cfg.N)[:cfg.N]
     if not np.array_equal(E, np.eye(*E.shape)):  # I @ V @ I is V
         V = E @ V @ E.T
-    x0 = np.asarray(x0, dtype=float).ravel()
-    p0 = np.asarray(p0, dtype=float).ravel()
+    x0, p0 = _initial_state("x0", x0, prob.d), _initial_state("p0", p0, prob.d)
     blocks, R, stats = _integrate(prob, tab, cfg.h, V, x0, p0)
     trajectory = StageTrajectory(values=blocks, h=cfg.h, continuity_flag=True)
     return FviSolution(trajectory=trajectory,

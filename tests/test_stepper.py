@@ -283,10 +283,11 @@ _CAP, _B = stepper._WINDOW_CAP, stepper._FFT_BLOCK
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("support", ["full", 1, 2, 0])
 def test_history_matches_the_direct_sum(support, d, N):
-    # the direct sum sum_{j<k} V_{k+i-j} (block_j - x0) for target k+i is
-    # one product of V_{k+i} | ... | V_{i+1} with the increments of blocks
-    # 0..k-1; windows ramp 1, 2, 4, .. up to the cap, fall back to one block
-    # and settle fewer blocks than asked, as the stepping loop's do
+    # the direct sum sum_{j<t} V_{t-j} (block_j - x0) for target t of window
+    # k..k+w-1 is one product of V_t | ... | V_1 | 0 | ... with the increments
+    # of blocks 0..k+w-1, the window's own included, zero at lags <= 0;
+    # windows ramp 1, 2, 4, .. up to the cap, fall back to one block and
+    # settle fewer blocks than asked, as the stepping loop's do
     rng = np.random.default_rng(N + 10 * d)
     n = d + 1
     V = rng.normal(size=(N, n, n))
@@ -295,17 +296,17 @@ def test_history_matches_the_direct_sum(support, d, N):
     x0 = rng.normal(size=d)
     blocks = rng.normal(size=(N, n, d))
     incr = (blocks - x0).reshape(N * n, d)
-    rev = np.hstack([np.zeros((n, 0))] + list(V[N - 1:0:-1]))  # V_{N-1} | ... | V_1
     cap = min(_CAP, N)
+    rev = np.hstack(list(V[N - 1:0:-1]) + [np.zeros((n, cap * n))])  # V_{N-1} | ... | V_1 | 0
     history = stepper._History(V, cap, x0)
     assert (history.far is not None) == (support == "full" and N - 1 > cap)
     exact = (history.far is None) and (support == "full" or N - 1 <= support)
     k, w = 0, 1
     while k < N:
         w = min(w, N - k)
-        got = history.window(k, w)
-        ref = np.array([rev[:, (N - 1 - k - i) * n:(N - 1 - i) * n] @ incr[:k * n]
-                        for i in range(w)]).reshape(w, n, d)
+        got = history.window(k, blocks[k:k + w] - x0)
+        ref = np.array([rev[:, (N - 1 - t) * n:(N - 1 - t + k + w) * n] @ incr[:(k + w) * n]
+                        for t in range(k, k + w)]).reshape(w, n, d)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(initial=0.0)
         assert np.array_equal(got, ref) or not exact
         m = int(rng.integers(1, w + 1)) if rng.random() < 0.2 else w
@@ -321,12 +322,12 @@ def test_history_takes_many_blocks_in_one_settle():
     N, n, d, cap = 1026, 3, 2, 2 * _CAP  # block 1025 needs the square of 768..895
     V = rng.normal(size=(N, n, n))
     x0 = rng.normal(size=d)
-    blocks = rng.normal(size=(N - 1, n, d))
+    blocks = rng.normal(size=(N, n, d))
     history = stepper._History(V, cap, x0)
-    history.settle(0, blocks)
+    history.settle(0, blocks[:-1])
     assert history.far.any()
-    ref = np.tensordot(V[N - 1:0:-1], blocks - x0, axes=([0, 2], [0, 1]))
-    got = history.window(N - 1, 1)[0]
+    ref = np.tensordot(V[N - 1:0:-1], blocks[:-1] - x0, axes=([0, 2], [0, 1]))
+    got = history.window(N - 1, blocks[-1:] - x0)[0]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -417,7 +418,7 @@ def test_block_residual_keeps_its_grouping(method):
         assert np.array_equal(stages[0], past[-1, -1])
         history = stepper._History(V[:k + 1], k + 1, x0)
         history.settle(0, past)
-        hist = history.window(k, 1)[0]
+        hist = history.window(k, (stages - x0)[None])[0]
         ref = d_all_lagrangian(prob, tab, basis, stages, k * cfg.h, cfg.h) \
             - prob.rho * cfg.h * (V[0] @ (stages - x0) + hist)
         assert np.array_equal(R, ref)
@@ -739,6 +740,11 @@ def test_step_history_validation():
         stepper.step(prob, tab, w, cfg, hist, 2)
     with pytest.raises(ValueError, match="history"):
         stepper.step(prob, tab, w, cfg, hist, 0)
+    # blocks of h = 0.1 labelled with another step size
+    relabelled = StageTrajectory(values=stages[None], h=0.5)
+    with pytest.raises(ValueError, match="history step size 0.5 does not match "
+                       "the weights step size 0.1"):
+        stepper.step(prob, tab, w, cfg, relabelled, 1)
 
 
 def test_run_rejects_one_stage_tableau_other_than_midpoint():
@@ -879,7 +885,27 @@ def test_config_validation():
         FviConfig(h=float("inf"), N=4)
     with pytest.raises(ValueError, match="N must be an integer >= 1, got 4.0"):
         FviConfig(h=0.1, N=4.0)
+    with pytest.raises(ValueError, match="N must be an integer >= 1, got True"):
+        FviConfig(h=0.1, N=True)
     FviConfig(h=0.1, N=np.int64(4))
+
+
+def test_run_rejects_a_malformed_initial_state():
+    # the offending argument is named with its values and shape, not left to
+    # fail inside a reshape, a solve or a NaN residual
+    spec, tab = models.coupled_oscillator(), tableau.lobatto_iiic(3)
+    prob, (x0, p0) = spec.problem, spec.default_initials
+    cfg = FviConfig(h=0.1, N=4)
+    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N)
+    bad = [([1.0], p0, r"x0 must be 2 finite values, got \[1\.\] of shape \(1,\)"),
+           (x0, [0.0], r"p0 must be 2 finite values, got \[0\.\] of shape \(1,\)"),
+           ([1.0, np.nan], p0,
+            r"x0 must be 2 finite values, got \[ 1\. nan\] of shape \(2,\)")]
+    for x, p, message in bad:
+        with pytest.raises(ValueError, match=message):
+            stepper.run(prob, tab, cfg, x, p)
+        with pytest.raises(ValueError, match=message):
+            stepper.init_step(prob, tab, w, cfg, x, p)
 
 
 def test_solution_copies_the_callers_arrays():
@@ -915,3 +941,8 @@ def test_legendre_rejects_block_index_out_of_range():
     short = compute_weights(tab, -2 * prob.alpha, cfg.h, 4)
     with pytest.raises(IndexError, match="need weights up to index 5, have 4"):
         stepper.legendre_plus(prob, tab, short, traj, 5)
+    relabelled = StageTrajectory(values=traj.values, h=0.5)
+    for legendre in (stepper.legendre_minus, stepper.legendre_plus):
+        with pytest.raises(ValueError, match="history step size 0.5 does not match "
+                           "the weights step size 0.0625"):
+            legendre(prob, tab, w, relabelled, 3)
