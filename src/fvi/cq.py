@@ -131,12 +131,12 @@ _cache = _LRU(_CACHE_SIZE)
 
 
 def _check_weight_args(exponent, h, N) -> int:
-    """Return N as an int after rejecting a bad h, exponent or N by its value."""
-    if not (math.isfinite(h) and h > 0):
+    """Return N as an int after rejecting a bad h, exponent or N, or a bool, by its value."""
+    if isinstance(h, bool) or not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be positive and finite, got {h!r}")
-    if not math.isfinite(exponent):
+    if isinstance(exponent, bool) or not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent!r}")
-    if not isinstance(N, numbers.Integral) or N < 0:
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 0:
         raise ValueError(f"N must be an integer >= 0, got {N!r}")
     return int(N)
 

@@ -27,6 +27,8 @@ __all__ = [
     "stage_gradient",
 ]
 
+_FD_STEP = np.finfo(float).eps ** (1 / 3)  # central-difference optimum
+
 
 @dataclass(frozen=True)
 class LagrangeBasis:
@@ -66,7 +68,7 @@ class LagrangianProblem:
     grad_potential(t, x) must return the gradient of potential(t, x); any
     forcing f(t) is folded in as U(x) - x.f(t).  rho and alpha describe the
     damping term built on the half-order operator of order 2*alpha.
-    hess_potential is optional and enables analytic Newton Jacobians.
+    hess_potential is optional; hessian_blocks differences grad_potential without it.
     exact_solution, when known, returns (x(t), xdot(t)), the position and the
     velocity; fvi.models.exact_states forms the momentum M xdot.
 
@@ -91,7 +93,8 @@ class LagrangianProblem:
     mass_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.d, numbers.Integral) or self.d < 1:
+        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral) \
+                or self.d < 1:
             raise ValueError(
                 f"state dimension must be an integer >= 1, got {self.d!r}")
         M = np.eye(self.d) if self.mass is None else np.array(
@@ -228,12 +231,18 @@ def hessian_blocks(prob: LagrangianProblem, tab: ButcherTableau,
                    basis: LagrangeBasis, stages, t_k: float, h: float) -> np.ndarray:
     """Second stage derivatives: blocks[i-1, m-1] = d(D_i L_d)/d(stage m), (s+1, s+1, d, d).
 
-    Requires hess_potential on the problem; it is called once, on the r points.
+    hess_potential is called once on the r points; without it grad_potential is,
+    on q_j +- delta e_a, delta = eps^(1/3) (1 + max|q|), for a central difference.
     """
-    if prob.hess_potential is None:
-        raise ValueError("problem has no hess_potential; use finite differences")
     q, v, ts = _nodes(prob, tab, basis, stages, t_k, h)
-    H = _conform(prob.hess_potential(ts, q), "hess_potential", q.shape + (prob.d,), 2)
+    if prob.hess_potential is not None:
+        H = _conform(prob.hess_potential(ts, q), "hess_potential", q.shape + (prob.d,), 2)
+    else:  # G[j, a] - G[j, d + a] = grad U(q_j + delta e_a) - grad U(q_j - delta e_a)
+        d, delta = prob.d, _FD_STEP * (1.0 + float(np.abs(q).max()))
+        points = q[:, None] + delta * np.vstack([np.eye(d), -np.eye(d)])
+        G = _conform(prob.grad_potential(np.repeat(ts[:, None], 2 * d, 1), points),
+                     "grad_potential", points.shape, 1)
+        H = (G[:, :d] - G[:, d:]).transpose(0, 2, 1) / (2.0 * delta)
     n = basis.control_count
     out = np.zeros((n, n, prob.d, prob.d))
     for j in range(tab.r):

@@ -130,13 +130,19 @@ def fit_slope(h: np.ndarray, err: np.ndarray,
     return float(coeffs[0]), tuple(kept), excluded
 
 
+def _horizon(spec: BenchmarkSpec, horizon: Optional[float]) -> float:
+    """horizon as a float, the spec's default for None, or a ValueError giving it."""
+    horizon = spec.default_horizon if horizon is None else float(horizon)
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    return horizon
+
+
 def run_benchmark(spec: BenchmarkSpec, method: str, n_steps: int,
                   horizon: Optional[float] = None) -> FviSolution:
     """Integrate a benchmark with the named method over [0, horizon]."""
     tab = _tableau_for(method)
-    horizon = spec.default_horizon if horizon is None else float(horizon)
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    horizon = _horizon(spec, horizon)
     # FviConfig checks N first, so a bad n_steps is named before h is used
     cfg = FviConfig(h=horizon / max(n_steps, 1), N=n_steps)
     x0, p0 = spec.default_initials
@@ -172,7 +178,7 @@ def converge(spec_name, method: str, steps: Sequence[int],
     steps = sorted({int(n) for n in steps})
     if len(steps) < 3:
         raise ValueError("need at least 3 distinct step counts")
-    horizon = spec.default_horizon if horizon is None else float(horizon)
+    horizon = _horizon(spec, horizon)
 
     def case(n: int) -> Tuple[float, float]:
         try:
@@ -219,7 +225,7 @@ def simulate(spec_name, method: str, n_steps: int,
     _tableau_for(method)
     if derivative_order is not None:
         spec = with_derivative_order(spec, derivative_order)
-    horizon = spec.default_horizon if horizon is None else float(horizon)
+    horizon = _horizon(spec, horizon)
     sol = run_benchmark(spec, method, n_steps, horizon)
     h = horizon / n_steps
 
@@ -284,14 +290,17 @@ def export_weights(method: str, exponent: float, h: float, n_weights: int,
     """Write convolution weights W_0..W_N as CSV rows n,row,col,value.
 
     The header line records the tableau, kernel exponent, step size, contour
-    radius lambda, target accuracy eps and the largest imaginary part
-    discarded when the contour sums were realified; the midcq recurrence has
-    no contour, so its lambda and eps read nan.
+    radius lambda, target accuracy eps, contour point count M and the largest
+    imaginary part discarded when the contour sums were realified; the midcq
+    recurrence has no contour, so its lambda and eps read nan and its M 0.
+    compute_weights with the header's exponent, h and contour_points=M (or
+    midcq_weights) gives the table back bitwise.
     """
     seq = (midcq_weights(exponent, h, n_weights) if method == "midcq" else
            compute_weights(_tableau_for(method), exponent, h, n_weights))
     header = (f"# method={method} tableau={seq.tableau_label} exponent={_fmt(exponent)}"
               f" h={_fmt(h)} lambda={_fmt(seq.radius)} eps={_fmt(seq.eps)}"
+              f" contour_points={seq.contour_points}"
               f" max_imag_residue={_fmt(seq.max_imag_residue)} columns=n,row,col,value")
     path = Path(path)
     # the indices go through %.17g as floats, which writes them as integers

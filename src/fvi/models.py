@@ -209,12 +209,15 @@ def with_derivative_order(spec: BenchmarkSpec, order: float) -> BenchmarkSpec:
 def energy(prob: LagrangianProblem, x, p):
     """Hamiltonian 1/2 p^T M^{-1} p + U(0, x) of the undamped part, per row.
 
-    x and p stack states as rows, shape S + (d,), and the result has shape
-    S: one value per row, a float for one state.  The mass solve and the
+    x and p stack states as rows, one shape S + (d,), and the result has
+    shape S: one value per row, a float for one state.  The mass solve and the
     1 x d by d x 1 products are stacked per row, so each row rounds as it
     would alone; a multi-column solve or an einsum sum does not for d > 1.
     """
     x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    if x.shape != p.shape or x.shape[-1:] != (prob.d,):
+        raise ValueError(f"x and p must share one shape ending in d = {prob.d}, "
+                         f"got {x.shape} and {p.shape}")
     v = np.linalg.solve(prob.mass_matrix, p[..., None])
     kinetic = ((0.5 * p)[..., None, :] @ v)[..., 0, 0]
     rows = p.shape[:-1]

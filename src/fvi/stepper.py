@@ -19,20 +19,21 @@ consecutive blocks with one simplified Newton iteration (Hairer & Wanner,
 Solving ODEs II, IV.8; Hairer, Lubich & Schlichte 1985 do the same for
 convolution equations).  Its window slides: one batched residual evaluation
 checks the group corrected last and starts the next group, so a window holds
-up to 2 _WINDOW_CAP blocks.  The window Jacobian is block lower-triangular
-Toeplitz, and the leading w-block corner of the inverse of a block
-lower-triangular matrix is the inverse of its leading corner, so one inverse
-at the cap serves every group size.  The solution agrees with a
-block-by-block solve to the Newton tolerance, not bitwise.  `run` is the way
-into the loop; `init_step` and `step` run it on one Lobatto block from an
-outside weight table and history.
+up to 2 _WINDOW_CAP blocks.  The window Jacobian, built from one block's
+hessian_blocks and the weights, is block lower-triangular Toeplitz, and the
+leading w-block corner of the inverse of a block lower-triangular matrix is
+the inverse of its leading corner, so one inverse at the cap serves every
+group size.  The solution agrees with a block-by-block solve to the Newton
+tolerance, not bitwise.  `run` is the way into the loop; `init_step` and
+`step` run it on one Lobatto block from an outside weight table and history.
 
-The window's history H (_History) sums the settled blocks and the window's
-own in one product per window, over lags up to the table's last nonzero one
-(lag 1 at alpha = 1/2, where it costs O(N)); sources further back come from
-the blocked FFT of Hairer, Lubich & Schlichte, so a full table costs
-O(N log^2 N).  The result agrees with the direct sum to rounding, and bitwise
-while no lag is dropped and the FFT is not used.
+The window's history H is one _History.window call per evaluation.  It sums
+the settled blocks and the window's own in one product, over lags up to the
+table's last nonzero one (lag 1 at alpha = 1/2, where it costs O(N));
+sources further back come from the blocked FFT of Hairer, Lubich &
+Schlichte, whose squares it adds as the windows pass them, so a full table
+costs O(N log^2 N).  The result agrees with the direct sum to rounding, and
+bitwise while no lag is dropped and the FFT is not used.
 """
 
 import math
@@ -51,6 +52,7 @@ from .cq import (
     midcq_weights,
 )
 from .galerkin import (
+    _FD_STEP,
     LagrangianProblem,
     basis_for,
     d_all_lagrangian,
@@ -76,7 +78,6 @@ __all__ = [
 
 _NEWTON_TOL = 1e-12  # relative to the block's scale, see _integrate
 _NEWTON_MAX_ITER = 50
-_FD_STEP = np.finfo(float).eps ** (1 / 3)  # central-difference optimum
 _WINDOW_CAP = 16  # most blocks solved together, see _integrate
 _FFT_BLOCK = 128  # smallest far-field square of _History; must exceed 2 _WINDOW_CAP
 _inverses = _LRU(4)  # window-Jacobian inverses by the matrix's bytes, see _integrate
@@ -97,7 +98,7 @@ class FviConfig:
 
     def __post_init__(self):
         _check_step_count(self.N)
-        if not (math.isfinite(self.h) and self.h > 0):
+        if isinstance(self.h, bool) or not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h must be positive and finite, got {self.h!r}")
 
 
@@ -318,8 +319,7 @@ def qp_closed_form(prob: LagrangianProblem, h: float, x_k, p_k,
         raise ValueError("closed-form map requires identity mass")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be positive and finite, got {h!r}")
-    x_k = np.asarray(x_k, dtype=float).ravel()
-    p_k = np.asarray(p_k, dtype=float).ravel()
+    x_k, p_k = _initial_state("x_k", x_k, prob.d), _initial_state("p_k", p_k, prob.d)
     rho = prob.rho
     impulse = p_k - 0.5 * h * prob.grad_potential(t_k, x_k)
     x_next = x_k + (2.0 * h / (2.0 + rho * h)) * impulse
@@ -333,25 +333,26 @@ class _History:
 
     V holds V_0..V_{N-1}; s, the last nonzero lag among V_1..V_{N-1}, bounds
     the sum to j >= t - s, so a banded table (V_m = 0 for m >= 2 at alpha =
-    1/2) costs O(N).  `settle` takes blocks as they settle, in order and any
-    number at a time; `window(k, incr)` needs blocks 0..k-1 settled and the
-    increments block - x0 of the window's w <= cap blocks, the stepping
-    loop's cap being its window span, 2 _WINDOW_CAP.
+    1/2) costs O(N).  past, if given, holds blocks 0..k-1 before the first
+    window.  `window(k, incr)` takes the increments block - x0 of the
+    window's w <= cap blocks, the stepping loop's cap being its window span,
+    2 _WINDOW_CAP, and keeps them: k never decreases, so a block before k is
+    as the last window holding it passed it, its settled value.
 
     When s > cap, sources before j0(t) = B floor((t - cap) / B), B =
     _FFT_BLOCK, come from the far field: the dyadic squares of Hairer, Lubich
     & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985) with targets shifted by
     cap.  For odd q the square of size L = B 2^l maps sources [(q-1)L, qL) to
     targets [qL + cap, (q+1)L + cap), one rfft/irfft pair of length 2L with
-    the cached spectrum of V_cap..V_{cap+2L-1}, added into `far` as soon as
-    block qL - 1 settles; a window needs no square whose sources reach it.
+    the cached spectrum of V_cap..V_{cap+2L-1}, added into `far` by the first
+    window with k >= qL; a window needs no square whose sources reach it.
     The near field, sources max(j0, t - s)..k+w-1, is one matmul per group
     of targets sharing j0 (at most two per window, as w <= cap < B) over a
     strided view of the reversed table; its lags past t - s and its cap zero
     blocks at lags <= 0 are exact zeros.  O(N log^2 N) in all.
     """
 
-    def __init__(self, V, cap, x0):
+    def __init__(self, V, cap, x0, past=None):
         N, n = V.shape[:2]
         nonzero = np.flatnonzero(np.abs(V[1:]).max(axis=(1, 2)))
         self.s = int(nonzero[-1]) + 1 if nonzero.size else 0
@@ -360,10 +361,26 @@ class _History:
         rev = np.concatenate([V[top:0:-1], np.zeros((cap, n, n))])  # lags top..1, then <= 0
         self.rev = rev.transpose(1, 0, 2).reshape(n, (top + cap) * n)  # V_top | ... | V_1 | 0
         self.incr = np.empty((N * n, x0.size))  # blocks - x0, one control point per row
-        self.V, self.cap, self.x0, self.top, self.spectra = V, cap, x0, top, {}
+        if past is not None:
+            self.incr[:past.shape[0] * n] = (past - x0).reshape(-1, x0.size)
+        self.V, self.cap, self.top, self.spectra, self.k = V, cap, top, {}, 0
 
     def window(self, k, incr):
         (w, n, d), far = incr.shape, self.far is not None
+        N, L = self.V.shape[0], _FFT_BLOCK
+        while far and L + self.cap < N:
+            # odd q, first target qL + cap < N, last source qL - 1 < k and not added yet
+            for q in range(self.k // L + 1 | 1, min(k, N - 1 - self.cap) // L + 1, 2):
+                if L not in self.spectra:  # V_cap..V_{cap+2L-1}, zero past s
+                    lags = self.V[self.cap:min(self.cap + 2 * L, self.s + 1)]
+                    self.spectra[L] = np.fft.rfft(lags, 2 * L, axis=0)
+                src = self.incr[(q - 1) * L * n:q * L * n].reshape(L, n, d)
+                out = np.fft.irfft(self.spectra[L] @ np.fft.rfft(src, 2 * L, axis=0),
+                                   2 * L, axis=0)[L:]
+                lo = q * L + self.cap
+                self.far[lo:lo + L] += out[:N - lo]
+            L *= 2
+        self.k = k
 
         def j0(t):  # the near field's first source for target t
             return max(t - self.cap, 0) // _FFT_BLOCK * _FFT_BLOCK if far else 0
@@ -384,25 +401,6 @@ class _History:
         if far:
             hist += self.far[k:k + w]
         return hist
-
-    def settle(self, k, stages):
-        N, n = self.V.shape[:2]
-        m, d = stages.shape[0], self.x0.size
-        self.incr[k * n:(k + m) * n] = (stages - self.x0).reshape(m * n, d)
-        L = _FFT_BLOCK
-        while self.far is not None and L + self.cap < N:
-            for q in range(k // L + 1, (k + m) // L + 1):  # last source qL - 1 just settled
-                if not q % 2 or q * L + self.cap >= N:
-                    continue
-                if L not in self.spectra:  # V_cap..V_{cap+2L-1}, zero past s
-                    lags = self.V[self.cap:min(self.cap + 2 * L, self.s + 1)]
-                    self.spectra[L] = np.fft.rfft(lags, 2 * L, axis=0)
-                src = self.incr[(q - 1) * L * n:q * L * n].reshape(L, n, d)
-                out = np.fft.irfft(self.spectra[L] @ np.fft.rfft(src, 2 * L, axis=0),
-                                   2 * L, axis=0)[L:]
-                lo = q * L + self.cap
-                self.far[lo:lo + L] += out[:N - lo]
-            L *= 2
 
 
 def _integrate(prob, tab, h, V, x0, p_in, past=None):
@@ -427,15 +425,14 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
     window's own included, all blocks in one stage_gradient call.  Each pass
     then settles the leading blocks whose residual is at most _NEWTON_TOL
     times the size of the terms it cancels, max(1, |M| max|S_i| / h + |p_in|)
-    in the max norm (the mixed scale of Hairer & Wanner IV.8), and feeds them
-    to _History; a block's stats entry is (corrections made before it
-    settled, its residual).  A group that did not settle continues alone,
-    and the guesses after it are dropped.  The unsettled blocks, one group,
-    are corrected with the leading corner of the lagged inverse of the
-    window Jacobian (_window_jacobian at _WINDOW_CAP blocks, from
-    hessian_blocks or a central difference of dL): a group's first
-    correction uses the last inverse and each later one rebuilds it at the
-    first unsettled block, so a constant Hessian builds one Jacobian per run
+    in the max norm (the mixed scale of Hairer & Wanner IV.8); a block's stats
+    entry is (corrections made before it settled, its residual).  A group
+    that did not settle continues alone, and the guesses after it are
+    dropped.  The unsettled blocks, one group, are corrected with the leading
+    corner of the lagged inverse of the window Jacobian (_window_jacobian at
+    _WINDOW_CAP blocks, from hessian_blocks): a group's first correction
+    uses the last inverse and each later one rebuilds it at the first
+    unsettled block, so a constant Hessian builds one Jacobian per run
     and settles a group per evaluation.  A run's first inverse is looked up
     by the Jacobian's bytes in _inverses, so runs that build the same one
     share it; the later ones of nonlinear runs are not kept.  A non-finite
@@ -450,16 +447,10 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
     rho_h, V0, times = prob.rho * h, V[0], h * np.arange(N)
     steps = np.arange(1.0, span + 1)[:, None, None]
     dL = stage_gradient(prob, tab, basis, h)
-    history = _History(V, span, x0)
+    history = _History(V, span, x0, past)
     mass_h = float(np.abs(prob.mass_matrix).sum(axis=1).max()) / h
     blocks, R = np.empty((N, n, d)), np.empty((N, n, d))  # by step number
     stats, Jinv = [], None
-
-    def second_derivative(stages, t):
-        if prob.hess_potential is not None:
-            return hessian_blocks(prob, tab, basis, stages, t, h)
-        fd = _fd_jacobian(lambda u: dL(u.reshape(n, d), t).ravel(), stages.ravel())
-        return fd.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
     def guess(prev, j, w):  # block j+i, i < w, starts as prev shifted by i+1 displacements
         S = blocks[j:j + w]
@@ -474,7 +465,6 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
         blocks[0, 0] = x0
     else:
         blocks[:k] = past
-        history.settle(0, past)
         guess(past[-1], k, 1)
     # the window is blocks[k:k + w]: its first `lead` blocks are the group
     # corrected last, c times, asked for with `size` blocks and `cut` if
@@ -497,7 +487,6 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
         if j:
             R[k:k + j] = Rw[:j]
             stats += zip([c] * min(j, lead) + [0] * (j - lead), norms[:j].tolist())
-            history.settle(k, S[:j])
             k, lead = k + j, max(lead - j, 0)
             if k == N:
                 return blocks[k0:], R[k0:], stats
@@ -517,7 +506,8 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
             if not finite.all():
                 w, cut = int(finite.argmin()), True
             if c or Jinv is None:
-                J = _window_jacobian(second_derivative(S[j], times[k]), V[:cap], rho_h)
+                J = _window_jacobian(hessian_blocks(prob, tab, basis, S[j], times[k], h),
+                                     V[:cap], rho_h)
                 if Jinv is None:  # the run's first inverse may be an earlier run's
                     Jinv = _inverses.get((J.shape, J.tobytes()), lambda: np.linalg.inv(J))
                     Jinv.setflags(write=False)  # shared with later runs

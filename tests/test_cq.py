@@ -241,7 +241,11 @@ def test_cache_keeps_midcq_and_contour_midpoint_tables_apart():
     ((-float("inf"), 0.1, 4), "got -inf"),
     ((-0.5, 0.1, 2.5), "N must be an integer >= 0, got 2.5"),
     ((-0.5, 0.1, 4.0), "got 4.0"),
-], ids=["nan-h", "inf-h", "nan-exponent", "inf-exponent", "fractional-N", "float-N"])
+    ((-0.5, 0.1, True), "N must be an integer >= 0, got True"),
+    ((-0.5, True, 4), "h must be positive and finite, got True"),
+    ((False, 0.1, 4), "exponent must be finite, got False"),
+], ids=["nan-h", "inf-h", "nan-exponent", "inf-exponent", "fractional-N", "float-N",
+        "bool-N", "bool-h", "bool-exponent"])
 def test_non_finite_or_non_integer_arguments_rejected(weights, args, match):
     with pytest.raises(ValueError, match=match):
         weights(*args)

@@ -1,5 +1,7 @@
 """Tests for the Galerkin discrete Lagrangian and its stage derivatives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -314,13 +316,30 @@ def test_hessian_blocks_match_finite_differences():
                     < 1e-5 * (1.0 + np.abs(blocks).max())
 
 
-def test_hessian_requires_analytic_potential_hessian():
-    prob = LagrangianProblem(d=1, potential=lambda t, x: 0.0,
-                             grad_potential=lambda t, x: np.zeros(1))
-    tab = lobatto_iiic(2)
+@pytest.mark.parametrize("tab", ALL_TABLEAUX, ids=lambda tab: tab.label)
+def test_hessian_blocks_difference_grad_potential_without_hess_potential(tab):
+    # without hess_potential the potential's Hessian is a central difference
+    # of grad_potential; the mass term stays analytic
+    rng = np.random.default_rng(53)
+    K0, M0 = rng.normal(size=(2, 2, 2))
+    K, a = K0 @ K0.T + 2.0 * np.eye(2), np.array([1.0, 2.0])
+    coupled = LagrangianProblem(  # 1/2 x.Kx + cos(t + a.x), a non-identity mass
+        d=2,
+        potential=lambda t, x: (0.5 * (x[..., None, :] @ K @ x[..., None])[..., 0, 0]
+                                + np.cos(t + x @ a)),
+        grad_potential=lambda t, x: ((K @ x[..., None])[..., 0]
+                                     - np.sin(t + x @ a)[..., None] * a),
+        hess_potential=lambda t, x: K - np.cos(t + x @ a)[..., None, None] * np.outer(a, a),
+        mass=M0 @ M0.T + 2.0 * np.eye(2),
+    )
     basis = basis_for(tab)
-    with pytest.raises(ValueError, match="hess_potential"):
-        hessian_blocks(prob, tab, basis, np.zeros((2, 1)), 0.0, 0.1)
+    for prob in (_pendulum(), coupled):
+        stripped = dataclasses.replace(prob, hess_potential=None)
+        for h in (0.05, 0.3, 1.0):
+            stages = 3.0 * rng.normal(size=(basis.control_count, prob.d))
+            want = hessian_blocks(prob, tab, basis, stages, 0.4, h)
+            got = hessian_blocks(stripped, tab, basis, stages, 0.4, h)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (prob.d, h)
 
 
 def test_problem_validation():
@@ -349,6 +368,8 @@ def test_problem_validation():
         LagrangianProblem(d=0, potential=pot, grad_potential=grad)
     with pytest.raises(ValueError, match="state dimension must be an integer >= 1, got 2.5"):
         LagrangianProblem(d=2.5, potential=pot, grad_potential=grad)
+    with pytest.raises(ValueError, match="state dimension must be an integer >= 1, got True"):
+        LagrangianProblem(d=True, potential=pot, grad_potential=grad)
 
 
 def test_argument_validation():

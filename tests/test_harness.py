@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from fvi import harness, models
-from fvi.cq import compute_weights
+from fvi import cq, harness, models
+from fvi.cq import _LRU, compute_weights, midcq_weights
 from fvi.harness import (ConvergenceReport, converge, export_weights,
                          fit_slope, read_weights, simulate, write_report_csv)
 from fvi.tableau import lobatto_iiic
@@ -105,6 +105,13 @@ def test_converge_rejects_non_integer_step_counts():
     assert list(rep.steps) == [8, 16, 32]
 
 
+def test_converge_rejects_a_bad_horizon_before_the_sweep():
+    # a nan horizon used to surface as the first case's RuntimeError at N=4
+    for bad in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {bad!r}"):
+            converge("coupled-oscillator", "lobatto2", [4, 8, 16], horizon=bad)
+
+
 def test_converge_input_validation():
     with pytest.raises(ValueError, match="3 distinct"):
         converge("bagley-torvik", "lobatto2", [8, 16], horizon=1.0)
@@ -171,7 +178,7 @@ def test_simulate_order_override_drops_exact_outputs(tmp_path):
     assert manifest["max_node_error_x"] is None
 
 
-def test_export_weights_round_trip(tmp_path):
+def test_export_weights_round_trip(tmp_path, monkeypatch):
     path = export_weights("lobatto2", -1.0, 0.1, 16, tmp_path / "w.csv")
     meta, W = read_weights(path)
     seq = compute_weights(lobatto_iiic(2), -1.0, 0.1, 16)
@@ -180,6 +187,19 @@ def test_export_weights_round_trip(tmp_path):
     assert meta["eps"] == seq.eps
     assert meta["max_imag_residue"] == seq.max_imag_residue
     assert meta["tableau"] == "lobatto_iiic_2"
+    # the header names the computation: method, exponent, h and contour
+    # points; an empty weight cache makes the second table a recomputation
+    for method, exponent, h, n in (("lobatto3", -0.5, 0.1, 16), ("midcq", -0.5, 0.25, 12)):
+        meta, W = read_weights(export_weights(method, exponent, h, n, tmp_path / "w.csv"))
+        M = int(meta["contour_points"])
+        monkeypatch.setattr(cq, "_cache", _LRU(1))
+        assert meta["method"] == method and M == (0 if method == "midcq" else 2 * (n + 1))
+        if M:
+            again = compute_weights(harness._tableau_for(meta["method"]), meta["exponent"],
+                                    meta["h"], W.shape[0] - 1, contour_points=M)
+        else:
+            again = midcq_weights(meta["exponent"], meta["h"], W.shape[0] - 1)
+        assert np.array_equal(W, again.W)
 
 
 def test_export_weights_first_derivative_structure(tmp_path):
@@ -199,8 +219,6 @@ def test_export_weights_zero_exponent_is_identity(tmp_path):
 
 
 def test_export_weights_midcq_scalar(tmp_path):
-    from fvi.cq import midcq_weights
-
     path = export_weights("midcq", -0.5, 0.25, 12, tmp_path / "w.csv")
     meta, W = read_weights(path)
     assert W.shape == (13, 1, 1)

@@ -137,6 +137,16 @@ def test_energy_values():
     assert abs(energy(spec1.problem, x0, p0) - 0.625) < 1e-15
 
 
+def test_energy_rejects_mismatched_states():
+    # [1.0] against [1.0, 2.0] used to broadcast into an energy of 2.75
+    prob = coupled_oscillator().problem
+    for x, p in (([1.0], [1.0, 2.0]), ([1.0, 2.0], [1.0]), ([[1.0, 2.0]], [1.0, 2.0]),
+                 ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError, match=r"x and p must share one shape ending "
+                           r"in d = 2, got \("):
+            energy(prob, x, p)
+
+
 def test_energy_decays_along_exact_flow():
     for spec in (coupled_oscillator(), damped_oscillator_1d()):
         times = np.linspace(0.0, spec.default_horizon, 9)

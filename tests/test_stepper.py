@@ -133,6 +133,11 @@ def test_qp_closed_form_validation():
         stepper.qp_closed_form(_harmonic(), -0.1, [1.0], [0.0])
     with pytest.raises(ValueError, match="h must be positive and finite, got nan"):
         stepper.qp_closed_form(_harmonic(), float("nan"), [1.0], [0.0])
+    # a d = 1 problem used to return two 2-vectors for these
+    with pytest.raises(ValueError, match=r"x_k must be 1 finite values, got \[1\. 2\.\]"):
+        stepper.qp_closed_form(_harmonic(), 0.1, [1.0, 2.0], [0.0])
+    with pytest.raises(ValueError, match="p_k must be 1 finite values"):
+        stepper.qp_closed_form(_harmonic(), 0.1, [1.0], [float("nan")])
 
 
 def test_undamped_run_matches_velocity_verlet():
@@ -231,14 +236,14 @@ def test_jacobian_built_once_per_run_on_quadratic_problems(monkeypatch):
     # each block's first correction reuses the last Jacobian's inverse and
     # every further correction builds one; with a constant Hessian it is exact,
     # so one build serves the whole run (bagley-torvik's lobatto2 block 0
-    # starts at its solution and takes no solve); the differenced Jacobian's
-    # rounding error stays below the stopping test
+    # starts at its solution and takes no solve); without hess_potential the
+    # differenced Hessian's rounding error stays below the stopping test
     bagley, damped = models.bagley_torvik(), models.damped_oscillator_1d()
     cfg = FviConfig(h=1.0 / 64, N=64)
     runs = [(bagley, tableau.lobatto_iiic(r)) for r in (2, 3, 4)]
     runs.append((damped, tableau.midpoint()))
-    for name, strip in (("hessian_blocks", False), ("_fd_jacobian", True)):
-        calls = _counted(monkeypatch, name)
+    calls = _counted(monkeypatch, "hessian_blocks")
+    for strip in (False, True):
         for spec, tab in runs:
             prob = spec.problem
             if strip:
@@ -246,7 +251,29 @@ def test_jacobian_built_once_per_run_on_quadratic_problems(monkeypatch):
             calls.clear()
             sol = stepper.run(prob, tab, cfg, *spec.default_initials)
             solves = [iters for iters, _ in sol.newton_stats]
-            assert len(calls) == 1 and max(solves) <= 1, (name, tab.label)
+            assert len(calls) == 1 and max(solves) <= 1, (strip, tab.label)
+
+
+@pytest.mark.parametrize("method", ["lobatto2", "lobatto3", "lobatto4", "midcq"])
+def test_differenced_hessian_settles_quadratic_runs_in_one_correction(method):
+    # without hess_potential, hessian_blocks differences grad_potential alone,
+    # which is exact to rounding on a quadratic potential: a differenced
+    # gradient of the whole block took up to 1.88 corrections per block here
+    # and agreed with the analytic run to 9.3e-11 at N = 1024
+    tab = harness._tableau_for(method)
+    for name in ("damped-oscillator-1d", "coupled-oscillator"):
+        spec = models.by_name(name)
+        prob = dataclasses.replace(spec.problem, hess_potential=None)
+        for N in (64, 1024):
+            cfg = FviConfig(h=spec.default_horizon / N, N=N)
+            sol = stepper.run(prob, tab, cfg, *spec.default_initials)
+            if N == 64:
+                assert sum(c for c, _ in sol.newton_stats) <= 1.05 * N, name
+                continue
+            ref = stepper.run(spec.problem, tab, cfg, *spec.default_initials)
+            for got, want in ((sol.node_positions, ref.node_positions),
+                              (sol.momenta, ref.momenta)):
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
 
 
 def _second_derivative(spec, tab, h, N):
@@ -286,8 +313,9 @@ def test_history_matches_the_direct_sum(support, d, N):
     # the direct sum sum_{j<t} V_{t-j} (block_j - x0) for target t of window
     # k..k+w-1 is one product of V_t | ... | V_1 | 0 | ... with the increments
     # of blocks 0..k+w-1, the window's own included, zero at lags <= 0;
-    # windows ramp 1, 2, 4, .. up to the cap, fall back to one block and
-    # settle fewer blocks than asked, as the stepping loop's do
+    # the first N // 4 blocks are given as past; windows ramp 1, 2, 4, .. up
+    # to the cap, fall back to one block, settle fewer blocks than asked and
+    # pass the unsettled ones corrected next time, as the stepping loop's do
     rng = np.random.default_rng(N + 10 * d)
     n = d + 1
     V = rng.normal(size=(N, n, n))
@@ -295,39 +323,39 @@ def test_history_matches_the_direct_sum(support, d, N):
         V[support + 1:] = 0.0
     x0 = rng.normal(size=d)
     blocks = rng.normal(size=(N, n, d))
-    incr = (blocks - x0).reshape(N * n, d)
     cap = min(_CAP, N)
     rev = np.hstack(list(V[N - 1:0:-1]) + [np.zeros((n, cap * n))])  # V_{N-1} | ... | V_1 | 0
-    history = stepper._History(V, cap, x0)
+    k, w = N // 4, 1
+    history = stepper._History(V, cap, x0, blocks[:k])
     assert (history.far is not None) == (support == "full" and N - 1 > cap)
     exact = (history.far is None) and (support == "full" or N - 1 <= support)
-    k, w = 0, 1
     while k < N:
         w = min(w, N - k)
         got = history.window(k, blocks[k:k + w] - x0)
-        ref = np.array([rev[:, (N - 1 - t) * n:(N - 1 - t + k + w) * n] @ incr[:(k + w) * n]
+        incr = (blocks[:k + w] - x0).reshape((k + w) * n, d)
+        ref = np.array([rev[:, (N - 1 - t) * n:(N - 1 - t + k + w) * n] @ incr
                         for t in range(k, k + w)]).reshape(w, n, d)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(initial=0.0)
         assert np.array_equal(got, ref) or not exact
         m = int(rng.integers(1, w + 1)) if rng.random() < 0.2 else w
-        history.settle(k, blocks[k:k + m])
+        blocks[k + m:k + w] += rng.normal(size=(w - m, n, d))  # the unsettled ones move
         k += m
         w = min(2 * w, cap) if m == w and rng.random() < 0.8 else 1
 
 
-def test_history_takes_many_blocks_in_one_settle():
-    # `step` hands _History all earlier blocks at once, so one settle must
-    # add every far-field square it completes
+def test_history_takes_many_past_blocks_at_once():
+    # `step` hands _History all earlier blocks at once, so its first window
+    # must add every far-field square they complete
     rng = np.random.default_rng(3)
     N, n, d, cap = 1026, 3, 2, 2 * _CAP  # block 1025 needs the square of 768..895
     V = rng.normal(size=(N, n, n))
     x0 = rng.normal(size=d)
     blocks = rng.normal(size=(N, n, d))
-    history = stepper._History(V, cap, x0)
-    history.settle(0, blocks[:-1])
-    assert history.far.any()
+    history = stepper._History(V, cap, x0, blocks[:-1])
+    assert not history.far.any()
     ref = np.tensordot(V[N - 1:0:-1], blocks[:-1] - x0, axes=([0, 2], [0, 1]))
     got = history.window(N - 1, blocks[-1:] - x0)[0]
+    assert history.far.any()
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -416,8 +444,7 @@ def test_block_residual_keeps_its_grouping(method):
         (stages,), (R,), _ = stepper._integrate(prob, tab, cfg.h, V[:k + 1], x0,
                                                 p_in, past)
         assert np.array_equal(stages[0], past[-1, -1])
-        history = stepper._History(V[:k + 1], k + 1, x0)
-        history.settle(0, past)
+        history = stepper._History(V[:k + 1], k + 1, x0, past)
         hist = history.window(k, (stages - x0)[None])[0]
         ref = d_all_lagrangian(prob, tab, basis, stages, k * cfg.h, cfg.h) \
             - prob.rho * cfg.h * (V[0] @ (stages - x0) + hist)
@@ -887,6 +914,8 @@ def test_config_validation():
         FviConfig(h=0.1, N=4.0)
     with pytest.raises(ValueError, match="N must be an integer >= 1, got True"):
         FviConfig(h=0.1, N=True)
+    with pytest.raises(ValueError, match="h must be positive and finite, got True"):
+        FviConfig(h=True, N=2)
     FviConfig(h=0.1, N=np.int64(4))
 
 
