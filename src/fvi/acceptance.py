@@ -107,7 +107,7 @@ def _quadrature_endpoint_slope(r: int, m: int, kind: str) -> float:
     for k in range(2, 9):
         n = 2 ** k
         h = 1.0 / n
-        w = compute_weights(tab, exponent, h, n)
+        w = compute_weights(tab, exponent, h, n, contour_points=2 * (n + 1))
         t_nodes = h * (np.arange(n)[:, None] + tab.c[None, :])
         f = StageTrajectory((t_nodes ** m)[:, :, None], h)
         val = apply_retarded(w, f)[-1, -1, 0]

@@ -3,10 +3,11 @@
 A positive exponent discretizes the fractional integral of that order, a
 negative exponent the fractional derivative of order |exponent|.  Matrix
 weights come from a Runge-Kutta generating matrix: as exact polynomial
-coefficients for integer derivative orders, otherwise from a real inverse
-FFT over half of a contour inside the unit disc; the midpoint rule's 1 x 1
-weights come from a three-term power-series recurrence.  Every path returns
-a WeightSequence for apply_retarded and apply_advanced.
+coefficients for integer derivative orders; on hyperbolae in the Laplace
+domain for other exponents up to 1/2 and N >= 16 (stiffly accurate
+tableaux only); otherwise from a real inverse FFT over half of a circle
+inside the unit disc.  The midpoint rule's 1 x 1 weights come from a
+three-term power-series recurrence.  Every path returns a WeightSequence.
 """
 
 import math
@@ -32,6 +33,9 @@ __all__ = [
 _COND_LIMIT = 1e12
 #: accuracy target of the contour radius: double-precision rounding
 _EPS = 1e-16
+#: hyperbola tables: W_n, n < _HEAD, from a circle of _HEAD_M points; the
+#: nodes of band lo are (_HYP_MU / lo)(1 + sin(i k tau - _HYP_ALPHA)), |k| <= _HYP_Q
+_HEAD, _HEAD_M, _HYP_Q, _HYP_MU, _HYP_ALPHA, _HYP_TAU = 16, 1024, 32, 3.2, 1.15, 3.5 / 32
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,8 @@ class WeightSequence:
     largest imaginary part discarded when realifying the weights.  It reads 0
     by construction: the contour path sums half the contour into a real table
     with irfft, and the other paths are real.  The contour parameters are kept
-    so exports can reproduce the computation; the midpoint recurrence has no
-    contour, so its radius and eps are nan and its contour_points 0.
+    so exports can reproduce the computation; the midpoint recurrence and the
+    hyperbolae have no circle: their radius and eps are nan, contour_points 0.
     """
 
     exponent: float
@@ -150,23 +154,28 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
     m = -exponent they are the coefficients of the degree-m matrix polynomial
     ((A^-1 - z (A^-1 1)(b^T A^-1))/h)^m, formed directly: W_0 = I for m = 0;
     W_0 = A^-1/h, W_1 = -(A^-1 1)(b^T A^-1)/h for m = 1; W_n = 0 for n > m.
-    Every other kernel is summed by the trapezoidal rule on |z| = lambda as
-    one inverse FFT over M points, W_n = lambda^(-n) ifft(K(gamma(z_l)/h))_n
-    with z_l = lambda exp(-2 pi i l / M).  A, b and c are real, so the values
-    at z_l and z_(M-l) are conjugate: only l = 0..M//2 are evaluated, and a
-    real inverse FFT (irfft) gives the real table directly.
 
-    The radius is lambda = eps^(1/(M+N)) with eps = 1e-16, the rounding
-    level of double precision, where the aliasing error lambda^M and the
-    round-off amplification lambda^(-N) eps both equal eps^(M/(M+N)).
-    M defaults to 2(N+1), putting that level near eps^(2/3) (contour_points =
-    N+1 gives the minimal rule, ~sqrt(eps)).  K is applied through a complex
-    eigendecomposition gamma(z_l) = V diag(mu) V^-1; an eigenvector matrix
-    whose 1-norm condition ||V||_1 ||V^-1||_1 reaches _COND_LIMIT makes the
-    contour retry once at 0.98*lambda, and raise RuntimeError if it fails
-    again.  The exact path reports the radius and M the contour would start
-    from.  Tables are cached by parameters and tableau coefficients, in one
-    LRU cache with those of midcq_weights.
+    Any other exponent <= 1/2 on such a tableau, with N >= 16 and no
+    contour_points, is summed on hyperbolae (_hyperbola_weights), to 1e-12
+    of |W_n| (1e-10 at exponent -3/2), with contour_points 0, nan radius and
+    eps.  Every other kernel, and any explicit contour_points M, is summed
+    by the trapezoidal rule on |z| = lambda as one inverse FFT over M points,
+    W_n = lambda^(-n) ifft(K(gamma(z_l)/h))_n, z_l = lambda exp(-2 pi i l / M).
+    A, b and c are real, so the values at z_l and z_(M-l) are conjugate: only
+    l = 0..M//2 are evaluated, and a real inverse FFT (irfft) gives the real
+    table directly.  The radius is lambda = eps^(1/(M+N)) with eps = 1e-16,
+    the rounding level of double precision, where the aliasing error
+    lambda^M and the round-off amplification lambda^(-N) eps both equal
+    eps^(M/(M+N)).  M defaults to 2(N+1), putting that level near eps^(2/3)
+    (contour_points = N+1 gives the minimal rule, ~sqrt(eps)); near n = N =
+    2^12 the error reaches 1e-5 of |W_n| at exponent -1/2 (2e-7 at M =
+    4(N+1)).  K is applied through a complex eigendecomposition gamma(z_l) =
+    V diag(mu) V^-1; an eigenvector matrix whose 1-norm condition
+    ||V||_1 ||V^-1||_1 reaches _COND_LIMIT makes the contour retry once at
+    0.98*lambda, and raise RuntimeError if it fails again.  The exact path
+    reports the radius and M the contour would start from.  Tables are cached
+    by parameters and tableau coefficients, in one LRU cache with those of
+    midcq_weights.
     """
     N = _check_weight_args(exponent, h, N)
     M = 2 * (N + 1) if contour_points is None else int(contour_points)
@@ -174,14 +183,17 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
         raise ValueError("contour_points must be at least N+1")
 
     def make():
-        lam, order = _EPS ** (1.0 / (M + N)), -float(exponent)
-        if abs(tab.bT_Ainv_one - 1.0) < 1e-13 and order >= 0 and order.is_integer():
-            W = _polynomial_weights(tab, int(order), h, N)
+        lam, eps, order = _EPS ** (1.0 / (M + N)), _EPS, -float(exponent)
+        stiff = abs(tab.bT_Ainv_one - 1.0) < 1e-13  # R(infinity) = 0
+        if stiff and order >= 0 and order.is_integer():
+            W, m = _polynomial_weights(tab, int(order), h, N), M
+        elif stiff and contour_points is None and N >= _HEAD and exponent <= 0.5:
+            W, lam, eps, m = _hyperbola_weights(tab, exponent, h, N), math.nan, math.nan, 0
         else:
-            W, lam = _compute_weights(tab, exponent, h, N, M, lam)
+            (W, lam), m = _compute_weights(tab, exponent, h, N, M, lam), M
         return WeightSequence(exponent=float(exponent), h=float(h), W=W,
                               tableau_label=tab.label, max_imag_residue=0.0,
-                              radius=lam, eps=_EPS, contour_points=M)
+                              radius=lam, eps=eps, contour_points=m)
 
     return _cache.get((tab.label, tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(),
                        float(exponent), float(h), N, contour_points), make)
@@ -195,6 +207,44 @@ def _polynomial_weights(tab, m, h, N):
     for _ in range(m):  # multiply the truncated series by const + z * slope
         W[1:] = W[1:] @ const + W[:-1] @ slope
         W[0] = W[0] @ const
+    return W
+
+
+def _hyperbola_weights(tab, exponent, h, N):
+    """W_0..W_N: a circle for n < _HEAD, trapezoidal sums on hyperbolae after that.
+
+    With nu = h lambda and R(infinity) = 0, W_n = (1/2 pi i) int K(nu/h)
+    R(nu)^(n-1) a c^T dnu for n >= 1, a = (I - nu A)^-1 1, c^T = b^T (I - nu
+    A)^-1, R = 1 + nu b^T a (Banjai & Lopez-Fernandez, Numer. Math. 141,
+    2019).  Each band lo <= n < 2 lo gets a hyperbola around the branch cut
+    of K, left of the poles 1/eig(A) (Weideman & Trefethen, Math. Comp. 76,
+    2007); nodes -k and k are conjugate, so k > 0 counts twice.  R^(n-1) is
+    a product of two short exp tables, and Re(C P) = [Re C, Im C][Re P; -Im P]
+    makes each band one real matrix product.
+    """
+    r, Q, W = tab.r, _HYP_Q, np.empty((N + 1, tab.r, tab.r))
+    W[:_HEAD] = _compute_weights(tab, exponent, h, _HEAD - 1, _HEAD_M,
+                                 _EPS ** (1.0 / (_HEAD_M + _HEAD - 1)))[0]
+    arg, lo = 1j * _HYP_TAU * np.arange(Q + 1) - _HYP_ALPHA, _HEAD
+    while lo <= N:
+        hi, mu = min(2 * lo, N + 1), _HYP_MU / lo
+        nu = mu * (1.0 + np.sin(arg))
+        # (tau / 2 pi i) nu'(u) K(nu/h) with nu'(u) = i mu cos(i u - alpha)
+        g = (_HYP_TAU * mu / (2 * np.pi)) * np.cos(arg) * (nu / h) ** (-exponent)
+        g[1:] *= 2.0
+        inv = np.linalg.inv(np.eye(r) - nu[:, None, None] * tab.A)
+        a, c = inv.sum(axis=2), tab.b @ inv
+        z = nu * (a @ tab.b)  # R - 1, about 1/lo: log1p keeps its digits
+        x, y = z.real, z.imag
+        log_r = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+        step = 1 << (lo.bit_length() // 2)  # R^(n-1) = R^(lo-1+step*i) R^j
+        coarse, fine = (np.exp(np.multiply.outer(m, log_r)) for m in (
+            lo - 1 + step * np.arange(-(-(hi - lo) // step)), np.arange(step)))
+        C = (g * coarse[:, None] * fine).reshape(-1, Q + 1)[: hi - lo]
+        P = a[:, :, None] * c[:, None, :]
+        np.matmul(C.view(float), np.stack([P.real, -P.imag], axis=1).reshape(2 * Q + 2, r * r),
+                  out=W[lo:hi].reshape(hi - lo, r * r))
+        lo *= 2
     return W
 
 

@@ -105,7 +105,7 @@ class LagrangianProblem:
             raise ValueError("mass matrix must be symmetric")
         if np.linalg.eigvalsh(M).min() <= 0.0:
             raise ValueError("mass matrix must be positive definite")
-        if not (math.isfinite(self.rho) and self.rho >= 0.0):
+        if isinstance(self.rho, bool) or not (math.isfinite(self.rho) and self.rho >= 0.0):
             raise ValueError(f"rho must be finite and >= 0, got {self.rho!r}")
         if not 0.0 < self.alpha < 1.0:  # also rejects nan
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
@@ -167,7 +167,7 @@ def _conform(value, name: str, shape: tuple, point: int = 0) -> np.ndarray:
 
 def _checked_stages(prob, basis, stages, h) -> np.ndarray:
     """The stages as a float array, once h and their shape are checked."""
-    if not (math.isfinite(h) and h > 0):
+    if isinstance(h, bool) or not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be positive and finite, got {h!r}")
     stages = np.asarray(stages, dtype=float)
     if stages.shape != (basis.control_count, prob.d):
@@ -203,16 +203,17 @@ def stage_gradient(prob: LagrangianProblem, tab: ButcherTableau,
     one of its own step.  Each dL call calls grad_potential once, on the
     (r,) or (w, r) quadrature times and the (r, d) or (w, r, d) points.
     """
-    E, D = basis.eval_matrix, basis.deriv_matrix
+    E, D, M = basis.eval_matrix, basis.deriv_matrix, prob.mass_matrix
     Et = None if np.array_equal(E, np.eye(*E.shape)) else E.T  # I @ S is S
-    mhE, Dt, b = -h * E, D.T, tab.b[:, None]
-    ch, Mt, grad = tab.c * h, prob.mass_matrix.T, prob.grad_potential
+    Mt = None if np.array_equal(M, np.eye(prob.d)) else M.T  # unit mass: v @ I is v
+    # -h E stays a product for E = I: it spreads a NaN gradient over its block
+    mhE, Dt, b, ch, grad = -h * E, D.T, tab.b[:, None], tab.c * h, prob.grad_potential
 
     def dL(stages, t_k):
         q = stages if Et is None else Et @ stages
         v = Dt @ stages / h
         G = _conform(grad(np.add.outer(t_k, ch), q), "grad_potential", q.shape, 1)
-        return mhE @ (b * G) + D @ (b * (v @ Mt))
+        return mhE @ (b * G) + D @ (b * (v if Mt is None else v @ Mt))
 
     return dL
 

@@ -291,10 +291,10 @@ def export_weights(method: str, exponent: float, h: float, n_weights: int,
 
     The header line records the tableau, kernel exponent, step size, contour
     radius lambda, target accuracy eps, contour point count M and the largest
-    imaginary part discarded when the contour sums were realified; the midcq
-    recurrence has no contour, so its lambda and eps read nan and its M 0.
-    compute_weights with the header's exponent, h and contour_points=M (or
-    midcq_weights) gives the table back bitwise.
+    imaginary part discarded when the contour sums were realified; midcq and
+    compute_weights' hyperbolae have no circle: lambda and eps read nan, M 0.
+    compute_weights with the header's exponent, h and contour_points=M, or
+    for M = 0 midcq_weights or compute_weights' default, gives it back bitwise.
     """
     seq = (midcq_weights(exponent, h, n_weights) if method == "midcq" else
            compute_weights(_tableau_for(method), exponent, h, n_weights))

@@ -280,10 +280,11 @@ def test_imaginary_residue_recorded_and_small():
     records max_imag_residue = 0.0.
     """
     tab, h, N = lobatto_iiic(3), 0.05, 64
-    w = compute_weights(tab, -0.5, h, N)
+    w = compute_weights(tab, -0.5, h, N, contour_points=2 * (N + 1))
     full = _full_contour_weights(tab, -0.5, h, N, w.contour_points, w.radius)
     assert 0.0 < np.abs(full.imag).max() < 1e-6 * np.abs(w.W).max()
     assert w.max_imag_residue == 0.0
+    assert compute_weights(tab, -0.5, h, N).max_imag_residue == 0.0  # the hyperbolae
     assert compute_weights(tab, -1.0, h, N).max_imag_residue == 0.0
     assert midcq_weights(-0.5, h, N).max_imag_residue == 0.0
 
@@ -296,9 +297,43 @@ def test_minimal_contour_parameters():
 
 
 def test_default_contour_is_oversampled():
-    N = 16
-    w = compute_weights(lobatto_iiic(2), -0.5, 0.1, N)
-    assert w.contour_points == 2 * (N + 1)
+    # the inputs the hyperbolae do not serve: N < 16, a tableau that is not
+    # stiffly accurate, an exponent above 1/2
+    for tab, exponent, N in ((lobatto_iiic(2), -0.5, 15), (midpoint(), -0.5, 16),
+                             (lobatto_iiic(2), 1.0, 16)):
+        w = compute_weights(tab, exponent, 0.1, N)
+        assert w.contour_points == 2 * (N + 1)
+        assert w.radius == w.eps ** (1.0 / (w.contour_points + N))
+
+
+def test_hyperbola_table_records_no_contour():
+    """From N = 16 the default table of a fractional order is a circle head and hyperbolae."""
+    tab, h, N = lobatto_iiic(3), 0.1, 16
+    w = compute_weights(tab, -0.5, h, N)
+    assert w.contour_points == 0 and np.isnan(w.radius) and np.isnan(w.eps)
+    head, _ = _compute_weights(tab, -0.5, h, 15, 1024, 1e-16 ** (1.0 / 1039))
+    np.testing.assert_array_equal(w.W[:16], head)
+    assert compute_weights(tab, -0.5, h, N, contour_points=2 * (N + 1)).contour_points == 34
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("exponent,head_tol", [
+    (-0.25, 1e-12), (-0.5, 1e-12), (-0.75, 1e-11), (-1.5, 1e-9), (0.5, 1e-12)])
+@pytest.mark.parametrize("N", [256, 1024])
+def test_hyperbola_matches_fine_circle(r, exponent, head_tol, N):
+    """The default table agrees with a circle of 16(N+1) points.
+
+    Over the whole table to 1e-12 |C_1|; for n <= 64 to head_tol |C_n|.  At
+    -3/4 and -3/2 that circle is itself off by up to 4.6e-12 and 5e-10
+    relative there from 40-digit values, which the hyperbolae match to 2e-15
+    from n = 16 on.
+    """
+    tab, h = lobatto_iiic(r), 1.0 / N
+    W = compute_weights(tab, exponent, h, N).W
+    C = compute_weights(tab, exponent, h, N, contour_points=16 * (N + 1)).W
+    err, size = np.abs(W - C).max(axis=(1, 2)), np.abs(C).max(axis=(1, 2))
+    assert err.max() <= 1e-12 * size[1]
+    assert np.all(err[:65] <= head_tol * size[:65])
 
 
 def test_retarded_matches_brute_force():

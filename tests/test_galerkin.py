@@ -359,6 +359,8 @@ def test_problem_validation():
         with pytest.raises(ValueError, match=f"rho must be finite and >= 0, got {bad}"):
             LagrangianProblem(d=2, potential=pot, grad_potential=grad,
                               rho=float(bad))
+    with pytest.raises(ValueError, match="rho must be finite and >= 0, got True"):
+        LagrangianProblem(d=2, potential=pot, grad_potential=grad, rho=True)
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got 1.0"):
         LagrangianProblem(d=2, potential=pot, grad_potential=grad, alpha=1.0)
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got nan"):
@@ -382,7 +384,7 @@ def test_argument_validation():
     for fn in (discrete_lagrangian, d_all_lagrangian, hessian_blocks):
         with pytest.raises(ValueError, match="shape"):
             fn(prob, tab, basis, np.zeros((3, 2)), 0.0, 0.1)
-        for bad in (0.0, -0.1, float("nan")):
+        for bad in (0.0, -0.1, float("nan"), True):
             with pytest.raises(ValueError,
                                match=f"h must be positive and finite, got {bad!r}"):
                 fn(prob, tab, basis, good, 0.0, bad)

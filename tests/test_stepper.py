@@ -54,9 +54,8 @@ def _pendulum(eta=1.0, rho=0.2, alpha=0.5):
 
 
 def _loop_weights(prob, tab, cfg):
-    """The contour WeightSequence whose table `run` integrates with."""
-    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N,
-                        contour_points=4 * (cfg.N + 1))
+    """The default WeightSequence, whose table `run` integrates with."""
+    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N)
     assert np.array_equal(w.W, stepper._run_weights(prob, tab, cfg.h, cfg.N))
     return w
 
@@ -133,6 +132,8 @@ def test_qp_closed_form_validation():
         stepper.qp_closed_form(_harmonic(), -0.1, [1.0], [0.0])
     with pytest.raises(ValueError, match="h must be positive and finite, got nan"):
         stepper.qp_closed_form(_harmonic(), float("nan"), [1.0], [0.0])
+    with pytest.raises(ValueError, match="h must be positive and finite, got True"):
+        stepper.qp_closed_form(_harmonic(), True, [1.0], [0.0])
     # a d = 1 problem used to return two 2-vectors for these
     with pytest.raises(ValueError, match=r"x_k must be 1 finite values, got \[1\. 2\.\]"):
         stepper.qp_closed_form(_harmonic(), 0.1, [1.0, 2.0], [0.0])
