@@ -532,7 +532,7 @@ def _run_weights(prob: LagrangianProblem, tab: ButcherTableau, h: float,
     recurrence of midcq_weights.  Every other tableau gets compute_weights'
     default: exact polynomial weights at integer damping orders, and for
     Lobatto IIIC at fractional orders with N >= 16 sums on hyperbolae whose
-    error stays near 1e-13 relative to |W_n| up to n = N.
+    error stays below about 1e-12 of |W_n| up to n = N.
     """
     if tab.r == 1:
         if not np.array_equal(np.r_[tab.A.ravel(), tab.b, tab.c], [0.5, 1.0, 0.5]):

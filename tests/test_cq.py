@@ -324,9 +324,9 @@ def test_hyperbola_matches_fine_circle(r, exponent, head_tol, N):
     """The default table agrees with a circle of 16(N+1) points.
 
     Over the whole table to 1e-12 |C_1|; for n <= 64 to head_tol |C_n|.  At
-    -3/4 and -3/2 that circle is itself off by up to 4.6e-12 and 5e-10
-    relative there from 40-digit values, which the hyperbolae match to 2e-15
-    from n = 16 on.
+    -3/4 and -3/2 that circle is itself off from 40-digit values by 4.4e-12
+    and 2.9e-10 of |C_64| (lobatto4, N = 256), where the hyperbolae are
+    within 2e-15.
     """
     tab, h = lobatto_iiic(r), 1.0 / N
     W = compute_weights(tab, exponent, h, N).W
