@@ -43,6 +43,8 @@ METHOD_NAMES = tuple(_TABLEAUX)
 
 ERROR_NORM = "max over main nodes and components"
 
+_BLOCK_ROWS = 4096  # CSV rows formatted and written per block
+
 
 def _tableau_for(method: str):
     """Butcher tableau for a method name."""
@@ -132,10 +134,10 @@ def fit_slope(h: np.ndarray, err: np.ndarray,
 
 def _horizon(spec: BenchmarkSpec, horizon: Optional[float]) -> float:
     """horizon as a float, the spec's default for None, or a ValueError giving it."""
-    horizon = spec.default_horizon if horizon is None else float(horizon)
-    if not (math.isfinite(horizon) and horizon > 0):
+    horizon = spec.default_horizon if horizon is None else horizon
+    if isinstance(horizon, bool) or not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    return horizon
+    return float(horizon)
 
 
 def run_benchmark(spec: BenchmarkSpec, method: str, n_steps: int,
@@ -203,11 +205,18 @@ def converge(spec_name, method: str, steps: Sequence[int],
                              err_p=err_p, slope_p=slope_p, excluded_p=excl_p)
 
 
-def _write_lines(path: Path, header: str, rows) -> None:
-    """Write the header, then one line per row with every value as _fmt writes it."""
-    rows = [tuple(row) for row in rows]
-    fmt = ",".join(["%.17g"] * len(rows[0])) if rows else ""
-    path.write_text("\n".join([header] + [fmt % row for row in rows]) + "\n")
+def _write_lines(path: Path, header: str, table: np.ndarray) -> None:
+    """Write the header, then one line per row of the 2-d table, each value as _fmt writes it.
+
+    Rows are formatted _BLOCK_ROWS at a time by one %-format of a block-length
+    template, so the Python objects alive at once do not grow with the table.
+    """
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for i in range(0, table.shape[0], _BLOCK_ROWS):
+            block = table[i:i + _BLOCK_ROWS]
+            f.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def simulate(spec_name, method: str, n_steps: int,
@@ -238,7 +247,7 @@ def simulate(spec_name, method: str, n_steps: int,
     traj_path = out / f"{stem}-trajectory.csv"
     xs = sol.node_positions
     _write_lines(traj_path, "# " + ",".join(cols),
-                 np.column_stack([sol.times, xs, sol.momenta]).tolist())
+                 np.column_stack([sol.times, xs, sol.momenta]))
     files = {"trajectory": traj_path.name}
 
     max_err_x = max_err_p = None
@@ -246,7 +255,7 @@ def simulate(spec_name, method: str, n_steps: int,
         X, P = exact_states(spec.problem, sol.times)
         energy_path = out / f"{stem}-energy.csv"
         _write_lines(energy_path, "# t,E_num,E_exact,E_err", np.column_stack(
-            [sol.times, *_energy_columns(spec.problem, xs, sol.momenta, X, P)]).tolist())
+            [sol.times, *_energy_columns(spec.problem, xs, sol.momenta, X, P)]))
         files["energy"] = energy_path.name
         max_err_x, max_err_p = _deviations(sol, X, P)
 
@@ -305,21 +314,22 @@ def export_weights(method: str, exponent: float, h: float, n_weights: int,
     path = Path(path)
     # the indices go through %.17g as floats, which writes them as integers
     _write_lines(path, header, np.column_stack(
-        [*np.indices(seq.W.shape).reshape(3, -1), seq.W.ravel()]).tolist())
+        [*np.indices(seq.W.shape).reshape(3, -1), seq.W.ravel()]))
     return path
 
 
 def read_weights(path) -> Tuple[dict, np.ndarray]:
     """Parse an export_weights file back into (metadata, array of shape (N+1, r, r))."""
-    lines = Path(path).read_text().strip().splitlines()
+    with open(path) as f:
+        header = f.readline()
     meta = {}
-    for token in lines[0].lstrip("# ").split():
+    for token in header.lstrip("# ").split():
         key, _, value = token.partition("=")
         try:
             meta[key] = float(value)
         except ValueError:
             meta[key] = value
-    data = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
+    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     n = data[:, 0].astype(int)
     r = int(data[:, 1].max()) + 1
     W = np.zeros((int(n.max()) + 1, r, r))
@@ -338,9 +348,9 @@ def write_report_csv(report: ConvergenceReport, path) -> Path:
               f" excluded_x={idx(report.excluded_x)}"
               f" excluded_p={idx(report.excluded_p)}"
               f" columns=N,h,err_x,err_p")
-    rows = zip(report.steps, report.step_sizes, report.err_x, report.err_p)
     path = Path(path)
-    _write_lines(path, header, rows)
+    _write_lines(path, header, np.column_stack(
+        [report.steps, report.step_sizes, report.err_x, report.err_p]))
     return path
 
 

@@ -197,8 +197,8 @@ def with_derivative_order(spec: BenchmarkSpec, order: float) -> BenchmarkSpec:
     Changing the order invalidates the closed-form solution, so the copy
     drops exact_solution unless the order is unchanged.
     """
-    if not 0.0 < order < 2.0:
-        raise ValueError("derivative order must lie in (0, 2)")
+    if isinstance(order, bool) or not 0.0 < order < 2.0:
+        raise ValueError(f"derivative order must lie in (0, 2), got {order!r}")
     if order == 2.0 * spec.problem.alpha:
         return spec
     prob = dataclasses.replace(spec.problem, alpha=order / 2.0,

@@ -36,6 +36,7 @@ costs O(N log^2 N).  The result agrees with the direct sum to rounding, and
 bitwise while no lag is dropped and the FFT is not used.
 """
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -363,24 +364,27 @@ class _History:
         self.incr = np.empty((N * n, x0.size))  # blocks - x0, one control point per row
         if past is not None:
             self.incr[:past.shape[0] * n] = (past - x0).reshape(-1, x0.size)
-        self.V, self.cap, self.top, self.spectra, self.k = V, cap, top, {}, 0
+        # the far field's squares (L, qL): odd q, first target qL + cap < N, by qL
+        sizes = (_FFT_BLOCK << i for i in range(N.bit_length()))
+        self.squares = sorted(((L, qL) for L in sizes for qL in range(L, N - cap, 2 * L)),
+                              key=lambda sq: sq[1]) if self.far is not None else []
+        self.V, self.cap, self.top, self.spectra, self.added = V, cap, top, {}, 0
 
     def window(self, k, incr):
         (w, n, d), far = incr.shape, self.far is not None
-        N, L = self.V.shape[0], _FFT_BLOCK
-        while far and L + self.cap < N:
-            # odd q, first target qL + cap < N, last source qL - 1 < k and not added yet
-            for q in range(self.k // L + 1 | 1, min(k, N - 1 - self.cap) // L + 1, 2):
-                if L not in self.spectra:  # V_cap..V_{cap+2L-1}, zero past s
-                    lags = self.V[self.cap:min(self.cap + 2 * L, self.s + 1)]
-                    self.spectra[L] = np.fft.rfft(lags, 2 * L, axis=0)
-                src = self.incr[(q - 1) * L * n:q * L * n].reshape(L, n, d)
-                out = np.fft.irfft(self.spectra[L] @ np.fft.rfft(src, 2 * L, axis=0),
-                                   2 * L, axis=0)[L:]
-                lo = q * L + self.cap
-                self.far[lo:lo + L] += out[:N - lo]
-            L *= 2
-        self.k = k
+        N = self.V.shape[0]
+        # the squares whose last source qL - 1 < k, not added yet, by L then q
+        due = bisect.bisect_right(self.squares, k, lo=self.added, key=lambda sq: sq[1])
+        for L, qL in sorted(self.squares[self.added:due]):
+            if L not in self.spectra:  # V_cap..V_{cap+2L-1}, zero past s
+                lags = self.V[self.cap:min(self.cap + 2 * L, self.s + 1)]
+                self.spectra[L] = np.fft.rfft(lags, 2 * L, axis=0)
+            src = self.incr[(qL - L) * n:qL * n].reshape(L, n, d)
+            out = np.fft.irfft(self.spectra[L] @ np.fft.rfft(src, 2 * L, axis=0),
+                               2 * L, axis=0)[L:]
+            lo = qL + self.cap
+            self.far[lo:lo + L] += out[:N - lo]
+        self.added = due
 
         def j0(t):  # the near field's first source for target t
             return max(t - self.cap, 0) // _FFT_BLOCK * _FFT_BLOCK if far else 0

@@ -107,7 +107,8 @@ def test_converge_rejects_non_integer_step_counts():
 
 def test_converge_rejects_a_bad_horizon_before_the_sweep():
     # a nan horizon used to surface as the first case's RuntimeError at N=4
-    for bad in (float("nan"), 0.0, -1.0):
+    # horizon=True used to run to t = 1
+    for bad in (float("nan"), 0.0, -1.0, True):
         with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {bad!r}"):
             converge("coupled-oscillator", "lobatto2", [4, 8, 16], horizon=bad)
 
@@ -208,6 +209,39 @@ def test_export_weights_round_trip(tmp_path, monkeypatch):
             again = compute_weights(harness._tableau_for(meta["method"]), meta["exponent"],
                                     meta["h"], W.shape[0] - 1)
         assert np.array_equal(W, again.W)
+
+
+def _per_row_lines(path, header, rows):
+    """The writer the block writer replaced: one format and one string per row."""
+    rows = [tuple(row) for row in rows]
+    fmt = ",".join(["%.17g"] * len(rows[0])) if rows else ""
+    path.write_text("\n".join([header] + [fmt % row for row in rows]) + "\n")
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_block_writer_matches_the_per_row_writer(tmp_path, blocks, extra):
+    n_rows = blocks * harness._BLOCK_ROWS + extra
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+               -3.0, 1e16, 2.0 ** 53 + 2, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(n_rows)
+    table = np.column_stack([
+        np.arange(n_rows, dtype=float),  # integer-valued, written as integers
+        np.resize(special, n_rows),
+        rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)])
+    harness._write_lines(tmp_path / "new.csv", "# a,b,c", table)
+    _per_row_lines(tmp_path / "old.csv", "# a,b,c", table.tolist())
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_read_weights_takes_many_blocks_and_one_row(tmp_path):
+    path = tmp_path / "w.csv"
+    # 1001 weights of 3 x 3 entries are 9009 rows, more than two blocks
+    _, W = read_weights(export_weights("lobatto3", -0.5, 0.01, 1000, path))
+    assert 9 * 1001 > 2 * harness._BLOCK_ROWS
+    assert np.array_equal(W, compute_weights(lobatto_iiic(3), -0.5, 0.01, 1000).W)
+    meta, W = read_weights(export_weights("midcq", -0.5, 0.1, 0, path))
+    assert W.shape == (1, 1, 1) and meta["method"] == "midcq"
+    assert np.array_equal(W, midcq_weights(-0.5, 0.1, 0).W)
 
 
 def test_export_weights_first_derivative_structure(tmp_path):

@@ -213,6 +213,14 @@ def test_with_derivative_order():
         with_derivative_order(spec, 0.0)
 
 
+@pytest.mark.parametrize("bad", [True, 0, 2, math.nan])
+def test_with_derivative_order_rejects_a_bad_order_by_its_value(bad):
+    # True used to run bagley-torvik at order 1
+    with pytest.raises(ValueError,
+                       match=rf"derivative order must lie in \(0, 2\), got {bad!r}"):
+        with_derivative_order(bagley_torvik(), bad)
+
+
 def test_construction_check_rejects_wrong_solution():
     from fvi.galerkin import LagrangianProblem
     from fvi.models import _check_exact
