@@ -207,18 +207,11 @@ def test_with_derivative_order():
     assert other.problem.alpha == 0.5
     assert other.problem.exact_solution is None
     assert other.problem.rho == spec.problem.rho
-    with pytest.raises(ValueError, match="derivative order"):
-        with_derivative_order(spec, 2.0)
-    with pytest.raises(ValueError, match="derivative order"):
-        with_derivative_order(spec, 0.0)
-
-
-@pytest.mark.parametrize("bad", [True, 0, 2, math.nan])
-def test_with_derivative_order_rejects_a_bad_order_by_its_value(bad):
     # True used to run bagley-torvik at order 1
-    with pytest.raises(ValueError,
-                       match=rf"derivative order must lie in \(0, 2\), got {bad!r}"):
-        with_derivative_order(bagley_torvik(), bad)
+    for bad in (2.0, 0.0, True, 0, 2, math.nan):
+        with pytest.raises(ValueError,
+                           match=rf"derivative order must lie in \(0, 2\), got {bad!r}"):
+            with_derivative_order(spec, bad)
 
 
 def test_construction_check_rejects_wrong_solution():

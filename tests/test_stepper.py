@@ -358,6 +358,17 @@ def test_history_takes_many_past_blocks_at_once():
     got = history.window(N - 1, blocks[-1:] - x0)[0]
     assert history.far.any()
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # squares that fall due in one window are added by size L, then by
+    # position qL, and give bitwise the sums of this reference loop
+    far, L = np.zeros_like(history.far), _B
+    while L + cap < N:
+        spectrum = np.fft.rfft(V[cap:cap + 2 * L], 2 * L, axis=0)
+        for qL in range(L, N - cap, 2 * L):
+            src = np.fft.rfft(blocks[qL - L:qL] - x0, 2 * L, axis=0)
+            out = np.fft.irfft(spectrum @ src, 2 * L, axis=0)[L:]
+            far[qL + cap:qL + cap + L] += out[:N - qL - cap]
+        L *= 2
+    assert np.array_equal(history.far, far)
 
 
 def test_constant_hessian_run_batches_stage_gradient(monkeypatch):
