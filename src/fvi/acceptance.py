@@ -14,7 +14,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cq import StageTrajectory, apply_advanced, apply_retarded, compute_weights
+from .cq import (StageTrajectory, _compute_weights, apply_advanced, apply_retarded,
+                 compute_weights)
 from .galerkin import LagrangianProblem
 from .harness import converge, fit_slope, run_benchmark
 from .models import by_name, energy_series, exact_states
@@ -107,7 +108,7 @@ def _quadrature_endpoint_slope(r: int, m: int, kind: str) -> float:
     for k in range(2, 9):
         n = 2 ** k
         h = 1.0 / n
-        w = compute_weights(tab, exponent, h, n, contour_points=2 * (n + 1))
+        w = _compute_weights(tab, exponent, h, n, 2 * (n + 1))  # a circle at every n
         t_nodes = h * (np.arange(n)[:, None] + tab.c[None, :])
         f = StageTrajectory((t_nodes ** m)[:, :, None], h)
         val = apply_retarded(w, f)[-1, -1, 0]

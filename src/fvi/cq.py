@@ -42,21 +42,17 @@ _HEAD, _HEAD_M, _HYP_Q, _HYP_MU, _HYP_ALPHA, _HYP_TAU = 16, 1024, 32, 3.2, 1.15,
 class WeightSequence:
     """Matrix convolution weights W_0..W_N for one kernel, tableau and step size.
 
-    W has shape (N+1, r, r) and units time^exponent.  max_imag_residue is the
-    largest imaginary part discarded when realifying the weights.  It reads 0
-    by construction: the contour path sums half the contour into a real table
-    with irfft, and the other paths are real.  The contour parameters are kept
-    so exports can reproduce the computation; the midpoint recurrence and the
-    hyperbolae have no circle: their radius and eps are nan, contour_points 0.
+    W has shape (N+1, r, r) and units time^exponent.  The contour parameters
+    are kept so exports can reproduce the computation; the midpoint
+    recurrence and the hyperbolae have no circle: their radius is nan and
+    contour_points 0.
     """
 
     exponent: float
     h: float
     W: np.ndarray
     tableau_label: str
-    max_imag_residue: float
     radius: float
-    eps: float
     contour_points: int
 
     def __post_init__(self):
@@ -73,6 +69,16 @@ class WeightSequence:
     @property
     def r(self) -> int:
         return self.W.shape[1]
+
+    @property
+    def max_imag_residue(self) -> float:
+        """0: irfft sums half the contour into a real table, and the other paths are real."""
+        return 0.0
+
+    @property
+    def eps(self) -> float:
+        """The accuracy target the circle radius was set for; nan without a circle."""
+        return _EPS if self.contour_points > 0 else math.nan
 
 
 @dataclass(frozen=True)
@@ -145,58 +151,41 @@ def _check_weight_args(exponent, h, N) -> int:
     return int(N)
 
 
-def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int, *,
-                    contour_points: int | None = None) -> WeightSequence:
+def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int) -> WeightSequence:
     """Convolution weights W_0..W_N of K(s) = s^(-exponent) for the given tableau.
 
-    The weights are the Taylor coefficients of K(gamma(z)/h).  For a stiffly
-    accurate tableau (b^T A^-1 1 = 1) and a non-negative integer order
-    m = -exponent they are the coefficients of the degree-m matrix polynomial
+    The weights are the Taylor coefficients of K(gamma(z)/h), and the inputs
+    alone pick how they are formed.  For a stiffly accurate tableau
+    (b^T A^-1 1 = 1) and a non-negative integer order m = -exponent they are
+    the coefficients of the degree-m matrix polynomial
     ((A^-1 - z (A^-1 1)(b^T A^-1))/h)^m, formed directly: W_0 = I for m = 0;
     W_0 = A^-1/h, W_1 = -(A^-1 1)(b^T A^-1)/h for m = 1; W_n = 0 for n > m.
+    This exact path reports the radius and M the circle would start from.
 
-    Any other exponent <= 1/2 on such a tableau, with N >= 16 and no
-    contour_points, is summed on hyperbolae (_hyperbola_weights), to 1e-12
-    of |W_n| (1e-10 at exponent -3/2), with contour_points 0, nan radius and
-    eps.  Every other kernel, and any explicit contour_points M, is summed
-    by the trapezoidal rule on |z| = lambda as one inverse FFT over M points,
-    W_n = lambda^(-n) ifft(K(gamma(z_l)/h))_n, z_l = lambda exp(-2 pi i l / M).
-    A, b and c are real, so the values at z_l and z_(M-l) are conjugate: only
-    l = 0..M//2 are evaluated, and a real inverse FFT (irfft) gives the real
-    table directly.  The radius is lambda = eps^(1/(M+N)) with eps = 1e-16,
-    the rounding level of double precision, where the aliasing error
-    lambda^M and the round-off amplification lambda^(-N) eps both equal
-    eps^(M/(M+N)).  M defaults to 2(N+1), putting that level near eps^(2/3)
-    (contour_points = N+1 gives the minimal rule, ~sqrt(eps)); near n = N =
-    2^12 the error reaches 1e-5 of |W_n| at exponent -1/2 (2e-7 at M =
-    4(N+1)).  K is applied through a complex eigendecomposition gamma(z_l) =
-    V diag(mu) V^-1; an eigenvector matrix whose 1-norm condition
-    ||V||_1 ||V^-1||_1 reaches _COND_LIMIT makes the contour retry once at
-    0.98*lambda, and raise RuntimeError if it fails again.  The exact path
-    reports the radius and M the contour would start from.  Tables are cached
+    Any other exponent <= 1/2 on such a tableau, with N >= 16, is summed on
+    hyperbolae (_hyperbola_weights), to 1e-12 of |W_n| (1e-10 at exponent
+    -3/2), with contour_points 0 and a nan radius.  Every other kernel is
+    summed on a circle of M = 2(N+1) points (_compute_weights); near n = N =
+    2^12 its error reaches 1e-5 of |W_n| at exponent -1/2.  Tables are cached
     by parameters and tableau coefficients, in one LRU cache with those of
     midcq_weights.
     """
     N = _check_weight_args(exponent, h, N)
-    M = 2 * (N + 1) if contour_points is None else int(contour_points)
-    if M < N + 1:
-        raise ValueError("contour_points must be at least N+1")
 
     def make():
-        lam, eps, order = _EPS ** (1.0 / (M + N)), _EPS, -float(exponent)
+        order, M = -float(exponent), 2 * (N + 1)
         stiff = abs(tab.bT_Ainv_one - 1.0) < 1e-13  # R(infinity) = 0
         if stiff and order >= 0 and order.is_integer():
-            W, m = _polynomial_weights(tab, int(order), h, N), M
-        elif stiff and contour_points is None and N >= _HEAD and exponent <= 0.5:
-            W, lam, eps, m = _hyperbola_weights(tab, exponent, h, N), math.nan, math.nan, 0
+            W, lam = _polynomial_weights(tab, int(order), h, N), _EPS ** (1.0 / (M + N))
+        elif stiff and N >= _HEAD and exponent <= 0.5:
+            W, lam, M = _hyperbola_weights(tab, exponent, h, N), math.nan, 0
         else:
-            (W, lam), m = _compute_weights(tab, exponent, h, N, M, lam), M
+            return _compute_weights(tab, exponent, h, N, M)
         return WeightSequence(exponent=float(exponent), h=float(h), W=W,
-                              tableau_label=tab.label, max_imag_residue=0.0,
-                              radius=lam, eps=eps, contour_points=m)
+                              tableau_label=tab.label, radius=lam, contour_points=M)
 
     return _cache.get((tab.label, tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(),
-                       float(exponent), float(h), N, contour_points), make)
+                       float(exponent), float(h), N), make)
 
 
 def _polynomial_weights(tab, m, h, N):
@@ -223,8 +212,7 @@ def _hyperbola_weights(tab, exponent, h, N):
     makes each band one real matrix product.
     """
     r, Q, W = tab.r, _HYP_Q, np.empty((N + 1, tab.r, tab.r))
-    W[:_HEAD] = _compute_weights(tab, exponent, h, _HEAD - 1, _HEAD_M,
-                                 _EPS ** (1.0 / (_HEAD_M + _HEAD - 1)))[0]
+    W[:_HEAD] = _compute_weights(tab, exponent, h, _HEAD - 1, _HEAD_M).W
     arg, lo = 1j * _HYP_TAU * np.arange(Q + 1) - _HYP_ALPHA, _HEAD
     while lo <= N:
         hi, mu = min(2 * lo, N + 1), _HYP_MU / lo
@@ -248,32 +236,42 @@ def _hyperbola_weights(tab, exponent, h, N):
     return W
 
 
-def _compute_weights(tab, exponent, h, N, M, lam, _retried=False):
-    """Contour sum on |z| = lam: real W (N+1, r, r) and the radius used.
+def _compute_weights(tab, exponent, h, N, M):
+    """W_0..W_N by the trapezoidal rule on |z| = lambda over M >= N+1 points.
 
-    A, b and c are real, so gamma(conj z) = conj gamma(z) and the contour
-    values at z_l and z_(M-l) are conjugate: only l = 0..M//2 are decomposed,
-    and irfft adds the conjugate half, leaving no imaginary part to discard.
-    The degeneracy test is the 1-norm condition of each eigenvector matrix,
-    formed from the inverse the K(gamma) product needs anyway.
+    W_n = lambda^(-n) ifft(K(gamma(z_l)/h))_n, z_l = lambda exp(-2 pi i l / M).
+    A, b and c are real, so gamma(conj z) = conj gamma(z) and the values at
+    z_l and z_(M-l) are conjugate: only l = 0..M//2 are decomposed, and irfft
+    adds the conjugate half, leaving no imaginary part to discard.  The
+    radius is lambda = eps^(1/(M+N)) with eps = 1e-16, the rounding level of
+    double precision, where the aliasing error lambda^M and the round-off
+    amplification lambda^(-N) eps both equal eps^(M/(M+N)): near eps^(2/3)
+    at M = 2(N+1), ~sqrt(eps) at the minimal M = N+1.  K is applied through
+    a complex eigendecomposition gamma(z_l) = V diag(mu) V^-1; an
+    eigenvector matrix whose 1-norm condition ||V||_1 ||V^-1||_1, formed
+    from the inverse the K(gamma) product needs anyway, reaches _COND_LIMIT
+    makes the contour retry once at 0.98*lambda, and raise RuntimeError if
+    it fails again.
     """
-    z = lam * np.exp(-2j * np.pi * np.arange(M // 2 + 1) / M)
-    vals, vecs = np.linalg.eig(gamma(tab, z))
-    inv = np.linalg.inv(vecs)
-    conds = np.linalg.norm(vecs, 1, axis=(1, 2)) * np.linalg.norm(inv, 1, axis=(1, 2))
-    bad = np.nonzero(~(conds < _COND_LIMIT))[0]
-    if bad.size:
-        if not _retried:
-            return _compute_weights(tab, exponent, h, N, M, 0.98 * lam, _retried=True)
-        raise RuntimeError(
-            f"contour degeneracy at node l={int(bad[0])} (cond={conds[bad[0]]:.3e}) "
-            f"even after radius retry")
+    lam, unit = _EPS ** (1.0 / (M + N)), np.exp(-2j * np.pi * np.arange(M // 2 + 1) / M)
+    for retried in (False, True):
+        vals, vecs = np.linalg.eig(gamma(tab, lam * unit))
+        inv = np.linalg.inv(vecs)
+        conds = np.linalg.norm(vecs, 1, axis=(1, 2)) * np.linalg.norm(inv, 1, axis=(1, 2))
+        bad = np.nonzero(~(conds < _COND_LIMIT))[0]
+        if not bad.size:
+            break
+        if retried:
+            raise RuntimeError(
+                f"contour degeneracy at node l={int(bad[0])} (cond={conds[bad[0]]:.3e}) "
+                f"even after radius retry")
+        lam *= 0.98
     kvals = (vals / h) ** (-exponent)
     kmat = (vecs * kvals[:, None, :]) @ inv
-    # a new array, so the cached table does not keep the M-point sum alive
     W = (np.fft.irfft(kmat, n=M, axis=0)[: N + 1]
          * (lam ** -np.arange(N + 1, dtype=float))[:, None, None])
-    return W, lam
+    return WeightSequence(exponent=float(exponent), h=float(h), W=W,
+                          tableau_label=tab.label, radius=lam, contour_points=M)
 
 
 def _check_operator(w: WeightSequence, f: StageTrajectory) -> None:
@@ -322,7 +320,7 @@ def midcq_weights(exponent: float, h: float, N: int) -> WeightSequence:
             c.append(((n - 1) * c[n - 1] - 2.0 * beta * c[n]) / (n + 1))
         W = (np.array(c) * (2.0 / h) ** beta)[:, None, None]
         return WeightSequence(exponent=float(exponent), h=float(h), W=W,
-                              tableau_label=midpoint().label, max_imag_residue=0.0,
-                              radius=math.nan, eps=math.nan, contour_points=0)
+                              tableau_label=midpoint().label, radius=math.nan,
+                              contour_points=0)
 
     return _cache.get(("midcq", float(exponent), float(h), N), make)

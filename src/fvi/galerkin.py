@@ -206,14 +206,15 @@ def stage_gradient(prob: LagrangianProblem, tab: ButcherTableau,
     E, D, M = basis.eval_matrix, basis.deriv_matrix, prob.mass_matrix
     Et = None if np.array_equal(E, np.eye(*E.shape)) else E.T  # I @ S is S
     Mt = None if np.array_equal(M, np.eye(prob.d)) else M.T  # unit mass: v @ I is v
-    # -h E stays a product for E = I: it spreads a NaN gradient over its block
-    mhE, Dt, b, ch, grad = -h * E, D.T, tab.b[:, None], tab.c * h, prob.grad_potential
+    mhE = None if Et is None else -h * E  # E = I: a NaN gradient stays at its node
+    Dt, b, ch, grad = D.T, tab.b[:, None], tab.c * h, prob.grad_potential
 
     def dL(stages, t_k):
         q = stages if Et is None else Et @ stages
         v = Dt @ stages / h
         G = _conform(grad(np.add.outer(t_k, ch), q), "grad_potential", q.shape, 1)
-        return mhE @ (b * G) + D @ (b * (v if Mt is None else v @ Mt))
+        force = -h * (b * G) if mhE is None else mhE @ (b * G)
+        return force + D @ (b * (v if Mt is None else v @ Mt))
 
     return dL
 

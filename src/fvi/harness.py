@@ -15,7 +15,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cq import compute_weights, midcq_weights
 # energy_series stays importable here: bench/tracer.py times it by this name
 from .models import (BenchmarkSpec, _energy_columns, by_name, energy_series,
                      exact_states, with_derivative_order)
@@ -290,8 +289,8 @@ def simulate(spec_name, method: str, n_steps: int,
 
 def _weights_hash(spec: BenchmarkSpec, method: str, h: float, n_steps: int) -> str:
     """Digest of the damping weights the run used, for manifest reproducibility."""
-    data = _run_weights(spec.problem, _tableau_for(method), h, n_steps)
-    return hashlib.sha256(np.ascontiguousarray(data).tobytes()).hexdigest()
+    seq = _run_weights(_tableau_for(method), -2.0 * spec.problem.alpha, h, n_steps)
+    return hashlib.sha256(np.ascontiguousarray(seq.W).tobytes()).hexdigest()
 
 
 def export_weights(method: str, exponent: float, h: float, n_weights: int,
@@ -302,11 +301,10 @@ def export_weights(method: str, exponent: float, h: float, n_weights: int,
     radius lambda, target accuracy eps, contour point count M and the largest
     imaginary part discarded when the contour sums were realified; midcq and
     compute_weights' hyperbolae have no circle: lambda and eps read nan, M 0.
-    compute_weights with the header's exponent, h and contour_points=M, or
-    for M = 0 midcq_weights or compute_weights' default, gives it back bitwise.
+    The table is the one `run` would use, so compute_weights with the
+    header's exponent and h, or midcq_weights for midcq, gives it back bitwise.
     """
-    seq = (midcq_weights(exponent, h, n_weights) if method == "midcq" else
-           compute_weights(_tableau_for(method), exponent, h, n_weights))
+    seq = _run_weights(_tableau_for(method), exponent, h, n_weights)
     header = (f"# method={method} tableau={seq.tableau_label} exponent={_fmt(exponent)}"
               f" h={_fmt(h)} lambda={_fmt(seq.radius)} eps={_fmt(seq.eps)}"
               f" contour_points={seq.contour_points}"

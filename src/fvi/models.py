@@ -47,9 +47,9 @@ class BenchmarkSpec:
         p0 = np.array(self.default_initials[1], dtype=float).ravel()
         if x0.size != self.problem.d or p0.size != self.problem.d:
             raise ValueError("initial state dimension mismatch")
-        if not (math.isfinite(self.default_horizon) and self.default_horizon > 0):
-            raise ValueError("horizon must be positive and finite, "
-                             f"got {self.default_horizon!r}")
+        horizon = self.default_horizon
+        if isinstance(horizon, bool) or not (math.isfinite(horizon) and horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
         x0.setflags(write=False)
         p0.setflags(write=False)
         object.__setattr__(self, "default_initials", (x0, p0))

@@ -1,16 +1,15 @@
 """Independent reference computations for tests and examples.
 
 Everything here is deliberately simple and derivation-free: closed-form
-Riemann-Liouville calculus on monomials, first-order Grunwald-Letnikov
-weights from the binomial recurrence, and a plain Cauchy product.  None of
-it shares code with the production quadratures it is used to check.
+Riemann-Liouville calculus on monomials and a plain Cauchy product.  None
+of it shares code with the production quadratures it is used to check.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["rl_monomial", "gl_weights", "brute_convolve"]
+__all__ = ["rl_monomial", "brute_convolve"]
 
 
 def rl_monomial(m: int, beta: float, t: float, kind: str = "integral") -> float:
@@ -53,25 +52,6 @@ def rl_monomial(m: int, beta: float, t: float, kind: str = "integral") -> float:
     except ValueError as exc:
         raise ValueError(f"gamma pole at argument {arg}") from exc
     return math.gamma(m + 1) / denom * t ** power
-
-
-def gl_weights(beta: float, h: float, N: int) -> np.ndarray:
-    """Grunwald-Letnikov weights w_n = h^(-beta) (-1)^n binom(beta, n).
-
-    First-order convolution quadrature for D^beta, generated by the
-    backward-difference symbol ((1 - z)/h)^beta; computed with the standard
-    recurrence w_n = w_(n-1) (1 - (beta + 1)/n).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    w = np.empty(N + 1)
-    w[0] = 1.0
-    for n in range(1, N + 1):
-        w[n] = w[n - 1] * (1.0 - (beta + 1.0) / n)
-    w *= h ** (-beta)
-    return w
 
 
 def brute_convolve(a, b):

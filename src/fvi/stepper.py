@@ -528,21 +528,20 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
             w += more
 
 
-def _run_weights(prob: LagrangianProblem, tab: ButcherTableau, h: float,
-                 N: int) -> np.ndarray:
-    """The damping weights W_0..W_N, shape (N+1, r, r), that `run` integrates with.
+def _run_weights(tab: ButcherTableau, exponent: float, h: float, N: int) -> WeightSequence:
+    """The weights W_0..W_N of K(s) = s^(-exponent) that `run` integrates with.
 
     The midpoint rule's symbol gamma(z) = 2(1-z)/(1+z) has the exact
-    recurrence of midcq_weights.  Every other tableau gets compute_weights'
-    default: exact polynomial weights at integer damping orders, and for
-    Lobatto IIIC at fractional orders with N >= 16 sums on hyperbolae whose
-    error stays below about 1e-12 of |W_n| up to n = N.
+    recurrence of midcq_weights.  Every other tableau gets compute_weights:
+    exact polynomial weights at integer damping orders, and for Lobatto IIIC
+    at fractional orders with N >= 16 sums on hyperbolae whose error stays
+    below about 1e-12 of |W_n| up to n = N.
     """
     if tab.r == 1:
         if not np.array_equal(np.r_[tab.A.ravel(), tab.b, tab.c], [0.5, 1.0, 0.5]):
             raise ValueError(f"one-stage tableau {tab.label!r} is not the midpoint rule")
-        return midcq_weights(-2.0 * prob.alpha, h, N).W
-    return compute_weights(tab, -2.0 * prob.alpha, h, N).W
+        return midcq_weights(exponent, h, N)
+    return compute_weights(tab, exponent, h, N)
 
 
 def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
@@ -559,7 +558,7 @@ def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
     scheme to first order at damping order one.
     """
     E = basis_for(tab).eval_matrix
-    V = tab.b[:, None] * _run_weights(prob, tab, cfg.h, cfg.N)[:cfg.N]
+    V = tab.b[:, None] * _run_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N).W[:cfg.N]
     if not np.array_equal(E, np.eye(*E.shape)):  # I @ V @ I is V
         V = E @ V @ E.T
     x0, p0 = _initial_state("x0", x0, prob.d), _initial_state("p0", p0, prob.d)

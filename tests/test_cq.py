@@ -171,11 +171,10 @@ def test_contour_sum_matches_closed_form(N, M, r):
     """The FFT contour sum, called directly, reproduces the exact order-1 weights."""
     tab = lobatto_iiic(r)
     h = 0.05
-    lam = 1e-16 ** (1.0 / (M + N))
-    W, radius = _compute_weights(tab, -1.0, h, N, M, lam)
+    w = _compute_weights(tab, -1.0, h, N, M)
     exact = _closed_form_weights(tab, 1, h, N)
-    assert radius == lam
-    assert np.abs(W - exact).max() < 1e-10 * np.abs(exact).max()
+    assert (w.radius, w.eps, w.contour_points) == (1e-16 ** (1.0 / (M + N)), 1e-16, M)
+    assert np.abs(w.W - exact).max() < 1e-10 * np.abs(exact).max()
 
 
 def _full_contour_weights(tab, exponent, h, N, M, lam):
@@ -199,7 +198,8 @@ def test_half_contour_matches_full_contour_sum(r, exponent, N, c):
     """
     tab = lobatto_iiic(r)
     h, M = 1.0 / N, c * (N + 1)
-    W, lam = _compute_weights(tab, exponent, h, N, M, 1e-16 ** (1.0 / (M + N)))
+    w = _compute_weights(tab, exponent, h, N, M)
+    W, lam = w.W, w.radius
     ref = _full_contour_weights(tab, exponent, h, N, M, lam).real
     scale = (lam ** np.arange(N + 1, dtype=float))[:, None, None]
     assert np.abs((W - ref) * scale).max() <= 1e-13 * np.abs(ref * scale).max()
@@ -211,6 +211,27 @@ def test_contour_degeneracy_is_reported_after_the_retry(monkeypatch):
     with pytest.raises(RuntimeError, match=r"contour degeneracy at node l=0 "
                        r"\(cond=\d\.\d{3}e[+-]\d+\) even after radius retry"):
         compute_weights(lobatto_iiic(3), -0.5, 0.0123, 20)
+
+
+def test_contour_retries_once_at_a_smaller_radius(monkeypatch):
+    """A degenerate first circle is summed again at 0.98*lambda, the radius recorded."""
+    tab, h, N, M = lobatto_iiic(2), 0.1, 8, 18
+    radii = []
+
+    def degenerate_first(tab, z):
+        radii.append(np.abs(z).max())
+        g = gamma(tab, z)
+        if len(radii) == 1:  # a Jordan block: no basis of eigenvectors
+            g[:] = [[1.0, 1.0], [0.0, 1.0]]
+        return g
+
+    monkeypatch.setattr(fvi.cq, "gamma", degenerate_first)
+    w = _compute_weights(tab, -0.5, h, N, M)
+    lam = 1e-16 ** (1.0 / (M + N))
+    assert len(radii) == 2 and w.radius == 0.98 * lam
+    np.testing.assert_allclose(radii, [lam, 0.98 * lam], rtol=1e-15)
+    ref = _full_contour_weights(tab, -0.5, h, N, M, w.radius).real
+    assert np.abs(w.W - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_cache_tells_tableaux_apart_by_coefficients():
@@ -280,7 +301,7 @@ def test_imaginary_residue_recorded_and_small():
     records max_imag_residue = 0.0.
     """
     tab, h, N = lobatto_iiic(3), 0.05, 64
-    w = compute_weights(tab, -0.5, h, N, contour_points=2 * (N + 1))
+    w = _compute_weights(tab, -0.5, h, N, 2 * (N + 1))
     full = _full_contour_weights(tab, -0.5, h, N, w.contour_points, w.radius)
     assert 0.0 < np.abs(full.imag).max() < 1e-6 * np.abs(w.W).max()
     assert w.max_imag_residue == 0.0
@@ -291,8 +312,8 @@ def test_imaginary_residue_recorded_and_small():
 
 def test_minimal_contour_parameters():
     N = 16
-    w = compute_weights(lobatto_iiic(2), -0.5, 0.1, N, contour_points=N + 1)
-    assert w.contour_points == N + 1
+    w = _compute_weights(lobatto_iiic(2), -0.5, 0.1, N, N + 1)
+    assert w.contour_points == N + 1 and w.eps == 1e-16
     np.testing.assert_allclose(w.radius, 1e-16 ** (1.0 / (2 * N + 1)))
 
 
@@ -311,9 +332,7 @@ def test_hyperbola_table_records_no_contour():
     tab, h, N = lobatto_iiic(3), 0.1, 16
     w = compute_weights(tab, -0.5, h, N)
     assert w.contour_points == 0 and np.isnan(w.radius) and np.isnan(w.eps)
-    head, _ = _compute_weights(tab, -0.5, h, 15, 1024, 1e-16 ** (1.0 / 1039))
-    np.testing.assert_array_equal(w.W[:16], head)
-    assert compute_weights(tab, -0.5, h, N, contour_points=2 * (N + 1)).contour_points == 34
+    np.testing.assert_array_equal(w.W[:16], _compute_weights(tab, -0.5, h, 15, 1024).W)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -330,7 +349,7 @@ def test_hyperbola_matches_fine_circle(r, exponent, head_tol, N):
     """
     tab, h = lobatto_iiic(r), 1.0 / N
     W = compute_weights(tab, exponent, h, N).W
-    C = compute_weights(tab, exponent, h, N, contour_points=16 * (N + 1)).W
+    C = _compute_weights(tab, exponent, h, N, 16 * (N + 1)).W
     err, size = np.abs(W - C).max(axis=(1, 2)), np.abs(C).max(axis=(1, 2))
     assert err.max() <= 1e-12 * size[1]
     assert np.all(err[:65] <= head_tol * size[:65])
@@ -394,8 +413,7 @@ def test_trajectory_copies_the_callers_values():
 def test_weight_sequence_copies_the_callers_table():
     W = np.ones((3, 2, 2))
     w = WeightSequence(exponent=-1.0, h=0.1, W=W, tableau_label="lobatto_iiic_2",
-                       max_imag_residue=0.0, radius=0.5, eps=1e-16,
-                       contour_points=6)
+                       radius=0.5, contour_points=6)
     W[0, 0, 0] = 2.0
     assert w.W[0, 0, 0] == 1.0
     assert not w.W.flags.writeable
@@ -483,13 +501,29 @@ def test_invalid_arguments_rejected():
         compute_weights(tab, -0.5, 0.0, 4)
     with pytest.raises(ValueError, match="N must be"):
         compute_weights(tab, -0.5, 0.1, -1)
-    with pytest.raises(ValueError, match="contour_points"):
-        compute_weights(tab, -0.5, 0.1, 8, contour_points=4)
+    with pytest.raises(TypeError, match="contour_points"):  # the inputs pick the path
+        compute_weights(tab, -0.5, 0.1, 8, contour_points=40)
     with pytest.raises(ValueError, match="h must be positive"):
         midcq_weights(-0.5, -1.0, 4)
     with pytest.raises(ValueError):
-        WeightSequence(exponent=-0.5, h=0.1, W=np.zeros((3, 2)) , tableau_label="x",
-                       max_imag_residue=0.0, radius=0.5, eps=1e-16, contour_points=8)
+        WeightSequence(exponent=-0.5, h=0.1, W=np.zeros((3, 2)), tableau_label="x",
+                       radius=0.5, contour_points=8)
+
+
+def test_weight_sequence_derives_eps_and_the_imaginary_residue():
+    """eps is the circle's target, nan without one; nothing imaginary is ever discarded."""
+    circle = WeightSequence(exponent=-0.5, h=0.1, W=np.zeros((3, 2, 2)),
+                            tableau_label="x", radius=0.5, contour_points=8)
+    none = WeightSequence(exponent=-0.5, h=0.1, W=np.zeros((3, 2, 2)),
+                          tableau_label="x", radius=float("nan"), contour_points=0)
+    assert (circle.eps, circle.max_imag_residue) == (1e-16, 0.0)
+    assert np.isnan(none.eps) and none.max_imag_residue == 0.0
+    for name in ("eps", "max_imag_residue"):
+        with pytest.raises(TypeError, match=name):
+            WeightSequence(exponent=-0.5, h=0.1, W=np.zeros((3, 2, 2)), tableau_label="x",
+                           radius=0.5, contour_points=8, **{name: 0.0})
+        with pytest.raises(AttributeError):
+            setattr(circle, name, 0.0)
 
 
 def test_operator_index_errors():

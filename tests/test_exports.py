@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fvi
+import fvi.harness as harness
 
 
 def _modules():
@@ -32,17 +33,36 @@ def test_run_midcq_is_not_exported(name):
         assert not hasattr(module, name), module.__name__
 
 
+def _tracer():
+    """bench/tracer.py, loaded by path and read only."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_fvi_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_traced_names_resolve():
     """Every span of bench/tracer.py finds at least one fvi name to wrap.
 
     The tracer reports a span whose names are all gone as absent, so a
     removed import of a traced name would otherwise pass unnoticed here.
     """
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_fvi_bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    unresolved = [span for span, sites in tracer.SITES.items()
+    unresolved = [span for span, sites in _tracer().SITES.items()
                   if not any(hasattr(importlib.import_module(module), attr)
                              for module, attr in sites)]
     assert not unresolved
+
+
+def test_traced_weight_spans_see_both_table_paths(tmp_path):
+    """A run and an export reach their weight tables through traced names.
+
+    A name that resolves but is bypassed, say a dispatcher calling
+    fvi.cq.compute_weights by module, would leave its weight metrics at 0.
+    """
+    with _tracer().Tracer() as trace:
+        harness.run_benchmark(fvi.by_name("bagley-torvik"), "lobatto2", 16)
+        harness.export_weights("midcq", -0.5, 0.1, 4, tmp_path / "w.csv")
+    spans = {span[0] for span in trace.spans}
+    assert {"cq.compute_weights", "cq.midcq_weights"} <= spans
+    assert not trace.weights["retries"] and trace.weights["table_bytes"] > 0

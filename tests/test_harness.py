@@ -189,21 +189,20 @@ def test_export_weights_round_trip(tmp_path, monkeypatch):
     assert meta["max_imag_residue"] == seq.max_imag_residue
     assert meta["tableau"] == "lobatto_iiic_2"
     # the header names the computation: method, exponent, h and contour
-    # points, 0 for the hyperbolae of compute_weights' default and for midcq;
-    # an empty weight cache makes the second table a recomputation
+    # points, 0 for the hyperbolae and for midcq; compute_weights with its
+    # exponent and h, or midcq_weights for midcq, gives any export back, and
+    # an empty weight cache makes that table a recomputation
     for method, exponent, h, n, points in (("lobatto3", -0.5, 0.1, 12, 26),
                                            ("lobatto3", -0.5, 0.1, 16, 0),
                                            ("lobatto3", -0.5, 0.1, 64, 0),
+                                           ("lobatto3", 0.75, 0.1, 64, 130),
                                            ("midcq", -0.5, 0.25, 12, 0)):
         meta, W = read_weights(export_weights(method, exponent, h, n, tmp_path / "w.csv"))
         M = int(meta["contour_points"])
         monkeypatch.setattr(cq, "_cache", _LRU(1))
         assert meta["method"] == method and M == points
         assert np.isnan(meta["lambda"]) == np.isnan(meta["eps"]) == (M == 0)
-        if M:
-            again = compute_weights(harness._tableau_for(meta["method"]), meta["exponent"],
-                                    meta["h"], W.shape[0] - 1, contour_points=M)
-        elif method == "midcq":
+        if method == "midcq":
             again = midcq_weights(meta["exponent"], meta["h"], W.shape[0] - 1)
         else:
             again = compute_weights(harness._tableau_for(meta["method"]), meta["exponent"],

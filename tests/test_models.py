@@ -244,7 +244,7 @@ def test_spec_validation():
         BenchmarkSpec(problem=spec.problem, name="x",
                       default_initials=(np.zeros(3), np.zeros(3)),
                       default_horizon=1.0)
-    for bad in (0.0, float("nan"), float("inf")):
+    for bad in (0.0, float("nan"), float("inf"), True):
         with pytest.raises(ValueError,
                            match=f"horizon must be positive and finite, got {bad!r}"):
             BenchmarkSpec(problem=spec.problem, name="x",

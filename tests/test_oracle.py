@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from fvi.cq import compute_weights
-from fvi.oracle import brute_convolve, gl_weights, rl_monomial
+from fvi.oracle import brute_convolve, rl_monomial
 from fvi.tableau import lobatto_iiic
 
 # 20-digit reference values
@@ -11,7 +11,6 @@ GAMMA_HALF = 1.77245385090551602730
 D_HALF_T3_AT_1 = 1.80540666735282011823  # 3.2 / Gamma(1/2)
 J_HALF_T2_COEF = 0.601802222450940039411  # Gamma(3) / Gamma(7/2)
 J_HALF_T2_AT_037 = 0.0501138879283406301397
-D_HALF_T2_COEF = 1.50450555612735009853  # Gamma(3) / Gamma(5/2)
 
 
 def test_classical_integral_of_t():
@@ -49,36 +48,6 @@ def test_rl_monomial_validation():
         rl_monomial(2, 0.5, 1.0, "weird")
     with pytest.raises(ValueError, match="non-negative integer"):
         rl_monomial(-1, 0.5, 1.0)
-
-
-def test_gl_weights_backward_difference():
-    w = gl_weights(1.0, 0.25, 5)
-    np.testing.assert_allclose(w, [4.0, -4.0, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
-
-
-def test_gl_weights_identity():
-    w = gl_weights(0.0, 0.1, 4)
-    np.testing.assert_allclose(w, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
-
-
-def test_gl_weights_half_order_frozen():
-    w = gl_weights(0.5, 1.0, 5)
-    np.testing.assert_allclose(
-        w, [1.0, -0.5, -0.125, -0.0625, -0.0390625, -0.02734375], rtol=1e-15)
-
-
-def test_gl_first_order_convergence():
-    """GL evaluation of D^(1/2) t^2 at t=1 converges at order one."""
-    errs = []
-    Ns = [32, 64, 128, 256]
-    for N in Ns:
-        h = 1.0 / N
-        w = gl_weights(0.5, h, N)
-        f = (np.arange(N + 1) * h) ** 2
-        approx = w[::-1] @ f
-        errs.append(abs(approx - D_HALF_T2_COEF))
-    slope = -np.polyfit(np.log(Ns), np.log(errs), 1)[0]
-    assert abs(slope - 1.0) < 0.25
 
 
 def test_brute_convolve_identity():

@@ -56,7 +56,7 @@ def _pendulum(eta=1.0, rho=0.2, alpha=0.5):
 def _loop_weights(prob, tab, cfg):
     """The default WeightSequence, whose table `run` integrates with."""
     w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N)
-    assert np.array_equal(w.W, stepper._run_weights(prob, tab, cfg.h, cfg.N))
+    assert stepper._run_weights(tab, -2 * prob.alpha, cfg.h, cfg.N) is w
     return w
 
 
@@ -281,7 +281,7 @@ def _second_derivative(spec, tab, h, N):
     """One block's hessian_blocks for spec's problem, and V_0..V_N."""
     prob = spec.problem
     basis = basis_for(tab)
-    V = tab.b[:, None] * stepper._run_weights(prob, tab, h, N)
+    V = tab.b[:, None] * stepper._run_weights(tab, -2 * prob.alpha, h, N).W
     stages = np.random.default_rng(7).normal(size=(basis.control_count, prob.d))
     return hessian_blocks(prob, tab, basis, stages, 0.0, h), V
 
@@ -447,7 +447,7 @@ def test_block_residual_keeps_its_grouping(method):
     basis = basis_for(tab)
     cfg = FviConfig(h=0.05, N=8)
     E = basis.eval_matrix
-    V = E @ (tab.b[:, None] * stepper._run_weights(prob, tab, cfg.h, cfg.N)) @ E.T
+    V = E @ (tab.b[:, None] * stepper._run_weights(tab, -2 * prob.alpha, cfg.h, cfg.N).W) @ E.T
     rng = np.random.default_rng(5)
     n, d = basis.control_count, prob.d
     x0 = rng.normal(size=d)
@@ -664,18 +664,20 @@ def test_run_reports_failing_phase():
     tab = tableau.lobatto_iiic(2)
     with pytest.raises(NewtonError, match="init step failed: .*residual nan"):
         stepper.run(_nan_gradient_from(0.0), tab, cfg, [1.0], [0.5])
-    # block 1 evaluates the gradient at t = 0.2
-    with pytest.raises(NewtonError, match="step 1 failed: .*residual nan") as info:
+    # block 1 evaluates the gradient at t = 0.2, its last node, which enters
+    # only block 2, through its incoming momentum
+    with pytest.raises(NewtonError, match="step 2 failed: .*residual nan") as info:
         stepper.run(_nan_gradient_from(0.15), tab, cfg, [1.0], [0.5])
     assert info.value.iterations == 0
 
 
 def test_window_ends_before_a_non_finite_block():
     # blocks 1 and 2 form the second group; block 2 evaluates the gradient at
-    # t = 0.3 and block 1 only up to t = 0.2, so block 1 settles in a shorter
-    # group and block 2 fails in its own, before any correction
+    # t = 0.3, its last node, which enters only block 3's incoming momentum,
+    # so blocks 1 and 2 settle and block 3 fails in its own group, before any
+    # correction
     cfg = FviConfig(h=0.1, N=4)
-    with pytest.raises(NewtonError, match="step 2 failed: .*residual nan") as info:
+    with pytest.raises(NewtonError, match="step 3 failed: .*residual nan") as info:
         stepper.run(_nan_gradient_from(0.25), tableau.lobatto_iiic(2), cfg,
                     [1.0], [0.5])
     assert info.value.iterations == 0
