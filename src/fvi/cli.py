@@ -95,6 +95,8 @@ def _resolve_steps(args, horizon: float) -> int:
     if args.h is not None:
         if not (math.isfinite(args.h) and args.h > 0):
             raise ValueError(f"--h must be positive and finite, got {args.h!r}")
+        if not math.isfinite(horizon / args.h):
+            raise ValueError(f"--h {args.h!r} is too small: horizon/h is not finite")
         return max(1, round(horizon / args.h))
     raise ValueError("one of --steps or --h is required")
 

@@ -6,7 +6,6 @@ parameter needed to reproduce a run.  Nothing here is time- or
 environment-dependent, so identical manifests imply byte-identical outputs.
 """
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -289,8 +288,16 @@ def simulate(spec_name, method: str, n_steps: int,
 
 def _weights_hash(spec: BenchmarkSpec, method: str, h: float, n_steps: int) -> str:
     """Digest of the damping weights the run used, for manifest reproducibility."""
+    # CPython's built-in SHA-256, loaded on first use: hashlib maps OpenSSL (~3.5 MiB)
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
     seq = _run_weights(_tableau_for(method), -2.0 * spec.problem.alpha, h, n_steps)
-    return hashlib.sha256(np.ascontiguousarray(seq.W).tobytes()).hexdigest()
+    return sha256(seq.W).hexdigest()  # read-only and C-contiguous: hashed in place
 
 
 def export_weights(method: str, exponent: float, h: float, n_weights: int,
@@ -309,11 +316,17 @@ def export_weights(method: str, exponent: float, h: float, n_weights: int,
               f" h={_fmt(h)} lambda={_fmt(seq.radius)} eps={_fmt(seq.eps)}"
               f" contour_points={seq.contour_points}"
               f" max_imag_residue={_fmt(seq.max_imag_residue)} columns=n,row,col,value")
-    path = Path(path)
-    # the indices go through %.17g as floats, which writes them as integers
-    _write_lines(path, header, np.column_stack(
-        [*np.indices(seq.W.shape).reshape(3, -1), seq.W.ravel()]))
-    return path
+    per_block = max(1, _BLOCK_ROWS // seq.r ** 2)  # weights, r² rows each
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for n0 in range(0, seq.count, per_block):
+            block = seq.W[n0:n0 + per_block]
+            cells = [None] * (4 * block.size)
+            cells[0::4], cells[1::4], cells[2::4] = np.mgrid[
+                n0:n0 + len(block), :seq.r, :seq.r].reshape(3, -1).tolist()
+            cells[3::4] = block.ravel().tolist()
+            f.write("%d,%d,%d,%.17g\n" * block.size % tuple(cells))
+    return Path(path)
 
 
 def read_weights(path) -> Tuple[dict, np.ndarray]:

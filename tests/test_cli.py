@@ -53,6 +53,15 @@ def test_simulate_rejects_bad_h(tmp_path, capsys, h):
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_rejects_an_h_whose_step_count_overflows(tmp_path, capsys):
+    # 1e-320 is positive and finite, but horizon/h is not
+    code = cli.main(["simulate", "--spec", "damped-oscillator-1d", "--h", "1e-320",
+                     "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "--h 1e-320 is too small: horizon/h is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("horizon", ["nan", "inf"])
 def test_simulate_rejects_non_finite_horizon(tmp_path, capsys, horizon):
     code = cli.main(["simulate", "--spec", "bagley-torvik", "--h", "0.1",

@@ -1,7 +1,13 @@
 """Tests for the experiment drivers: slope fits, sweeps, CSV and manifests."""
 
 import dataclasses
+import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from fvi import cq, harness, models
 from fvi.cq import _LRU, compute_weights, midcq_weights
 from fvi.harness import (ConvergenceReport, converge, export_weights,
                          fit_slope, read_weights, simulate, write_report_csv)
+from fvi.stepper import _run_weights
 from fvi.tableau import lobatto_iiic
 
 
@@ -171,6 +178,32 @@ def test_simulate_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("spec, method", [("bagley-torvik", "lobatto3"),
+                                          ("damped-oscillator-1d", "midcq")])
+def test_manifest_digest_is_the_sha256_of_the_run_weights(tmp_path, spec, method):
+    manifest = simulate(spec, method, 64, out_dir=tmp_path)
+    seq = _run_weights(harness._tableau_for(method), -manifest["derivative_order"],
+                       manifest["h"], 64)
+    assert manifest["weights_sha256"] == hashlib.sha256(seq.W.tobytes()).hexdigest()
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="no built-in SHA-256 module: hashlib is the digest")
+def test_simulate_does_not_load_openssl(tmp_path):
+    # a fresh interpreter, so no other test has imported hashlib first
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, fvi\n"
+            f"fvi.harness.simulate('bagley-torvik', 'lobatto2', 16, out_dir={str(tmp_path)!r})\n"
+            "print('_hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert (tmp_path / "bagley-torvik-lobatto2-N16-manifest.json").exists()
+
+
 def test_simulate_order_override_drops_exact_outputs(tmp_path):
     manifest = simulate("bagley-torvik", "midcq", 16, 1.0, out_dir=tmp_path,
                         derivative_order=0.8)
@@ -230,6 +263,19 @@ def test_block_writer_matches_the_per_row_writer(tmp_path, blocks, extra):
     harness._write_lines(tmp_path / "new.csv", "# a,b,c", table)
     _per_row_lines(tmp_path / "old.csv", "# a,b,c", table.tolist())
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("exponent", [-0.5, -1.0, 0.5, -0.75])
+@pytest.mark.parametrize("method", harness.METHOD_NAMES)
+def test_streamed_export_matches_the_whole_table_formula(tmp_path, method, exponent):
+    # a block is 1024 weights at r = 2 and 256 at r = 4; N + 1 weights are written
+    for n in (0, 255, 256, 257, 1023, 1024, 5000):
+        new = export_weights(method, exponent, 0.01, n, tmp_path / "new.csv")
+        W = _run_weights(harness._tableau_for(method), exponent, 0.01, n).W
+        header = new.read_text().split("\n", 1)[0]
+        _per_row_lines(tmp_path / "old.csv", header,
+                       np.column_stack([*np.indices(W.shape).reshape(3, -1), W.ravel()]))
+        assert new.read_bytes() == (tmp_path / "old.csv").read_bytes(), n
 
 
 def test_read_weights_takes_many_blocks_and_one_row(tmp_path):
