@@ -1,0 +1,35 @@
+"""The argument rules of fvi, each raising a ValueError that names the argument and its value.
+A number is a Python or numpy real or a 0-d real array: not a bool (numpy's too), str or None."""
+
+import math
+import numbers
+
+import numpy as np
+
+
+def real(name, value, low=-math.inf, high=math.inf, closed=False):
+    """value as a float if it is a finite number > low (>= if closed), < high; low: 0 or -inf."""
+    if (value.ndim == 0 and value.dtype.kind in "iuf" if isinstance(value, np.ndarray)
+            else isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        if math.isfinite(value) and (low <= value if closed else low < value) and value < high:
+            return float(value)
+    rule = (f"lie in ({low:g}, {high:g})" if high < math.inf else "be finite" if low == -math.inf
+            else f"be finite and >= {low:g}" if closed else "be positive and finite")
+    raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
+def integer(name, value, least):
+    """value as an int if it is an integer >= least and not a bool."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def state(name, value, d):
+    """value as a new array of d finite floats, from numbers only."""
+    arr = np.asarray(value)
+    got = arr.astype(float).ravel() if arr.dtype.kind in "iuf" else repr(value)
+    if isinstance(got, str) or got.size != d or not np.isfinite(got).all():
+        raise ValueError(f"{name} must be {d} finite values, got {got} of shape "
+                         f"{np.shape(value)}; the state dimension is {d}")
+    return got

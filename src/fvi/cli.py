@@ -9,7 +9,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import harness
+from . import _checks, harness
 from .models import BENCHMARK_NAMES
 
 __all__ = ["main", "build_parser"]
@@ -88,13 +88,10 @@ def cmd_weights(args) -> int:
 
 
 def _resolve_steps(args, horizon: float) -> int:
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if args.steps is not None:
         return args.steps
     if args.h is not None:
-        if not (math.isfinite(args.h) and args.h > 0):
-            raise ValueError(f"--h must be positive and finite, got {args.h!r}")
+        _checks.real("--h", args.h, 0.0)
         if not math.isfinite(horizon / args.h):
             raise ValueError(f"--h {args.h!r} is too small: horizon/h is not finite")
         return max(1, round(horizon / args.h))
@@ -105,7 +102,7 @@ def cmd_simulate(args) -> int:
     from .models import by_name
 
     spec = by_name(args.spec)
-    horizon = spec.default_horizon if args.horizon is None else args.horizon
+    horizon = harness._horizon(spec, args.horizon)
     steps = _resolve_steps(args, horizon)
     manifest = harness.simulate(spec, args.method, steps, horizon,
                                 out_dir=args.out_dir,

@@ -11,13 +11,13 @@ three-term power-series recurrence.  Every path returns a WeightSequence.
 """
 
 import math
-import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .tableau import ButcherTableau, gamma, midpoint
 
 __all__ = [
@@ -140,17 +140,6 @@ _CACHE_SIZE = 8  # weight tables kept, least recently used dropped first
 _cache = _LRU(_CACHE_SIZE)
 
 
-def _check_weight_args(exponent, h, N) -> int:
-    """Return N as an int after rejecting a bad h, exponent or N, or a bool, by its value."""
-    if isinstance(h, bool) or not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be positive and finite, got {h!r}")
-    if isinstance(exponent, bool) or not math.isfinite(exponent):
-        raise ValueError(f"exponent must be finite, got {exponent!r}")
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 0:
-        raise ValueError(f"N must be an integer >= 0, got {N!r}")
-    return int(N)
-
-
 def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int) -> WeightSequence:
     """Convolution weights W_0..W_N of K(s) = s^(-exponent) for the given tableau.
 
@@ -166,11 +155,15 @@ def compute_weights(tab: ButcherTableau, exponent: float, h: float, N: int) -> W
     hyperbolae (_hyperbola_weights), to 1e-12 of |W_n| (1e-10 at exponent
     -3/2), with contour_points 0 and a nan radius.  Every other kernel is
     summed on a circle of M = 2(N+1) points (_compute_weights); near n = N =
-    2^12 its error reaches 1e-5 of |W_n| at exponent -1/2.  Tables are cached
-    by parameters and tableau coefficients, in one LRU cache with those of
+    2^12 its error reaches 1e-5 of |W_n| at exponent -1/2.  The midpoint
+    tableau's circle table is kept though `run` takes midcq_weights: it is
+    the independent check of that recurrence.  Tables are cached by
+    parameters and tableau coefficients, in one LRU cache with those of
     midcq_weights.
     """
-    N = _check_weight_args(exponent, h, N)
+    _checks.real("h", h, 0.0)
+    _checks.real("exponent", exponent)
+    N = _checks.integer("N", N, 0)
 
     def make():
         order, M = -float(exponent), 2 * (N + 1)
@@ -311,7 +304,9 @@ def midcq_weights(exponent: float, h: float, N: int) -> WeightSequence:
     O(N) work and no contour quadrature.  W has shape (N+1, 1, 1): the
     weights of the midpoint tableau, cached with those of compute_weights.
     """
-    N = _check_weight_args(exponent, h, N)
+    _checks.real("h", h, 0.0)
+    _checks.real("exponent", exponent)
+    N = _checks.integer("N", N, 0)
 
     def make():
         beta = -float(exponent)

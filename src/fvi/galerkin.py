@@ -8,13 +8,12 @@ carries the time dependence so forced problems fit the same mould.
 """
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import _checks
 from .tableau import ButcherTableau
 
 __all__ = [
@@ -93,10 +92,7 @@ class LagrangianProblem:
     mass_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral) \
-                or self.d < 1:
-            raise ValueError(
-                f"state dimension must be an integer >= 1, got {self.d!r}")
+        _checks.integer("state dimension", self.d, 1)
         M = np.eye(self.d) if self.mass is None else np.array(
             self.mass, dtype=float, ndmin=2)  # a copy, frozen below
         if M.shape != (self.d, self.d):
@@ -105,10 +101,8 @@ class LagrangianProblem:
             raise ValueError("mass matrix must be symmetric")
         if np.linalg.eigvalsh(M).min() <= 0.0:
             raise ValueError("mass matrix must be positive definite")
-        if isinstance(self.rho, bool) or not (math.isfinite(self.rho) and self.rho >= 0.0):
-            raise ValueError(f"rho must be finite and >= 0, got {self.rho!r}")
-        if not 0.0 < self.alpha < 1.0:  # also rejects nan
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _checks.real("rho", self.rho, 0.0, closed=True)
+        _checks.real("alpha", self.alpha, 0.0, 1.0)
         M.setflags(write=False)
         object.__setattr__(self, "mass_matrix", M)
 
@@ -167,8 +161,7 @@ def _conform(value, name: str, shape: tuple, point: int = 0) -> np.ndarray:
 
 def _checked_stages(prob, basis, stages, h) -> np.ndarray:
     """The stages as a float array, once h and their shape are checked."""
-    if isinstance(h, bool) or not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be positive and finite, got {h!r}")
+    _checks.real("h", h, 0.0)
     stages = np.asarray(stages, dtype=float)
     if stages.shape != (basis.control_count, prob.d):
         raise ValueError(f"stages must have shape {(basis.control_count, prob.d)}")

@@ -14,10 +14,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _checks
 # energy_series stays importable here: bench/tracer.py times it by this name
 from .models import (BenchmarkSpec, _energy_columns, by_name, energy_series,
                      exact_states, with_derivative_order)
-from .stepper import FviConfig, FviSolution, _check_step_count, _run_weights, run
+from .stepper import FviConfig, FviSolution, _run_weights, run
 from .tableau import lobatto_iiic, midpoint
 
 __all__ = [
@@ -108,6 +109,9 @@ def fit_slope(h: np.ndarray, err: np.ndarray,
     err = np.asarray(err, dtype=float).ravel()
     if h.size != err.size:
         raise ValueError("h and err lengths differ")
+    for i, (step, e) in enumerate(zip(h.tolist(), err.tolist())):
+        _checks.real(f"h[{i}]", step, 0.0)
+        _checks.real(f"err[{i}]", e)
     if np.any(np.diff(h) >= 0):
         raise ValueError("step sizes must be strictly decreasing")
     floor = 100.0 * np.finfo(float).eps * float(magnitude)
@@ -132,19 +136,15 @@ def fit_slope(h: np.ndarray, err: np.ndarray,
 
 def _horizon(spec: BenchmarkSpec, horizon: Optional[float]) -> float:
     """horizon as a float, the spec's default for None, or a ValueError giving it."""
-    horizon = spec.default_horizon if horizon is None else horizon
-    if isinstance(horizon, bool) or not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    return float(horizon)
+    return _checks.real("horizon", spec.default_horizon if horizon is None else horizon, 0.0)
 
 
 def run_benchmark(spec: BenchmarkSpec, method: str, n_steps: int,
                   horizon: Optional[float] = None) -> FviSolution:
     """Integrate a benchmark with the named method over [0, horizon]."""
     tab = _tableau_for(method)
-    horizon = _horizon(spec, horizon)
-    # FviConfig checks N first, so a bad n_steps is named before h is used
-    cfg = FviConfig(h=horizon / max(n_steps, 1), N=n_steps)
+    horizon, n_steps = _horizon(spec, horizon), _checks.integer("N", n_steps, 1)
+    cfg = FviConfig(h=horizon / n_steps, N=n_steps)
     x0, p0 = spec.default_initials
     return run(spec.problem, tab, cfg, x0, p0)
 
@@ -164,8 +164,8 @@ def converge(spec_name, method: str, steps: Sequence[int],
              horizon: Optional[float] = None) -> ConvergenceReport:
     """Run the method at each step count and fit convergence slopes.
 
-    Each step count must be an integer >= 1; duplicates are dropped, and the
-    counts run one after another, coarsest first.  Stepper failures
+    steps is any iterable of integers >= 1, read once; duplicates are dropped, and
+    the counts run one after another, coarsest first.  Stepper failures
     carry the offending N in the message.  Position and momentum maxima over
     the main nodes are fitted separately, for every method.
     """
@@ -173,9 +173,7 @@ def converge(spec_name, method: str, steps: Sequence[int],
     _tableau_for(method)
     if spec.problem.exact_solution is None:
         raise ValueError("convergence study needs an exact solution")
-    for n in steps:
-        _check_step_count(n)
-    steps = sorted({int(n) for n in steps})
+    steps = sorted({_checks.integer("N", n, 1) for n in steps})
     if len(steps) < 3:
         raise ValueError("need at least 3 distinct step counts")
     horizon = _horizon(spec, horizon)

@@ -12,6 +12,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from . import _checks
 from .galerkin import LagrangianProblem, _conform
 from .oracle import rl_monomial
 
@@ -43,13 +44,9 @@ class BenchmarkSpec:
 
     def __post_init__(self):
         # copies, frozen below: no view of the caller's arrays
-        x0 = np.array(self.default_initials[0], dtype=float).ravel()
-        p0 = np.array(self.default_initials[1], dtype=float).ravel()
-        if x0.size != self.problem.d or p0.size != self.problem.d:
-            raise ValueError("initial state dimension mismatch")
-        horizon = self.default_horizon
-        if isinstance(horizon, bool) or not (math.isfinite(horizon) and horizon > 0):
-            raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+        x0, p0 = (_checks.state(f"initial {name}", value, self.problem.d)
+                  for name, value in zip(("x0", "p0"), self.default_initials))
+        _checks.real("horizon", self.default_horizon, 0.0)
         x0.setflags(write=False)
         p0.setflags(write=False)
         object.__setattr__(self, "default_initials", (x0, p0))
@@ -197,8 +194,7 @@ def with_derivative_order(spec: BenchmarkSpec, order: float) -> BenchmarkSpec:
     Changing the order invalidates the closed-form solution, so the copy
     drops exact_solution unless the order is unchanged.
     """
-    if isinstance(order, bool) or not 0.0 < order < 2.0:
-        raise ValueError(f"derivative order must lie in (0, 2), got {order!r}")
+    order = _checks.real("derivative order", order, 0.0, 2.0)
     if order == 2.0 * spec.problem.alpha:
         return spec
     prob = dataclasses.replace(spec.problem, alpha=order / 2.0,

@@ -38,11 +38,11 @@ bitwise while no lag is dropped and the FFT is not used.
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .cq import (
     StageTrajectory,
     WeightSequence,
@@ -84,12 +84,6 @@ _FFT_BLOCK = 128  # smallest far-field square of _History; must exceed 2 _WINDOW
 _inverses = _LRU(4)  # window-Jacobian inverses by the matrix's bytes, see _integrate
 
 
-def _check_step_count(N):
-    """Reject a step count that is not an integer >= 1, giving the value."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
-        raise ValueError(f"N must be an integer >= 1, got {N!r}")
-
-
 @dataclass(frozen=True)
 class FviConfig:
     """Run parameters: step size and step count."""
@@ -98,9 +92,8 @@ class FviConfig:
     N: int
 
     def __post_init__(self):
-        _check_step_count(self.N)
-        if isinstance(self.h, bool) or not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"h must be positive and finite, got {self.h!r}")
+        _checks.integer("N", self.N, 1)
+        _checks.real("h", self.h, 0.0)
 
 
 @dataclass(frozen=True)
@@ -146,8 +139,8 @@ class NewtonError(RuntimeError):
         self.iterations = iterations
 
 
-def _newton(residual, jacobian, u0, tol):
-    """Undamped Newton to max-norm residual <= tol; (solution, solves, residual).
+def _newton(residual, jacobian, u0, tol, scale=lambda u: 1.0):
+    """Undamped Newton to max-norm residual <= tol * scale(u); (solution, solves, residual).
 
     Each correction is u - J^-1 F with J the Jacobian at the current iterate.
     """
@@ -156,7 +149,7 @@ def _newton(residual, jacobian, u0, tol):
         F = residual(u)
         norm = float(np.abs(F).max()) if F.size else 0.0
         finite = math.isfinite(norm)
-        if finite and norm <= tol:
+        if finite and norm <= tol * scale(u):
             return u, solves, norm
         if not finite or solves == _NEWTON_MAX_ITER:
             break
@@ -184,15 +177,6 @@ def _require_two_stages(tab, name):
     if tab.r < 2:
         raise ValueError(f"{name} needs at least two stages, got one-stage "
                          f"tableau {tab.label!r}")
-
-
-def _initial_state(name, value, d):
-    """value as d finite floats, or a ValueError naming the argument and its shape."""
-    arr = np.asarray(value, dtype=float).ravel()
-    if arr.size != d or not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be {d} finite values, got {arr} of shape "
-                         f"{np.shape(value)}")
-    return arr
 
 
 def _check_weights(prob, tab, cfg, weights):
@@ -245,7 +229,7 @@ def init_step(prob: LagrangianProblem, tab: ButcherTableau,
     """
     _require_two_stages(tab, "init_step")
     _check_weights(prob, tab, cfg, weights)
-    x0, p0 = _initial_state("x0", x0, prob.d), _initial_state("p0", p0, prob.d)
+    x0, p0 = _checks.state("x0", x0, prob.d), _checks.state("p0", p0, prob.d)
     V0 = tab.b[:, None] * weights.W[0]
     return _integrate(prob, tab, cfg.h, V0[None], x0, p0)[0][0]
 
@@ -318,9 +302,8 @@ def qp_closed_form(prob: LagrangianProblem, h: float, x_k, p_k,
         raise ValueError("closed-form map requires alpha = 1/2")
     if not np.array_equal(prob.mass_matrix, np.eye(prob.d)):
         raise ValueError("closed-form map requires identity mass")
-    if isinstance(h, bool) or not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be positive and finite, got {h!r}")
-    x_k, p_k = _initial_state("x_k", x_k, prob.d), _initial_state("p_k", p_k, prob.d)
+    _checks.real("h", h, 0.0)
+    x_k, p_k = _checks.state("x_k", x_k, prob.d), _checks.state("p_k", p_k, prob.d)
     rho = prob.rho
     impulse = p_k - 0.5 * h * prob.grad_potential(t_k, x_k)
     x_next = x_k + (2.0 * h / (2.0 + rho * h)) * impulse
@@ -561,7 +544,7 @@ def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
     V = tab.b[:, None] * _run_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N).W[:cfg.N]
     if not np.array_equal(E, np.eye(*E.shape)):  # I @ V @ I is V
         V = E @ V @ E.T
-    x0, p0 = _initial_state("x0", x0, prob.d), _initial_state("p0", p0, prob.d)
+    x0, p0 = _checks.state("x0", x0, prob.d), _checks.state("p0", p0, prob.d)
     blocks, R, stats = _integrate(prob, tab, cfg.h, V, x0, p0)
     trajectory = StageTrajectory(values=blocks, h=cfg.h, continuity_flag=True)
     return FviSolution(trajectory=trajectory,
@@ -613,12 +596,14 @@ def solve_companion(prob: LagrangianProblem, tab: ButcherTableau,
     """Two-stage companion series with fixed endpoint values, as main nodes 0..N.
 
     Solves the anti-causal closure equations for the interior main nodes by
-    Newton iteration with a finite-difference Jacobian.
+    Newton iteration with a finite-difference Jacobian, stopped as _integrate stops
+    a block: at _NEWTON_TOL times max(1, |M| max|y| / h) at the current nodes y.
     """
     _require_exactly_two_stages(tab, "solve_companion")
     weights = compute_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N)
-    y_start = np.asarray(y_start, dtype=float).ravel()
-    y_end = np.asarray(y_end, dtype=float).ravel()
+    y_start = _checks.state("y_start", y_start, prob.d)
+    y_end = _checks.state("y_end", y_end, prob.d)
+    mass_h = float(np.abs(prob.mass_matrix).sum(axis=1).max()) / cfg.h
 
     def nodes(u):
         return np.vstack([y_start, u.reshape(cfg.N - 1, prob.d), y_end])
@@ -627,8 +612,8 @@ def solve_companion(prob: LagrangianProblem, tab: ButcherTableau,
         return companion_residuals(prob, tab, weights, nodes(u), cfg.h)
 
     guess = np.linspace(y_start, y_end, cfg.N + 1)[1:-1].ravel()
-    u, _, _ = _newton(residual, lambda v: _fd_jacobian(residual, v), guess,
-                         _NEWTON_TOL)
+    u, _, _ = _newton(residual, lambda v: _fd_jacobian(residual, v), guess, _NEWTON_TOL,
+                      lambda v: max(1.0, mass_h * float(np.abs(nodes(v)).max())))
     return nodes(u)
 
 

@@ -357,3 +357,32 @@ def test_node_errors_report_a_non_finite_node():
     momenta[3] = np.nan
     err_x, err_p = harness.node_errors(spec, dataclasses.replace(sol, momenta=momenta))
     assert np.isfinite(err_x) and np.isnan(err_p)
+
+
+@pytest.mark.parametrize("h,err,message", [
+    ([1.0, 0.5, 0.25, 0.125], [1.0, np.inf, 0.1, 0.01], "err[1] must be finite, got inf"),
+    ([1.0, 0.5, 0.25, 0.125], [1.0, 0.3, np.nan, 0.01], "err[2] must be finite, got nan"),
+    ([1.0, np.nan, 0.25, 0.125], [1.0, 0.3, 0.1, 0.01],
+     "h[1] must be positive and finite, got nan"),
+    ([1.0, 0.5, -0.25, -0.5], [1.0, 0.3, 0.1, 0.01],
+     "h[2] must be positive and finite, got -0.25"),
+    ([1.0, 0.5, 0.0, -0.5], [1.0, 0.3, 0.1, 0.01],
+     "h[2] must be positive and finite, got 0.0"),
+], ids=["inf-err", "nan-err", "nan-h", "negative-h", "zero-h"])
+def test_fit_slope_rejects_a_non_finite_point_by_its_index(h, err, message):
+    # an inf error used to give slope nan, a nan one was dropped as a floor point,
+    # and a nan or negative h ended in LinAlgError from the SVD
+    with pytest.raises(ValueError) as info:
+        fit_slope(h, err)
+    assert str(info.value) == message
+    # zero and sub-floor errors are still floor points
+    assert fit_slope([1.0, 0.5, 0.25, 0.125, 0.0625],
+                     [1.0, 0.25, 0.0625, 1e-17, 0.0])[2] == (3, 4)
+
+
+def test_converge_reads_a_generator_of_step_counts_once():
+    listed = converge("bagley-torvik", "lobatto2", [8, 16, 32, 64], horizon=1.0)
+    generated = converge("bagley-torvik", "lobatto2", (n for n in [8, 16, 32, 64]),
+                         horizon=1.0)
+    for field in dataclasses.fields(ConvergenceReport):
+        assert np.array_equal(getattr(generated, field.name), getattr(listed, field.name))

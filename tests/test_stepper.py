@@ -989,3 +989,16 @@ def test_legendre_rejects_block_index_out_of_range():
         with pytest.raises(ValueError, match="history step size 0.5 does not match "
                            "the weights step size 0.0625"):
             legendre(prob, tab, w, relabelled, 3)
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_solve_companion_stops_relative_to_the_size_of_its_terms(scale):
+    # an absolute 1e-12 stop lies below the rounding of terms of size |M| max|y| / h:
+    # at endpoint scale 1e4 Newton used to give up at a residual of 4.7e-12
+    spec, tab = models.bagley_torvik(), tableau.lobatto_iiic(2)
+    cfg = FviConfig(h=1.0 / 8, N=8)
+    y = stepper.solve_companion(spec.problem, tab, cfg, [0.3 * scale], [-0.7 * scale])
+    assert y[0, 0] == 0.3 * scale and y[-1, 0] == -0.7 * scale
+    w = compute_weights(tab, -2 * spec.problem.alpha, cfg.h, cfg.N)
+    resid = stepper.companion_residuals(spec.problem, tab, w, y, cfg.h)
+    assert np.abs(resid).max() <= stepper._NEWTON_TOL * np.abs(y).max() / cfg.h
