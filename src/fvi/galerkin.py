@@ -172,8 +172,11 @@ def _nodes(prob, tab, basis, stages, t_k, h):
     stages = _checked_stages(prob, basis, stages, h)
     q = basis.eval_matrix.T @ stages
     v = basis.deriv_matrix.T @ stages / h
-    ts = t_k + tab.c * h
-    return q, v, ts
+    return q, v, _quadrature_times(tab, t_k, h)
+
+
+def _quadrature_times(tab, t_k, h):  # t_k + c h: (r,) for one start time, (w, r) for w
+    return np.add.outer(t_k, tab.c * h)
 
 
 def discrete_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
@@ -187,25 +190,26 @@ def discrete_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
 
 def stage_gradient(prob: LagrangianProblem, tab: ButcherTableau,
                    basis: LagrangeBasis, h: float) -> Callable:
-    """dL(stages, t_k): d_all_lagrangian on steps of size h, constants bound once.
+    """dL(stages, ts): d_all_lagrangian on steps of size h, constants bound once.
 
     The returned function takes stages of shape (s+1, d) as a float array and
-    does not check them; it is the one formula d_all_lagrangian evaluates.  It also
-    takes a batch of w steps at once, stages of shape (w, s+1, d) and t_k a
-    sequence of w start times, and returns the w gradients, each bitwise the
-    one of its own step.  Each dL call calls grad_potential once, on the
-    (r,) or (w, r) quadrature times and the (r, d) or (w, r, d) points.
+    the step's quadrature times ts = t_k + c h, shape (r,), and checks
+    neither; it is the one formula d_all_lagrangian evaluates.  It also takes
+    a batch of w steps at once, stages of shape (w, s+1, d) and ts of shape
+    (w, r), and returns the w gradients, each bitwise the one of its own
+    step.  Each dL call calls grad_potential once, on ts and the (r, d) or
+    (w, r, d) points.
     """
     E, D, M = basis.eval_matrix, basis.deriv_matrix, prob.mass_matrix
     Et = None if np.array_equal(E, np.eye(*E.shape)) else E.T  # I @ S is S
     Mt = None if np.array_equal(M, np.eye(prob.d)) else M.T  # unit mass: v @ I is v
     mhE = None if Et is None else -h * E  # E = I: a NaN gradient stays at its node
-    Dt, b, ch, grad = D.T, tab.b[:, None], tab.c * h, prob.grad_potential
+    Dt, b, grad = D.T, tab.b[:, None], prob.grad_potential
 
-    def dL(stages, t_k):
+    def dL(stages, ts):
         q = stages if Et is None else Et @ stages
         v = Dt @ stages / h
-        G = _conform(grad(np.add.outer(t_k, ch), q), "grad_potential", q.shape, 1)
+        G = _conform(grad(ts, q), "grad_potential", q.shape, 1)
         force = -h * (b * G) if mhE is None else mhE @ (b * G)
         return force + D @ (b * (v if Mt is None else v @ Mt))
 
@@ -219,7 +223,7 @@ def d_all_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
     Checks h and the stages' shape and evaluates stage_gradient(prob, tab, basis, h).
     """
     stages = _checked_stages(prob, basis, stages, h)
-    return stage_gradient(prob, tab, basis, h)(stages, t_k)
+    return stage_gradient(prob, tab, basis, h)(stages, _quadrature_times(tab, t_k, h))
 
 
 def hessian_blocks(prob: LagrangianProblem, tab: ButcherTableau,

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from . import _checks
+
 __all__ = ["rl_monomial", "brute_convolve"]
 
 
@@ -34,13 +36,12 @@ def rl_monomial(m: int, beta: float, t: float, kind: str = "integral") -> float:
     Raises
     ------
     ValueError
-        If t <= 0, kind is unknown, or the Gamma argument hits a pole
-        (m + 1 -/+ beta a non-positive integer).
+        If m is not an integer >= 0, beta not finite or t not positive and
+        finite (bools are none of these), kind is unknown, or the Gamma
+        argument hits a pole (m + 1 -/+ beta a non-positive integer).
     """
-    if m < 0 or m != int(m):
-        raise ValueError("m must be a non-negative integer")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    m, beta = _checks.integer("m", m, 0), _checks.real("beta", beta)
+    t = _checks.real("t", t, 0.0)
     if kind == "integral":
         arg, power = m + 1 + beta, m + beta
     elif kind == "derivative":

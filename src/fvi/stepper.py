@@ -27,16 +27,18 @@ group size.  The solution agrees with a block-by-block solve to the Newton
 tolerance, not bitwise.  `run` is the way into the loop; `init_step` and
 `step` run it on one Lobatto block from an outside weight table and history.
 
-The window's history H is one _History.window call per evaluation.  It sums
-the settled blocks and the window's own in one product, over lags up to the
-table's last nonzero one (lag 1 at alpha = 1/2, where it costs O(N));
-sources further back come from the blocked FFT of Hairer, Lubich &
-Schlichte, whose squares it adds as the windows pass them, so a full table
-costs O(N log^2 N).  The result agrees with the direct sum to rounding, and
-bitwise while no lag is dropped and the FFT is not used.
+Per run the loop sets up its buffers, _History's reversed table and
+far-field schedule, and the window Jacobian's inverse, which _inverses keys
+by the Jacobian's inputs, so runs that share them do not build it; per
+window it makes one stage_gradient and one _History.window call.  The
+history sums the settled blocks and the window's own in one product, over
+lags up to the table's last nonzero one (lag 1 at alpha = 1/2, where it
+costs O(N)); sources further back come from the blocked FFT of Hairer,
+Lubich & Schlichte, whose squares it adds as the windows pass them, so a
+full table costs O(N log^2 N).  The result agrees with the direct sum to
+rounding, and bitwise while no lag is dropped and the FFT is not used.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -55,6 +57,7 @@ from .cq import (
 from .galerkin import (
     _FD_STEP,
     LagrangianProblem,
+    _quadrature_times,
     basis_for,
     d_all_lagrangian,
     hessian_blocks,
@@ -81,7 +84,7 @@ _NEWTON_TOL = 1e-12  # relative to the block's scale, see _integrate
 _NEWTON_MAX_ITER = 50
 _WINDOW_CAP = 16  # most blocks solved together, see _integrate
 _FFT_BLOCK = 128  # smallest far-field square of _History; must exceed 2 _WINDOW_CAP
-_inverses = _LRU(4)  # window-Jacobian inverses by the matrix's bytes, see _integrate
+_inverses = _LRU(4)  # window-Jacobian inverses by the matrix's inputs, see _integrate
 
 
 @dataclass(frozen=True)
@@ -244,6 +247,7 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
     history, and the block is that loop run on block k alone after it.
     """
     _require_two_stages(tab, "step")
+    k = _checks.integer("k", k, 0)
     if k < 1 or history.nblocks != k:
         raise ValueError(f"history must hold exactly blocks 0..{k - 1}")
     _check_weights(prob, tab, cfg, weights)
@@ -318,10 +322,11 @@ class _History:
     V holds V_0..V_{N-1}; s, the last nonzero lag among V_1..V_{N-1}, bounds
     the sum to j >= t - s, so a banded table (V_m = 0 for m >= 2 at alpha =
     1/2) costs O(N).  past, if given, holds blocks 0..k-1 before the first
-    window.  `window(k, incr)` takes the increments block - x0 of the
-    window's w <= cap blocks, the stepping loop's cap being its window span,
-    2 _WINDOW_CAP, and keeps them: k never decreases, so a block before k is
-    as the last window holding it passed it, its settled value.
+    window, at k.  `window(k, incr, out)` takes the increments block - x0 of
+    the window's w <= cap blocks, the stepping loop's cap being its window
+    span, 2 _WINDOW_CAP, keeps them and writes H into out, shape (w, n, d):
+    k never decreases, so a block before k is as the last window holding it
+    passed it, its settled value.
 
     When s > cap, sources before j0(t) = B floor((t - cap) / B), B =
     _FFT_BLOCK, come from the far field: the dyadic squares of Hairer, Lubich
@@ -329,11 +334,14 @@ class _History:
     cap.  For odd q the square of size L = B 2^l maps sources [(q-1)L, qL) to
     targets [qL + cap, (q+1)L + cap), one rfft/irfft pair of length 2L with
     the cached spectrum of V_cap..V_{cap+2L-1}, added into `far` by the first
-    window with k >= qL; a window needs no square whose sources reach it.
-    The near field, sources max(j0, t - s)..k+w-1, is one matmul per group
-    of targets sharing j0 (at most two per window, as w <= cap < B) over a
-    strided view of the reversed table; its lags past t - s and its cap zero
-    blocks at lags <= 0 are exact zeros.  O(N log^2 N) in all.
+    window with k >= qL.  Per run, the constructor reverses the table and
+    lists the squares as ints qL, each multiple of B being one, of L = qL &
+    -qL: the first window adds those past completes, by L then qL, and a
+    later one at most one, as w <= cap < B.  Per window, the near field,
+    sources max(j0, t - s)..k+w-1, is one matmul per group of targets sharing
+    j0 (at most two) over a strided view of the reversed table; its lags past
+    t - s and its cap zero blocks at lags <= 0 are exact zeros.  O(N log^2 N)
+    in all.
     """
 
     def __init__(self, V, cap, x0, past=None):
@@ -347,47 +355,42 @@ class _History:
         self.incr = np.empty((N * n, x0.size))  # blocks - x0, one control point per row
         if past is not None:
             self.incr[:past.shape[0] * n] = (past - x0).reshape(-1, x0.size)
-        # the far field's squares (L, qL): odd q, first target qL + cap < N, by qL
-        sizes = (_FFT_BLOCK << i for i in range(N.bit_length()))
-        self.squares = sorted(((L, qL) for L in sizes for qL in range(L, N - cap, 2 * L)),
-                              key=lambda sq: sq[1]) if self.far is not None else []
+        # each qL + cap < N, those past completes by L then qL, then N, which no k reaches
+        starts = list(range(_FFT_BLOCK, N - cap, _FFT_BLOCK)) if self.far is not None else []
+        done = 0 if past is None else past.shape[0] // _FFT_BLOCK
+        self.squares = sorted(starts[:done], key=lambda qL: (qL & -qL, qL)) + starts[done:] + [N]
+        self.grid = _FFT_BLOCK if self.far is not None else N  # j0's; N makes every j0 0
         self.V, self.cap, self.top, self.spectra, self.added = V, cap, top, {}, 0
 
-    def window(self, k, incr):
-        (w, n, d), far = incr.shape, self.far is not None
-        N = self.V.shape[0]
-        # the squares whose last source qL - 1 < k, not added yet, by L then q
-        due = bisect.bisect_right(self.squares, k, lo=self.added, key=lambda sq: sq[1])
-        for L, qL in sorted(self.squares[self.added:due]):
+    def window(self, k, incr, out):
+        (w, n, d), far, cap = incr.shape, self.far, self.cap
+        while self.squares[self.added] <= k:  # the squares whose last source qL - 1 < k
+            qL = self.squares[self.added]
+            L = qL & -qL
             if L not in self.spectra:  # V_cap..V_{cap+2L-1}, zero past s
-                lags = self.V[self.cap:min(self.cap + 2 * L, self.s + 1)]
+                lags = self.V[cap:min(cap + 2 * L, self.s + 1)]
                 self.spectra[L] = np.fft.rfft(lags, 2 * L, axis=0)
             src = self.incr[(qL - L) * n:qL * n].reshape(L, n, d)
-            out = np.fft.irfft(self.spectra[L] @ np.fft.rfft(src, 2 * L, axis=0),
-                               2 * L, axis=0)[L:]
-            lo = qL + self.cap
-            self.far[lo:lo + L] += out[:N - lo]
-        self.added = due
-
-        def j0(t):  # the near field's first source for target t
-            return max(t - self.cap, 0) // _FFT_BLOCK * _FFT_BLOCK if far else 0
-
+            conv = np.fft.irfft(self.spectra[L] @ np.fft.rfft(src, 2 * L, axis=0),
+                                2 * L, axis=0)[L:]
+            far[qL + cap:qL + cap + L] += conv[:far.shape[0] - qL - cap]
+            self.added += 1
         self.incr[k * n:(k + w) * n] = incr.reshape(w * n, d)
-        hist = np.empty((w, n, d))
-        split = j0(k + w - 1) + self.cap if j0(k) != j0(k + w - 1) else k
-        for ta, tb in ((k, split), (split, k + w)):  # targets ta..tb-1 share j0
+        B = self.grid  # the near field's first sources ja, jb of targets k, k+w-1
+        ja, jb = max(k - cap, 0) // B * B, max(k + w - 1 - cap, 0) // B * B
+        split = jb + cap if ja != jb else k
+        col = self.rev.itemsize
+        for ta, tb, j0 in ((k, split, ja), (split, k + w, jb)):  # targets ta..tb-1 share j0
             if ta == tb:
                 continue
-            js = max(j0(ta), ta - self.s)
+            js = max(j0, ta - self.s)
             # batch i: V_{t-js} | ... | V_{t-k-w+1} for target t = tb - 1 - i
-            col = self.rev.itemsize
             view = np.ndarray((tb - ta, n, (k + w - js) * n), buffer=self.rev,
                               offset=(self.top - tb + 1 + js) * n * col,
                               strides=(n * col, self.rev.strides[0], col))
-            hist[ta - k:tb - k] = (view @ self.incr[js * n:(k + w) * n])[::-1]
-        if far:
-            hist += self.far[k:k + w]
-        return hist
+            out[ta - k:tb - k] = (view @ self.incr[js * n:(k + w) * n])[::-1]
+        if far is not None:
+            out += far[k:k + w]
 
 
 def _integrate(prob, tab, h, V, x0, p_in, past=None):
@@ -421,23 +424,29 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
     uses the last inverse and each later one rebuilds it at the first
     unsettled block, so a constant Hessian builds one Jacobian per run
     and settles a group per evaluation.  A run's first inverse is looked up
-    by the Jacobian's bytes in _inverses, so runs that build the same one
-    share it; the later ones of nonlinear runs are not kept.  A non-finite
-    residual or _NEWTON_MAX_ITER corrections at the first unsettled block
-    raise NewtonError; a non-finite residual further on cuts the group before
-    that block, and a cut group is followed by one block.
+    in _inverses by the Jacobian's inputs, the hessian_blocks array, V_0..
+    V_{cap-1} and rho h with their shapes, so runs that share them share it
+    and a hit builds no Jacobian; the later ones of nonlinear runs are not
+    kept.  A non-finite residual or _NEWTON_MAX_ITER corrections at the first
+    unsettled block raise NewtonError; a non-finite residual further on cuts
+    the group before that block, and a cut group is followed by one block.
+    Per run it forms the quadrature times and span-sized buffers, which each
+    window fills: increments, history, momenta, closures, norms and scales.
     """
     basis = basis_for(tab)
     N, n, d = V.shape[0], basis.control_count, prob.d
     k0 = k = 0 if past is None else past.shape[0]
     cap, span = min(_WINDOW_CAP, N), min(2 * _WINDOW_CAP, N)
-    rho_h, V0, times = prob.rho * h, V[0], h * np.arange(N)
+    rho_h, V0, Vc = prob.rho * h, V[0], V[:cap]
+    ts = _quadrature_times(tab, h * np.arange(N), h)  # block k's at ts[k]
     steps = np.arange(1.0, span + 1)[:, None, None]
     dL = stage_gradient(prob, tab, basis, h)
     history = _History(V, span, x0, past)
     mass_h = float(np.abs(prob.mass_matrix).sum(axis=1).max()) / h
     blocks, R = np.empty((N, n, d)), np.empty((N, n, d))  # by step number
-    stats, Jinv = [], None
+    # the window's increments, history, incoming momenta, closures, norms and scales
+    buffers = [np.empty((span,) + shape) for shape in ((n, d),) * 2 + ((d,), (n - 1, d), (), ())]
+    biggest, stats, Jinv = np.maximum.reduce, [], None  # biggest: ndarray.max, unwrapped
 
     def guess(prev, j, w):  # block j+i, i < w, starts as prev shifted by i+1 displacements
         S = blocks[j:j + w]
@@ -460,17 +469,21 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
     size, cut, ahead = 1, False, 1
     while True:
         S = blocks[k:k + w]
-        incr = S - x0
-        Rw = dL(S, times[k:k + w]) - rho_h * (V0 @ incr + history.window(k, incr))
-        P = np.empty((w, d))  # incoming momenta
+        incr, hist, P, F, norms, scale = (buf[:w] for buf in buffers)
+        np.subtract(S, x0, out=incr)
+        history.window(k, incr, hist)
+        Rw = dL(S, ts[k:k + w]) - rho_h * (V0 @ incr + hist)
         P[0] = p_in
         P[1:] = Rw[:-1, -1]
-        F = Rw[:, :-1].copy()
+        F[...] = Rw[:, :-1]
         F[:, 0] += P
-        norms = np.abs(F).max(axis=(1, 2))
-        scale = np.abs(S).max(axis=(1, 2)) * mass_h + np.abs(P).max(axis=1)
+        biggest(np.abs(F), axis=(1, 2), out=norms)
+        biggest(np.abs(S), axis=(1, 2), out=scale)
+        scale *= mass_h
+        scale += biggest(np.abs(P), axis=1)
         settled = norms <= _NEWTON_TOL * np.maximum(scale, 1.0)
-        j = w if settled.all() else int(settled.argmin())
+        j = int(settled.argmin())  # the first unsettled block, or w
+        j = w if settled[j] else j
         if j:
             R[k:k + j] = Rw[:j]
             stats += zip([c] * min(j, lead) + [0] * (j - lead), norms[:j].tolist())
@@ -482,7 +495,7 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
         if j == w:
             p_in, w = Rw[-1, -1], 0
         else:
-            p_in, norm = P[j], float(norms[j])
+            p_in, norm = P[j].copy(), float(norms[j])
             if not math.isfinite(norm) or c == _NEWTON_MAX_ITER:
                 phase = f"step {k}" if k else "init step"
                 raise NewtonError(
@@ -493,13 +506,15 @@ def _integrate(prob, tab, h, V, x0, p_in, past=None):
             if not finite.all():
                 w, cut = int(finite.argmin()), True
             if c or Jinv is None:
-                J = _window_jacobian(hessian_blocks(prob, tab, basis, S[j], times[k], h),
-                                     V[:cap], rho_h)
-                if Jinv is None:  # the run's first inverse may be an earlier run's
-                    Jinv = _inverses.get((J.shape, J.tobytes()), lambda: np.linalg.inv(J))
-                    Jinv.setflags(write=False)  # shared with later runs
-                else:
-                    Jinv = np.linalg.inv(J)
+                hess = hessian_blocks(prob, tab, basis, S[j], k * h, h)
+
+                def invert():
+                    return np.linalg.inv(_window_jacobian(hess, Vc, rho_h))
+
+                # the run's first inverse may be an earlier run's, found by the Jacobian's inputs
+                Jinv = invert() if Jinv is not None else _inverses.get(
+                    (hess.shape, hess.tobytes(), Vc.shape, Vc.tobytes(), rho_h), invert)
+                Jinv.setflags(write=False)  # a cached one is shared with later runs
             S, u = blocks[k:k + w], w * (n - 1) * d  # the group and its unknowns
             S[:, 1:] -= (Jinv[:u, :u] @ F[j:j + w].ravel()).reshape(w, n - 1, d)
             S[1:, 0] = S[:-1, -1]
@@ -571,7 +586,7 @@ def _two_stage_blocks(nodes):
 def _block_gradients(prob, tab, blocks, h):
     """D L_d of blocks 0..N-1 from one batched call; the terminal block N has none."""
     dL = stage_gradient(prob, tab, basis_for(tab), h)
-    return dL(blocks[:-1], h * np.arange(blocks.shape[0] - 1))
+    return dL(blocks[:-1], _quadrature_times(tab, h * np.arange(blocks.shape[0] - 1), h))
 
 
 def companion_residuals(prob: LagrangianProblem, tab: ButcherTableau,

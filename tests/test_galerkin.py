@@ -195,7 +195,7 @@ def test_stage_gradient_is_d_all_lagrangian_bitwise(tab, d, random_mass):
             stages = rng.normal(size=(basis.control_count, d))
             t_k = float(rng.uniform(0.0, 2.0))
             ref = _d_all_lagrangian_reference(prob, tab, basis, stages, t_k, h)
-            assert np.array_equal(dL(stages, t_k), ref)
+            assert np.array_equal(dL(stages, t_k + tab.c * h), ref)
             assert np.array_equal(
                 d_all_lagrangian(prob, tab, basis, stages, t_k, h), ref)
 
@@ -223,10 +223,11 @@ def test_stage_gradient_batch_is_each_step_bitwise(tab, problem):
         dL = stage_gradient(prob, tab, basis, 0.2)
         stages = rng.normal(size=(5, basis.control_count, d))
         times = rng.uniform(0.0, 2.0, size=5).tolist()
-        batch = dL(stages, times)
+        ts = np.add.outer(times, tab.c * 0.2)
+        batch = dL(stages, ts)
         assert batch.shape == stages.shape
         for k in range(5):
-            assert np.array_equal(batch[k], dL(stages[k], times[k]))
+            assert np.array_equal(batch[k], dL(stages[k], times[k] + tab.c * 0.2))
 
 
 def test_problem_copies_the_callers_mass():

@@ -1,4 +1,6 @@
 """Tests for the reference fractional calculus and brute-force convolution."""
+import re
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,22 @@ def test_rl_monomial_validation():
         rl_monomial(2, 0.5, 0.0)
     with pytest.raises(ValueError, match="kind"):
         rl_monomial(2, 0.5, 1.0, "weird")
-    with pytest.raises(ValueError, match="non-negative integer"):
+    with pytest.raises(ValueError, match="m must be an integer >= 0, got -1"):
         rl_monomial(-1, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("m", (np.True_, 0.5, 1.0)), ("m", (True, 0.5, 1.0)), ("m", (2.0, 0.5, 1.0)),
+    ("m", (2.5, 0.5, 1.0)), ("m", ("2", 0.5, 1.0)), ("m", (None, 0.5, 1.0)),
+    ("beta", (2, np.nan, 1.0)), ("beta", (2, np.inf, 1.0)), ("beta", (2, np.True_, 1.0)),
+    ("beta", (2, "0.5", 1.0)), ("t", (2, 0.5, np.nan)), ("t", (2, 0.5, np.inf)),
+    ("t", (2, 0.5, -1.0)), ("t", (2, 0.5, np.True_)), ("t", (2, 0.5, None)),
+])
+def test_rl_monomial_names_the_rejected_argument(name, args):
+    # a nan t or beta used to give nan, and np.True_ ran as 1
+    bad = args[("m", "beta", "t").index(name)]
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(repr(bad))}$"):
+        rl_monomial(*args)
 
 
 def test_brute_convolve_identity():

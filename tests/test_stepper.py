@@ -332,7 +332,8 @@ def test_history_matches_the_direct_sum(support, d, N):
     exact = (history.far is None) and (support == "full" or N - 1 <= support)
     while k < N:
         w = min(w, N - k)
-        got = history.window(k, blocks[k:k + w] - x0)
+        got = np.empty((w, n, d))
+        history.window(k, blocks[k:k + w] - x0, got)
         incr = (blocks[:k + w] - x0).reshape((k + w) * n, d)
         ref = np.array([rev[:, (N - 1 - t) * n:(N - 1 - t + k + w) * n] @ incr
                         for t in range(k, k + w)]).reshape(w, n, d)
@@ -355,7 +356,9 @@ def test_history_takes_many_past_blocks_at_once():
     history = stepper._History(V, cap, x0, blocks[:-1])
     assert not history.far.any()
     ref = np.tensordot(V[N - 1:0:-1], blocks[:-1] - x0, axes=([0, 2], [0, 1]))
-    got = history.window(N - 1, blocks[-1:] - x0)[0]
+    got = np.empty((1, n, d))
+    history.window(N - 1, blocks[-1:] - x0, got)
+    got = got[0]
     assert history.far.any()
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     # squares that fall due in one window are added by size L, then by
@@ -457,7 +460,9 @@ def test_block_residual_keeps_its_grouping(method):
                                                 p_in, past)
         assert np.array_equal(stages[0], past[-1, -1])
         history = stepper._History(V[:k + 1], k + 1, x0, past)
-        hist = history.window(k, (stages - x0)[None])[0]
+        hist = np.empty((1, n, d))
+        history.window(k, (stages - x0)[None], hist)
+        hist = hist[0]
         ref = d_all_lagrangian(prob, tab, basis, stages, k * cfg.h, cfg.h) \
             - prob.rho * cfg.h * (V[0] @ (stages - x0) + hist)
         assert np.array_equal(R, ref)
@@ -487,22 +492,39 @@ def test_window_run_agrees_with_one_block_at_a_time(monkeypatch, method):
 
 def test_runs_with_the_same_jacobian_share_its_inverse(monkeypatch):
     # an ensemble's runs build one and the same window Jacobian, so only the
-    # first inverts it; the inverse is found by the matrix's bytes, so a run
-    # with another h or rho inverts its own, and the cache stays bounded
+    # first builds and inverts it; the inverse is keyed by the Jacobian's
+    # inputs, one block's hessian_blocks, V_0..V_{cap-1} and rho h, so a run
+    # with another Hessian, h or rho inverts its own, and the cache stays bounded
     spec, tab = models.coupled_oscillator(), tableau.lobatto_iiic(4)
     prob, (x0, p0) = spec.problem, spec.default_initials
     cfg = FviConfig(h=0.3125, N=64)
     counts = _count_linalg_from_stepper(monkeypatch)
+    built = _counted(monkeypatch, "_window_jacobian")
     first = stepper.run(prob, tab, cfg, x0, p0)
-    assert counts["inv"] == 1
+    assert counts["inv"] == 1 and len(built) == 1
     again = stepper.run(prob, tab, cfg, x0, p0)
     stepper.run(prob, tab, cfg, -x0, 2.0 * p0)
-    assert counts["inv"] == 1
+    assert counts["inv"] == 1 and len(built) == 1
     assert np.array_equal(again.trajectory.values, first.trajectory.values)
     assert np.array_equal(again.momenta, first.momenta)
-    stepper.run(prob, tab, FviConfig(h=0.3, N=64), x0, p0)
-    stepper.run(dataclasses.replace(prob, rho=0.5), tab, cfg, x0, p0)
-    assert counts["inv"] == 3
+    harmonic = _harmonic(d=prob.d, eta=0.7, rho=prob.rho, alpha=prob.alpha)
+    for other, other_cfg in ((harmonic, cfg), (prob, FviConfig(h=0.3, N=64)),
+                             (dataclasses.replace(prob, rho=0.5), cfg)):
+        inverted = counts["inv"]
+        own = stepper.run(other, tab, other_cfg, x0, p0)
+        hit = stepper.run(other, tab, other_cfg, x0, p0)
+        assert counts["inv"] == inverted + 1
+        with monkeypatch.context() as patch:
+            patch.setattr(stepper, "_inverses", _LRU(stepper._inverses.size))
+            cold = stepper.run(other, tab, other_cfg, x0, p0)
+        for sol in (own, hit):
+            assert np.array_equal(sol.trajectory.values, cold.trajectory.values)
+            assert np.array_equal(sol.momenta, cold.momenta)
+            assert sol.newton_stats == cold.newton_stats
+    # a key holds the Jacobian's inputs, not its (cap (n-1) d)^2 entries
+    unknowns = stepper._WINDOW_CAP * (basis_for(tab).control_count - 1) * prob.d
+    for key in stepper._inverses.items:
+        assert all(len(part) < 8 * unknowns ** 2 for part in key if isinstance(part, bytes))
     for N in range(10, 10 + 2 * stepper._inverses.size):
         stepper.run(prob, tab, FviConfig(h=1.0 / N, N=N), x0, p0)
     assert len(stepper._inverses.items) == stepper._inverses.size
@@ -786,6 +808,17 @@ def test_step_history_validation():
     with pytest.raises(ValueError, match="history step size 0.5 does not match "
                        "the weights step size 0.1"):
         stepper.step(prob, tab, w, cfg, relabelled, 1)
+
+
+@pytest.mark.parametrize("k", [np.True_, 1.0])
+def test_step_names_a_block_index_that_is_not_an_integer(k):
+    # on a one-block history np.True_ ran as k = 1 and 1.0 raised an unnamed TypeError
+    prob, cfg, tab = _harmonic(rho=0.1), FviConfig(h=0.1, N=4), tableau.lobatto_iiic(2)
+    w = compute_weights(tab, -1.0, cfg.h, cfg.N)
+    hist = StageTrajectory(values=stepper.init_step(prob, tab, w, cfg, [1.0], [0.0])[None],
+                           h=cfg.h)
+    with pytest.raises(ValueError, match=rf"^k must be an integer >= 0, got {k!r}$"):
+        stepper.step(prob, tab, w, cfg, hist, k)
 
 
 def test_run_rejects_one_stage_tableau_other_than_midpoint():
