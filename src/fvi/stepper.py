@@ -83,7 +83,7 @@ __all__ = [
 _NEWTON_TOL = 1e-12  # relative to the block's scale, see _integrate
 _NEWTON_MAX_ITER = 50
 _WINDOW_CAP = 16  # most blocks solved together, see _integrate
-_FFT_BLOCK = 128  # smallest far-field square of _History; must exceed 2 _WINDOW_CAP
+_FFT_BLOCK = 128  # smallest far-field square of _History: a power of two > 2 _WINDOW_CAP
 _inverses = _LRU(4)  # window-Jacobian inverses by the matrix's inputs, see _integrate
 
 
