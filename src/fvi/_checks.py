@@ -1,5 +1,7 @@
 """The argument rules of fvi, each raising a ValueError that names the argument and its value.
-A number is a Python or numpy real or a 0-d real array: not a bool (numpy's too), str or None."""
+A number is a Python or numpy real or a 0-d real array: not a bool (numpy's too), str or None.
+The fourth rule, frozen, is how a value type keeps its arrays: as read-only copies of its own,
+so no field aliases a caller's array."""
 
 import math
 import numbers
@@ -26,10 +28,19 @@ def integer(name, value, least):
 
 
 def state(name, value, d):
-    """value as a new array of d finite floats, from numbers only."""
+    """value as a new read-only array of d finite floats, from numbers only."""
     arr = np.asarray(value)
     got = arr.astype(float).ravel() if arr.dtype.kind in "iuf" else repr(value)
     if isinstance(got, str) or got.size != d or not np.isfinite(got).all():
         raise ValueError(f"{name} must be {d} finite values, got {got} of shape "
                          f"{np.shape(value)}; the state dimension is {d}")
+    got.setflags(write=False)
     return got
+
+
+def frozen(obj, dtype=float, **arrays):
+    """Set each named field of the frozen dataclass obj to a read-only copy of its value."""
+    for name, value in arrays.items():
+        arr = np.array(value, dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)

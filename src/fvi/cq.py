@@ -56,11 +56,12 @@ class WeightSequence:
     contour_points: int
 
     def __post_init__(self):
-        W = np.array(self.W, dtype=float)  # a copy: the caller's array stays writeable
-        if W.ndim != 3 or W.shape[1] != W.shape[2]:
+        _checks.real("exponent", self.exponent)
+        _checks.real("h", self.h, 0.0)
+        _checks.integer("contour_points", self.contour_points, 0)
+        _checks.frozen(self, W=self.W)
+        if self.W.ndim != 3 or self.W.shape[1] != self.W.shape[2]:
             raise ValueError("W must have shape (N+1, r, r)")
-        W.setflags(write=False)
-        object.__setattr__(self, "W", W)
 
     @property
     def count(self) -> int:
@@ -95,14 +96,12 @@ class StageTrajectory:
     continuity_flag: bool = False
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)  # a copy, frozen below
-        if vals.ndim != 3:
+        _checks.real("h", self.h, 0.0)
+        _checks.frozen(self, values=self.values)
+        if self.values.ndim != 3:
             raise ValueError("values must have shape (blocks, r, d)")
-        if self.continuity_flag and vals.shape[0] > 1:
-            if not np.array_equal(vals[:-1, -1, :], vals[1:, 0, :]):
-                raise ValueError("continuity violated: block k last stage != block k+1 first stage")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        if self.continuity_flag and not np.array_equal(self.values[:-1, -1], self.values[1:, 0]):
+            raise ValueError("continuity violated: block k last stage != block k+1 first stage")
 
     @property
     def nblocks(self) -> int:
@@ -267,8 +266,16 @@ def _compute_weights(tab, exponent, h, N, M):
                           tableau_label=tab.label, radius=lam, contour_points=M)
 
 
+def _check_step(w: WeightSequence, f: StageTrajectory) -> None:
+    """Reject a trajectory whose step size is not the table's."""
+    if f.h != w.h:
+        raise ValueError(f"history step size {f.h!r} does not match the "
+                         f"weights step size {w.h!r}")
+
+
 def _check_operator(w: WeightSequence, f: StageTrajectory) -> None:
-    """Reject a table too short for the trajectory or with another stage count."""
+    """Reject a table too short for the trajectory, of another step size or stage count."""
+    _check_step(w, f)
     if f.nblocks > w.count:
         raise IndexError(f"need weights up to index {f.nblocks - 1}, have {w.count - 1}")
     if w.r != f.r:

@@ -43,17 +43,11 @@ class LagrangeBasis:
     deriv_matrix: np.ndarray
 
     def __post_init__(self):
-        # copies, frozen below: the caller's arrays stay writeable
-        nodes = np.array(self.nodes, dtype=float).ravel()
-        ev = np.array(self.eval_matrix, dtype=float, ndmin=2)
-        dv = np.array(self.deriv_matrix, dtype=float, ndmin=2)
-        if ev.shape != dv.shape or ev.shape[0] != nodes.size:
+        _checks.frozen(self, nodes=self.nodes, eval_matrix=self.eval_matrix,
+                       deriv_matrix=self.deriv_matrix)
+        ev, dv = self.eval_matrix, self.deriv_matrix
+        if ev.ndim != 2 or ev.shape != dv.shape or self.nodes.shape != ev.shape[:1]:
             raise ValueError("inconsistent basis matrix shapes")
-        for arr in (nodes, ev, dv):
-            arr.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "eval_matrix", ev)
-        object.__setattr__(self, "deriv_matrix", dv)
 
     @property
     def control_count(self) -> int:
@@ -93,8 +87,10 @@ class LagrangianProblem:
 
     def __post_init__(self):
         _checks.integer("state dimension", self.d, 1)
-        M = np.eye(self.d) if self.mass is None else np.array(
-            self.mass, dtype=float, ndmin=2)  # a copy, frozen below
+        if self.mass is not None:
+            _checks.frozen(self, mass=self.mass)
+        _checks.frozen(self, mass_matrix=np.eye(self.d) if self.mass is None else self.mass)
+        M = self.mass_matrix
         if M.shape != (self.d, self.d):
             raise ValueError("mass matrix has wrong shape")
         if np.abs(M - M.T).max() > 1e-12 * max(np.abs(M).max(), 1.0):
@@ -103,8 +99,6 @@ class LagrangianProblem:
             raise ValueError("mass matrix must be positive definite")
         _checks.real("rho", self.rho, 0.0, closed=True)
         _checks.real("alpha", self.alpha, 0.0, 1.0)
-        M.setflags(write=False)
-        object.__setattr__(self, "mass_matrix", M)
 
 
 def basis_for(tab: ButcherTableau) -> LagrangeBasis:

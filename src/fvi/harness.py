@@ -79,10 +79,8 @@ class ConvergenceReport:
     excluded_p: Tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("steps", "step_sizes", "err_x", "err_p"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _checks.frozen(self, dtype=int, steps=self.steps)
+        _checks.frozen(self, step_sizes=self.step_sizes, err_x=self.err_x, err_p=self.err_p)
         n = self.steps.size
         if n < 3:
             raise ValueError("need at least 3 step counts for a slope fit")

@@ -43,13 +43,10 @@ class BenchmarkSpec:
     default_horizon: float
 
     def __post_init__(self):
-        # copies, frozen below: no view of the caller's arrays
-        x0, p0 = (_checks.state(f"initial {name}", value, self.problem.d)
-                  for name, value in zip(("x0", "p0"), self.default_initials))
+        object.__setattr__(self, "default_initials", tuple(
+            _checks.state(f"initial {name}", value, self.problem.d)
+            for name, value in zip(("x0", "p0"), self.default_initials)))
         _checks.real("horizon", self.default_horizon, 0.0)
-        x0.setflags(write=False)
-        p0.setflags(write=False)
-        object.__setattr__(self, "default_initials", (x0, p0))
 
 
 def exact_states(prob: LagrangianProblem, t) -> Tuple[np.ndarray, np.ndarray]:

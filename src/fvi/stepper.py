@@ -49,6 +49,7 @@ from .cq import (
     StageTrajectory,
     WeightSequence,
     _LRU,
+    _check_step,
     apply_advanced,
     apply_retarded,
     compute_weights,
@@ -120,10 +121,7 @@ class FviSolution:
     newton_stats: tuple
 
     def __post_init__(self):
-        for name in ("momenta", "times"):
-            arr = np.array(getattr(self, name), dtype=float)  # a copy, frozen
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _checks.frozen(self, momenta=self.momenta, times=self.times)
 
     @property
     def node_positions(self) -> np.ndarray:
@@ -261,9 +259,7 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
 
 def _node_momentum(prob, tab, weights, history, k, plus):
     _require_two_stages(tab, "legendre_plus" if plus else "legendre_minus")
-    if history.h != weights.h:
-        raise ValueError(f"history step size {history.h!r} does not match the "
-                         f"weights step size {weights.h!r}")
+    _check_step(weights, history)
     if not 0 <= k < history.nblocks:
         raise IndexError(f"block index {k} out of range")
     if weights.count <= k:

@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks
+
 __all__ = ["ButcherTableau", "lobatto_iiic", "midpoint", "stability", "gamma"]
 
 _SQRT5 = np.sqrt(5.0)
@@ -32,31 +34,18 @@ class ButcherTableau:
     bT_Ainv_one: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.asarray(self.b, dtype=float).ravel()
-        c = np.asarray(self.c, dtype=float).ravel()
-        r = b.size
-        if A.shape != (r, r) or c.size != r:
+        _checks.frozen(self, A=self.A, b=self.b, c=self.c)
+        r = self.b.size
+        if (self.A.shape, self.b.shape, self.c.shape) != ((r, r), (r,), (r,)):
             raise ValueError("inconsistent tableau dimensions")
-        if abs(b.sum() - 1.0) > 1e-13:
+        if abs(self.b.sum() - 1.0) > 1e-13:
             raise ValueError("tableau weights are not consistent (sum b != 1)")
         try:
-            Ainv = np.linalg.inv(A)
+            Ainv = np.linalg.inv(self.A)
         except np.linalg.LinAlgError as exc:
             raise ValueError("tableau A matrix is singular") from exc
-        for arr in (A, b, c, Ainv):
-            arr.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "Ainv", Ainv)
-        ainv_one = Ainv.sum(axis=1)
-        bt_ainv = b @ Ainv
-        ainv_one.setflags(write=False)
-        bt_ainv.setflags(write=False)
-        object.__setattr__(self, "Ainv_one", ainv_one)
-        object.__setattr__(self, "bT_Ainv", bt_ainv)
-        object.__setattr__(self, "bT_Ainv_one", float(bt_ainv.sum()))
+        _checks.frozen(self, Ainv=Ainv, Ainv_one=Ainv.sum(axis=1), bT_Ainv=self.b @ Ainv)
+        object.__setattr__(self, "bT_Ainv_one", float(self.bT_Ainv.sum()))
 
     @property
     def r(self) -> int:

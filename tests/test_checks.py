@@ -1,5 +1,6 @@
 """Argument rules: one table of bad inputs over the public entry points, and their one owner."""
 
+import inspect
 import math
 import re
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import fvi
 from fvi import harness, models, stepper
-from fvi.cq import compute_weights, midcq_weights
+from fvi.cq import StageTrajectory, WeightSequence, compute_weights, midcq_weights
 from fvi.galerkin import LagrangianProblem, basis_for, d_all_lagrangian
 from fvi.stepper import FviConfig
 from fvi.tableau import lobatto_iiic
@@ -30,6 +31,10 @@ def _problem(d=1, **kw):
     return LagrangianProblem(d=d, potential=lambda t, x: 0.0, grad_potential=lambda t, x: x, **kw)
 
 
+def _weights(exponent=-0.5, h=0.1, contour_points=0):
+    return WeightSequence(exponent, h, np.zeros((1, 1, 1)), "midpoint", _NAN, contour_points)
+
+
 # (entry, call(value, out_dir), argument name, its bad values besides the numpy bool, str
 # and None rows that _rows adds, a good value whose str is the str row)
 _SCALARS = [
@@ -45,6 +50,12 @@ _SCALARS = [
     ("midcq_weights-exponent", lambda v, out: midcq_weights(v, 0.1, 4), "exponent",
      [_NAN, -_INF, False], -0.5),
     ("midcq_weights-N", lambda v, out: midcq_weights(-0.5, 0.1, v), "N", _N0, 4),
+    ("StageTrajectory-h", lambda v, out: StageTrajectory(np.zeros((1, 2, 1)), v), "h", _H, 0.1),
+    ("WeightSequence-h", lambda v, out: _weights(h=v), "h", _H, 0.1),
+    ("WeightSequence-exponent", lambda v, out: _weights(exponent=v), "exponent",
+     [_NAN, -_INF, False], -0.5),
+    ("WeightSequence-contour_points", lambda v, out: _weights(contour_points=v),
+     "contour_points", [-3, 2.5, 4.0, _NAN, True], 6),
     ("d_all_lagrangian-h", lambda v, out: d_all_lagrangian(
         _OSC.problem, _TAB, basis_for(_TAB), np.zeros((2, 1)), 0.0, v), "h", _H, 0.1),
     ("LagrangianProblem-d", lambda v, out: _problem(d=v), "state dimension", [0, 2.5, True], 1),
@@ -130,3 +141,14 @@ def test_argument_rules_have_one_owner():
              if path.name != "_checks.py"
              for n, line in enumerate(path.read_text().splitlines(), 1) if copy.search(line)]
     assert not found, found
+
+
+def test_value_types_freeze_through_checks():
+    # a .setflags( outside _checks is a value type's own copy-and-freeze instead of
+    # _checks.frozen; the one exception is the shared inverse that stepper._integrate freezes
+    found = [f"{path.name}: {line.strip()}"
+             for path in sorted(Path(fvi.__file__).parent.glob("*.py"))
+             if path.name != "_checks.py"
+             for line in path.read_text().splitlines() if ".setflags(" in line]
+    assert len(found) == 1 and found[0].startswith("stepper.py: Jinv.setflags("), found
+    assert "Jinv.setflags(" in inspect.getsource(stepper._integrate)

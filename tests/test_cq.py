@@ -243,6 +243,20 @@ def test_cache_tells_tableaux_apart_by_coefficients():
     assert compute_weights(impostor, -0.5, 0.1, 8).W.shape == (9, 3, 3)
 
 
+def test_editing_a_callers_tableau_arrays_cannot_poison_the_cache(monkeypatch):
+    """The tableau keeps copies, so a later edit of the caller's b files no stale table."""
+    monkeypatch.setattr(fvi.cq, "_cache", fvi.cq._LRU(_CACHE_SIZE))
+    A, b, c = lobatto_iiic(2).A.copy(), np.array([0.25, 0.75]), lobatto_iiic(2).c.copy()
+    edited = ButcherTableau(A=A, b=b, c=c, p=1, q=1, label="caller")
+    b[:] = [0.5, 0.5]
+    compute_weights(edited, -0.5, 0.1, 8)
+    equal = ButcherTableau(A=A, b=b, c=c, p=2, q=1, label="caller")
+    warm = compute_weights(equal, -0.5, 0.1, 8)
+    monkeypatch.setattr(fvi.cq, "_cache", fvi.cq._LRU(_CACHE_SIZE))
+    assert np.array_equal(warm.W, compute_weights(equal, -0.5, 0.1, 8).W)
+    assert edited.b.tolist() == [0.25, 0.75] and A.flags.writeable
+
+
 def test_cache_keeps_midcq_and_contour_midpoint_tables_apart():
     """The recurrence and the contour on the midpoint tableau share a label, not a key."""
     rec = midcq_weights(-0.5, 0.1, 8)
@@ -539,3 +553,9 @@ def test_operator_index_errors():
     for op in (apply_retarded, apply_advanced):
         with pytest.raises(ValueError, match="stage counts"):
             op(w, f3)
+    # blocks labelled with another step size used to give a result
+    f_half = StageTrajectory(np.zeros((N + 1, 2, 1)), 0.5)
+    for op in (apply_retarded, apply_advanced):
+        with pytest.raises(ValueError, match="history step size 0.5 does not match "
+                           "the weights step size 0.1"):
+            op(w, f_half)

@@ -231,13 +231,13 @@ def test_stage_gradient_batch_is_each_step_bitwise(tab, problem):
 
 
 def test_problem_copies_the_callers_mass():
-    # the frozen copy belongs to the problem; the caller's array stays writeable
+    # the frozen copies belong to the problem; the caller's array stays writeable
     mass = np.array([[2.0, 0.5], [0.5, 1.0]])
     prob = LagrangianProblem(d=2, potential=lambda t, x: 0.0,
                              grad_potential=lambda t, x: np.zeros(2), mass=mass)
     mass[0, 0] = 3.0
-    assert prob.mass_matrix[0, 0] == 2.0
-    assert not prob.mass_matrix.flags.writeable
+    assert prob.mass_matrix[0, 0] == prob.mass[0, 0] == 2.0
+    assert not prob.mass_matrix.flags.writeable and not prob.mass.flags.writeable
 
 
 def test_basis_copies_the_callers_arrays():

@@ -130,6 +130,22 @@ def test_converge_input_validation():
         converge(spec, "lobatto2", [8, 16, 32], horizon=1.0)
 
 
+def test_report_copies_the_callers_arrays():
+    # the frozen copies belong to the report; the caller's arrays stay writeable
+    steps, hs = np.array([2, 4, 8]), np.array([0.5, 0.25, 0.125])
+    err_x, err_p = np.array([1.0, 0.1, 0.01]), np.array([2.0, 0.2, 0.02])
+    report = ConvergenceReport(spec_name="s", method="lobatto2", steps=steps, step_sizes=hs,
+                               err_x=err_x, slope_x=2.0, excluded_x=(), err_p=err_p,
+                               slope_p=2.0, excluded_p=())
+    for arr in (steps, hs, err_x, err_p):
+        assert arr.flags.writeable
+        arr[0] = 7
+    assert report.steps.tolist() == [2, 4, 8] and report.steps.dtype.kind == "i"
+    assert report.step_sizes[0] == 0.5 and report.err_x[0] == 1.0 and report.err_p[0] == 2.0
+    for arr in (report.steps, report.step_sizes, report.err_x, report.err_p):
+        assert not arr.flags.writeable
+
+
 def test_report_rejects_bad_shapes():
     def report(steps, step_sizes, err_x, err_p):
         return ConvergenceReport(spec_name="s", method="lobatto2",

@@ -199,6 +199,16 @@ def test_registry_lookup():
         by_name("pendulum")
 
 
+def test_with_derivative_order_keeps_the_mass_it_was_given():
+    # the problem used to keep the caller's mass, which dataclasses.replace read again
+    spec = bagley_torvik()
+    mass = np.array([[2.0]])
+    spec = dataclasses.replace(spec, problem=dataclasses.replace(spec.problem, mass=mass))
+    mass[0, 0] = 5.0
+    assert spec.problem.mass_matrix[0, 0] == 2.0
+    assert with_derivative_order(spec, 0.8).problem.mass_matrix[0, 0] == 2.0
+
+
 def test_with_derivative_order():
     spec = bagley_torvik()
     same = with_derivative_order(spec, 0.5)

@@ -150,9 +150,10 @@ def test_inconsistent_weights_rejected():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError, match="dimensions"):
-        ButcherTableau(A=np.eye(3), b=np.array([0.5, 0.5]),
-                       c=np.array([0.0, 1.0]), p=1, q=1, label="bad")
+    # the shapes are checked on the tableau's copies, which are not flattened
+    for A, b in ((np.eye(3), np.array([0.5, 0.5])), (np.eye(2), np.array([[0.5], [0.5]]))):
+        with pytest.raises(ValueError, match="dimensions"):
+            ButcherTableau(A=A, b=b, c=np.array([0.0, 1.0]), p=1, q=1, label="bad")
 
 
 def test_unsupported_stage_count():
