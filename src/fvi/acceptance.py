@@ -257,8 +257,7 @@ def criterion_9() -> CriterionResult:
         nodes = run(prob, tab, cfg, x0, p0).node_positions
         y = solve_companion(prob, tab, cfg, rng.standard_normal(prob.d),
                             rng.standard_normal(prob.d))
-        w = compute_weights(tab, -2.0 * prob.alpha, h, n)
-        resid = companion_residuals(prob, tab, w, y, h)
+        resid = companion_residuals(prob, tab, y, h)
         worst_resid = max(worst_resid, float(np.abs(resid).max()))
         for _ in range(3):
             delta = np.zeros((n + 1, prob.d))

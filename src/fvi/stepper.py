@@ -25,7 +25,9 @@ leading w-block corner of the inverse of a block lower-triangular matrix is
 the inverse of its leading corner, so one inverse at the cap serves every
 group size.  The solution agrees with a block-by-block solve to the Newton
 tolerance, not bitwise.  `run` is the way into the loop; `init_step` and
-`step` run it on one Lobatto block from an outside weight table and history.
+`step` run it on one Lobatto block from an outside history.  They, the
+Legendre momenta and the companion residuals take run's table from
+_run_weights: of cfg.N steps, of history.nblocks and of len(y_nodes) - 1.
 
 Per run the loop sets up its buffers, _History's reversed table and
 far-field schedule, and the window Jacobian's inverse, which _inverses keys
@@ -180,15 +182,6 @@ def _require_two_stages(tab, name):
                          f"tableau {tab.label!r}")
 
 
-def _check_weights(prob, tab, cfg, weights):
-    if abs(weights.exponent + 2.0 * prob.alpha) > 1e-12:
-        raise ValueError("weights exponent does not match the damping order")
-    if weights.h != cfg.h:
-        raise ValueError("weights step size does not match the configuration")
-    if weights.tableau_label != tab.label:
-        raise ValueError("weights were computed for another tableau")
-
-
 def _lower_toeplitz(blocks):
     """The block lower-triangular Toeplitz matrix with blocks[m] at block (i, i-m)."""
     cap, p, q = blocks.shape
@@ -220,50 +213,48 @@ def _window_jacobian(hess, V, rho_h):
     return _lower_toeplitz(J.transpose(0, 1, 3, 2, 4).reshape(cap, size, size))
 
 
-def init_step(prob: LagrangianProblem, tab: ButcherTableau,
-              weights: WeightSequence, cfg: FviConfig, x0, p0) -> np.ndarray:
+def init_step(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
+              x0, p0) -> np.ndarray:
     """First-step stages from the momentum boundary condition at t=0.
 
     Solves p0 = -D_1 L_d + rho h b_1 [CQ x]^1 together with the inner stage
     equations i = 2..s for the unknowns x_0^2..x_0^{s+1}; x_0^1 = x0 is fixed.
-    This is the stepping loop of `run` on block 0 alone.
+    This is the stepping loop of `run` on block 0 alone, with run's table.
     """
     _require_two_stages(tab, "init_step")
-    _check_weights(prob, tab, cfg, weights)
     x0, p0 = _checks.state("x0", x0, prob.d), _checks.state("p0", p0, prob.d)
-    V0 = tab.b[:, None] * weights.W[0]
+    V0 = tab.b[:, None] * _run_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N).W[0]
     return _integrate(prob, tab, cfg.h, V0[None], x0, p0)[0][0]
 
 
-def step(prob: LagrangianProblem, tab: ButcherTableau, weights: WeightSequence,
-         cfg: FviConfig, history: StageTrajectory, k: int) -> np.ndarray:
-    """Stages of block k from the discrete Euler-Lagrange closure.
+def step(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
+         history: StageTrajectory) -> np.ndarray:
+    """Stages of block k = history.nblocks from the discrete Euler-Lagrange closure.
 
-    history must hold blocks 0..k-1; the new block's first stage is the last
-    stage of block k-1.  The incoming momentum legendre_plus(k-1), which the
-    stepping loop of `run` carries along, is recomputed here from the
-    history, and the block is that loop run on block k alone after it.
+    history holds blocks 0..k-1, 1 <= k <= cfg.N; the new block's first stage
+    is the last stage of block k-1.  The incoming momentum legendre_plus(k-1),
+    which the stepping loop of `run` carries along, is recomputed here from
+    the history, and the block is that loop run on block k alone after it.
     """
     _require_two_stages(tab, "step")
-    k = _checks.integer("k", k, 0)
-    if k < 1 or history.nblocks != k:
-        raise ValueError(f"history must hold exactly blocks 0..{k - 1}")
-    _check_weights(prob, tab, cfg, weights)
-    if weights.count <= k:
-        raise ValueError(f"need weights up to index {k}, have {weights.count - 1}")
+    k, vals = history.nblocks, history.values
+    if not 1 <= k <= cfg.N:
+        raise ValueError(f"history must hold 1 to N = {cfg.N} blocks, got {k}")
+    weights = _run_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N)
+    _check_step(weights, history)
+    p_in = _node_momentum(prob, tab, history, k - 1, plus=True, weights=weights)
     V = tab.b[:, None] * weights.W[:k + 1]
-    vals = history.values
-    p_in = _node_momentum(prob, tab, weights, history, k - 1, plus=True)
     return _integrate(prob, tab, cfg.h, V, vals[0, 0], p_in, vals)[0][0]
 
 
-def _node_momentum(prob, tab, weights, history, k, plus):
+def _node_momentum(prob, tab, history, k, plus, weights=None):
     _require_two_stages(tab, "legendre_plus" if plus else "legendre_minus")
-    _check_step(weights, history)
     if not 0 <= k < history.nblocks:
         raise IndexError(f"block index {k} out of range")
-    if weights.count <= k:
-        raise IndexError(f"need weights up to index {k}, have {weights.count - 1}")
+    if history.r != tab.r:
+        raise ValueError(f"history has {history.r} stages, tableau {tab.label!r} has {tab.r}")
+    if weights is None:  # the table of a run over the history's blocks
+        weights = _run_weights(tab, -2.0 * prob.alpha, history.h, history.nblocks)
     vals = history.values
     # block k of apply_retarded(weights, blocks 0..k - x0), without the others
     dcq = np.tensordot(weights.W[k::-1], vals[:k + 1] - vals[0, 0], axes=([0, 2], [0, 1]))
@@ -275,20 +266,18 @@ def _node_momentum(prob, tab, weights, history, k, plus):
 
 
 def legendre_minus(prob: LagrangianProblem, tab: ButcherTableau,
-                   weights: WeightSequence, history: StageTrajectory,
-                   k: int) -> np.ndarray:
+                   history: StageTrajectory, k: int) -> np.ndarray:
     """Pre-node momentum p_k^- = -D_1 L_d(block k) + rho h b_1 [CQ x]_k^1.
 
     The stepping loop keeps these as it goes; this is the post-hoc reference.
     """
-    return _node_momentum(prob, tab, weights, history, k, plus=False)
+    return _node_momentum(prob, tab, history, k, plus=False)
 
 
 def legendre_plus(prob: LagrangianProblem, tab: ButcherTableau,
-                  weights: WeightSequence, history: StageTrajectory,
-                  k: int) -> np.ndarray:
+                  history: StageTrajectory, k: int) -> np.ndarray:
     """Post-node momentum p_{k+1}^+ = D_{s+1} L_d(block k) - rho h b_{s+1} [CQ x]_k^{s+1}."""
-    return _node_momentum(prob, tab, weights, history, k, plus=True)
+    return _node_momentum(prob, tab, history, k, plus=True)
 
 
 def qp_closed_form(prob: LagrangianProblem, h: float, x_k, p_k,
@@ -570,9 +559,17 @@ def _require_exactly_two_stages(tab, name):
                          f"tableau {tab.label!r}")
 
 
-def _two_stage_blocks(nodes):
-    """Blocks (x_k, x_{k+1}) of main nodes x_0..x_N, then the terminal block (x_N, 0)."""
+def _two_stage_blocks(name, nodes, d, count=None):
+    """Blocks (x_k, x_{k+1}) of main nodes x_0..x_N, then the terminal block (x_N, 0).
+
+    nodes must have shape (count, d), or (N+1, d) with N >= 1 if count is None.  Its
+    values may be non-finite: solve_companion's Newton stops on a NaN residual.
+    """
     nodes = np.asarray(nodes, dtype=float)
+    if (nodes.ndim != 2 or nodes.shape[1] != d or nodes.shape[0] < 2
+            or count not in (None, nodes.shape[0])):
+        want = f"(N+1, {d}) with N >= 1" if count is None else f"({count}, {d})"
+        raise ValueError(f"{name} must have shape {want}, got {nodes.shape}")
     blocks = np.zeros((nodes.shape[0], 2, nodes.shape[1]))
     blocks[:, 0] = nodes
     blocks[:-1, 1] = nodes[1:]
@@ -586,8 +583,7 @@ def _block_gradients(prob, tab, blocks, h):
 
 
 def companion_residuals(prob: LagrangianProblem, tab: ButcherTableau,
-                        weights: WeightSequence, y_nodes: np.ndarray,
-                        h: float) -> np.ndarray:
+                        y_nodes: np.ndarray, h: float) -> np.ndarray:
     """Residuals of the anti-causal companion equations at main nodes 1..N-1.
 
     y_nodes holds the main nodes y_0..y_N of a two-stage series.  The
@@ -595,7 +591,8 @@ def companion_residuals(prob: LagrangianProblem, tab: ButcherTableau,
     terminal block (y_N, 0) included, with no additional quadrature factor.
     """
     _require_exactly_two_stages(tab, "companion_residuals")
-    blocks = _two_stage_blocks(y_nodes)
+    blocks = _two_stage_blocks("y_nodes", y_nodes, prob.d)
+    weights = _run_weights(tab, -2.0 * prob.alpha, h, blocks.shape[0] - 1)
     adv = apply_advanced(weights, StageTrajectory(tab.b[:, None] * blocks, h))[:-1]
     dL = _block_gradients(prob, tab, blocks, h)
     return (dL[:-1, -1] + dL[1:, 0]
@@ -611,7 +608,6 @@ def solve_companion(prob: LagrangianProblem, tab: ButcherTableau,
     a block: at _NEWTON_TOL times max(1, |M| max|y| / h) at the current nodes y.
     """
     _require_exactly_two_stages(tab, "solve_companion")
-    weights = compute_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N)
     y_start = _checks.state("y_start", y_start, prob.d)
     y_end = _checks.state("y_end", y_end, prob.d)
     mass_h = float(np.abs(prob.mass_matrix).sum(axis=1).max()) / cfg.h
@@ -620,7 +616,7 @@ def solve_companion(prob: LagrangianProblem, tab: ButcherTableau,
         return np.vstack([y_start, u.reshape(cfg.N - 1, prob.d), y_end])
 
     def residual(u):
-        return companion_residuals(prob, tab, weights, nodes(u), cfg.h)
+        return companion_residuals(prob, tab, nodes(u), cfg.h)
 
     guess = np.linspace(y_start, y_end, cfg.N + 1)[1:-1].ravel()
     u, _, _ = _newton(residual, lambda v: _fd_jacobian(residual, v), guess, _NEWTON_TOL,
@@ -639,7 +635,9 @@ def action_variation(prob: LagrangianProblem, tab: ButcherTableau,
     and companion equations when the forward series starts at the origin.
     """
     _require_exactly_two_stages(tab, "action_variation")
-    x, y, delta = (_two_stage_blocks(v) for v in (x_nodes, y_nodes, delta_nodes))
+    x = _two_stage_blocks("x_nodes", x_nodes, prob.d)
+    y, delta = (_two_stage_blocks(name, v, prob.d, x.shape[0]) for name, v in
+                (("y_nodes", y_nodes), ("delta_nodes", delta_nodes)))
     conservative = float(((_block_gradients(prob, tab, x, h)
                            + _block_gradients(prob, tab, y, h)) * delta[:-1]).sum())
     weights = compute_weights(tab, -prob.alpha, h, x.shape[0] - 1)

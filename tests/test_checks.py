@@ -143,6 +143,14 @@ def test_argument_rules_have_one_owner():
     assert not found, found
 
 
+def test_only_the_convolution_operators_take_a_weight_table():
+    # every other entry point finds run's table itself, so no caller can hand it a wrong one
+    takers = sorted(name for name in fvi.__all__ if inspect.isfunction(getattr(fvi, name))
+                    for p in inspect.signature(getattr(fvi, name)).parameters.values()
+                    if p.name == "weights" or p.annotation in (WeightSequence, "WeightSequence"))
+    assert takers == ["apply_advanced", "apply_retarded"], takers
+
+
 def test_value_types_freeze_through_checks():
     # a .setflags( outside _checks is a value type's own copy-and-freeze instead of
     # _checks.frozen; the one exception is the shared inverse that stepper._integrate freezes

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fvi import harness, models, stepper, tableau
-from fvi.cq import _LRU, StageTrajectory, apply_retarded, compute_weights, midcq_weights
+from fvi.cq import _LRU, StageTrajectory, apply_retarded, midcq_weights
 from fvi.galerkin import (LagrangianProblem, basis_for, d_all_lagrangian,
                           discrete_lagrangian, hessian_blocks)
 from fvi.stepper import FviConfig, NewtonError
@@ -53,13 +53,6 @@ def _pendulum(eta=1.0, rho=0.2, alpha=0.5):
     )
 
 
-def _loop_weights(prob, tab, cfg):
-    """The default WeightSequence, whose table `run` integrates with."""
-    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N)
-    assert stepper._run_weights(tab, -2 * prob.alpha, cfg.h, cfg.N) is w
-    return w
-
-
 def test_free_particle_init_is_linear():
     prob = _free_particle()
     cfg = FviConfig(h=0.25, N=1)
@@ -77,28 +70,28 @@ def test_init_recovers_momentum():
     x0, p0 = spec.default_initials
     cfg = FviConfig(h=0.1, N=4)
     tab = tableau.lobatto_iiic(3)
-    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N)
-    stages = stepper.init_step(prob, tab, w, cfg, x0, p0)
+    stages = stepper.init_step(prob, tab, cfg, x0, p0)
     traj = StageTrajectory(values=stages[None], h=cfg.h)
-    pm = stepper.legendre_minus(prob, tab, w, traj, 0)
+    pm = stepper.legendre_minus(prob, tab, traj, 0)
     assert np.abs(pm - p0).max() < 1e-11
 
 
 def test_single_block_steps_reproduce_run():
-    # run solves groups of 1, 2, 4, 8, 16, 16, 16 and 1 blocks here
+    # at N = 64 run solves groups of 1, 2, 4, 8, 16, 16, 16 and 1 blocks; at
+    # N = 300 _History's far field is active, and steps k >= 160 reach the
+    # far-field catch-up of its past blocks
     spec = models.bagley_torvik()
     prob = spec.problem
     x0, p0 = spec.default_initials
-    cfg = FviConfig(h=1.0 / 64, N=64)
-    for r in (2, 3, 4):
+    for r, N in ((2, 64), (3, 64), (4, 64), (2, 300)):
+        cfg = FviConfig(h=1.0 / N, N=N)
         tab = tableau.lobatto_iiic(r)
-        w = _loop_weights(prob, tab, cfg)
-        blocks = [stepper.init_step(prob, tab, w, cfg, x0, p0)]
-        for k in range(1, cfg.N):
+        blocks = [stepper.init_step(prob, tab, cfg, x0, p0)]
+        for _ in range(1, cfg.N):
             hist = StageTrajectory(values=np.array(blocks), h=cfg.h)
-            blocks.append(stepper.step(prob, tab, w, cfg, hist, k))
+            blocks.append(stepper.step(prob, tab, cfg, hist))
         ref = stepper.run(prob, tab, cfg, x0, p0).trajectory.values
-        assert np.abs(np.array(blocks) - ref).max() < 1e-12, r
+        assert np.abs(np.array(blocks) - ref).max() < 1e-12, (r, N)
 
 
 def test_qp_closed_form_frozen_values():
@@ -175,10 +168,9 @@ def test_momentum_matching_at_interior_nodes():
     cfg = FviConfig(h=0.2, N=30)
     tab = tableau.lobatto_iiic(3)
     sol = stepper.run(prob, tab, cfg, x0, p0)
-    w = _loop_weights(prob, tab, cfg)
     for k in range(1, cfg.N):
-        plus = stepper.legendre_plus(prob, tab, w, sol.trajectory, k - 1)
-        minus = stepper.legendre_minus(prob, tab, w, sol.trajectory, k)
+        plus = stepper.legendre_plus(prob, tab, sol.trajectory, k - 1)
+        minus = stepper.legendre_minus(prob, tab, sol.trajectory, k)
         assert np.abs(plus - minus).max() < 1e-10
 
 
@@ -190,15 +182,14 @@ def test_loop_momenta_match_reference_formula(r):
     cfg = FviConfig(h=1.0 / 64, N=64)
     tab = tableau.lobatto_iiic(r)
     sol = stepper.run(prob, tab, cfg, x0, p0)
-    w = _loop_weights(prob, tab, cfg)
     assert np.array_equal(sol.momenta[0], p0)
     # block 0 was solved so that its Legendre momentum is p0
-    ref = stepper.legendre_minus(prob, tab, w, sol.trajectory, 0)
+    ref = stepper.legendre_minus(prob, tab, sol.trajectory, 0)
     assert np.abs(ref - p0).max() < 1e-11
     for k in range(1, cfg.N):
-        ref = stepper.legendre_minus(prob, tab, w, sol.trajectory, k)
+        ref = stepper.legendre_minus(prob, tab, sol.trajectory, k)
         assert np.abs(sol.momenta[k] - ref).max() < 1e-12
-    ref = stepper.legendre_plus(prob, tab, w, sol.trajectory, cfg.N - 1)
+    ref = stepper.legendre_plus(prob, tab, sol.trajectory, cfg.N - 1)
     assert np.abs(sol.momenta[cfg.N] - ref).max() < 1e-12
 
 
@@ -535,15 +526,15 @@ def test_legendre_momenta_read_block_k_of_apply_retarded():
     prob, tab = spec.problem, tableau.lobatto_iiic(3)
     cfg = FviConfig(h=1.0 / 16, N=16)
     traj = stepper.run(prob, tab, cfg, *spec.default_initials).trajectory
-    w = _loop_weights(prob, tab, cfg)
+    w = stepper._run_weights(tab, -2 * prob.alpha, cfg.h, cfg.N)
     vals = traj.values
     dcq = apply_retarded(w, StageTrajectory(vals - vals[0, 0], cfg.h))
     rho_h = prob.rho * cfg.h
     for k in range(cfg.N):
         dL = d_all_lagrangian(prob, tab, basis_for(tab), vals[k], k * cfg.h, cfg.h)
-        assert np.array_equal(stepper.legendre_minus(prob, tab, w, traj, k),
+        assert np.array_equal(stepper.legendre_minus(prob, tab, traj, k),
                               -dL[0] + rho_h * tab.b[0] * dcq[k, 0])
-        assert np.array_equal(stepper.legendre_plus(prob, tab, w, traj, k),
+        assert np.array_equal(stepper.legendre_plus(prob, tab, traj, k),
                               dL[-1] - rho_h * tab.b[-1] * dcq[k, -1])
 
 
@@ -552,13 +543,12 @@ def test_step_and_legendre_reject_one_stage_tableau():
     prob, tab = spec.problem, tableau.midpoint()
     cfg = FviConfig(h=1.0 / 16, N=16)
     traj = stepper.run(prob, tab, cfg, *spec.default_initials).trajectory
-    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N)
     head = StageTrajectory(values=traj.values[:3], h=cfg.h)
-    calls = [("step", lambda: stepper.step(prob, tab, w, cfg, head, 3)),
+    calls = [("step", lambda: stepper.step(prob, tab, cfg, head)),
              ("legendre_minus",
-              lambda: stepper.legendre_minus(prob, tab, w, traj, 3)),
+              lambda: stepper.legendre_minus(prob, tab, traj, 3)),
              ("legendre_plus",
-              lambda: stepper.legendre_plus(prob, tab, w, traj, 3))]
+              lambda: stepper.legendre_plus(prob, tab, traj, 3))]
     for name, call in calls:
         with pytest.raises(ValueError, match=f"{name} needs at least two "
                            "stages, got one-stage tableau 'midpoint'"):
@@ -777,48 +767,21 @@ def test_jacobian_modes_agree():
             assert sum(solves) / len(solves) > 1.0, method
 
 
-def test_weight_compatibility_checks():
-    prob = _harmonic(rho=0.1)
-    cfg = FviConfig(h=0.1, N=4)
-    tab = tableau.lobatto_iiic(2)
-    wrong_exp = compute_weights(tab, -0.25, cfg.h, cfg.N)
-    with pytest.raises(ValueError, match="exponent"):
-        stepper.init_step(prob, tab, wrong_exp, cfg, [1.0], [0.0])
-    wrong_h = compute_weights(tab, -1.0, 0.2, cfg.N)
-    with pytest.raises(ValueError, match="step size"):
-        stepper.init_step(prob, tab, wrong_h, cfg, [1.0], [0.0])
-    wrong_tab = compute_weights(tableau.lobatto_iiic(3), -1.0, cfg.h, cfg.N)
-    with pytest.raises(ValueError, match="tableau"):
-        stepper.init_step(prob, tab, wrong_tab, cfg, [1.0], [0.0])
-
-
 def test_step_history_validation():
     prob = _harmonic(rho=0.1)
     cfg = FviConfig(h=0.1, N=4)
     tab = tableau.lobatto_iiic(2)
-    w = compute_weights(tab, -1.0, cfg.h, cfg.N)
-    stages = stepper.init_step(prob, tab, w, cfg, [1.0], [0.0])
-    hist = StageTrajectory(values=stages[None], h=cfg.h)
-    with pytest.raises(ValueError, match="history"):
-        stepper.step(prob, tab, w, cfg, hist, 2)
-    with pytest.raises(ValueError, match="history"):
-        stepper.step(prob, tab, w, cfg, hist, 0)
+    stages = stepper.init_step(prob, tab, cfg, [1.0], [0.0])
+    # the block index is the history's length: 1 to cfg.N blocks continue a run
+    for n in (0, cfg.N + 1):
+        hist = StageTrajectory(values=np.repeat(stages[None], n, axis=0), h=cfg.h)
+        with pytest.raises(ValueError, match=f"^history must hold 1 to N = 4 blocks, got {n}$"):
+            stepper.step(prob, tab, cfg, hist)
     # blocks of h = 0.1 labelled with another step size
     relabelled = StageTrajectory(values=stages[None], h=0.5)
     with pytest.raises(ValueError, match="history step size 0.5 does not match "
                        "the weights step size 0.1"):
-        stepper.step(prob, tab, w, cfg, relabelled, 1)
-
-
-@pytest.mark.parametrize("k", [np.True_, 1.0])
-def test_step_names_a_block_index_that_is_not_an_integer(k):
-    # on a one-block history np.True_ ran as k = 1 and 1.0 raised an unnamed TypeError
-    prob, cfg, tab = _harmonic(rho=0.1), FviConfig(h=0.1, N=4), tableau.lobatto_iiic(2)
-    w = compute_weights(tab, -1.0, cfg.h, cfg.N)
-    hist = StageTrajectory(values=stepper.init_step(prob, tab, w, cfg, [1.0], [0.0])[None],
-                           h=cfg.h)
-    with pytest.raises(ValueError, match=rf"^k must be an integer >= 0, got {k!r}$"):
-        stepper.step(prob, tab, w, cfg, hist, k)
+        stepper.step(prob, tab, cfg, relabelled)
 
 
 def test_run_rejects_one_stage_tableau_other_than_midpoint():
@@ -929,17 +892,45 @@ def test_action_variation_detects_non_solution():
     assert abs(dv) > 1e-6
 
 
+def test_doubled_action_names_a_node_array_of_the_wrong_shape():
+    # a (9, 2) y_nodes used to give 14 residuals, a 1-d array an unnamed IndexError and
+    # a delta_nodes one node short numpy's broadcast error
+    tab, prob, h = tableau.lobatto_iiic(2), models.bagley_torvik().problem, 0.125
+    good = np.zeros((9, 1))
+    residual_cases = [(np.zeros((9, 2)), r"\(9, 2\)"), (np.zeros(9), r"\(9,\)"),
+                      (np.zeros((1, 1)), r"\(1, 1\)"), (np.zeros((9, 1, 1)), r"\(9, 1, 1\)")]
+    for bad, shape in residual_cases:
+        with pytest.raises(ValueError, match=rf"^y_nodes must have shape \(N\+1, 1\) "
+                           rf"with N >= 1, got {shape}$"):
+            stepper.companion_residuals(prob, tab, bad, h)
+    with pytest.raises(ValueError, match=r"^x_nodes must have shape \(N\+1, 1\) with N >= 1, "
+                       r"got \(9,\)$"):
+        stepper.action_variation(prob, tab, np.zeros(9), good, good, h)
+    for args, name, shape in [((good, np.zeros((9, 2)), good), "y_nodes", r"\(9, 2\)"),
+                              ((good, good, np.zeros((8, 1))), "delta_nodes", r"\(8, 1\)"),
+                              ((good, np.zeros((10, 1)), good), "y_nodes", r"\(10, 1\)")]:
+        with pytest.raises(ValueError, match=rf"^{name} must have shape \(9, 1\), got {shape}$"):
+            stepper.action_variation(prob, tab, *args, h)
+
+
+def test_companion_residuals_pass_non_finite_nodes_through():
+    # solve_companion's Newton stops with NewtonError on the NaN residual this gives
+    tab, prob = tableau.lobatto_iiic(2), models.bagley_torvik().problem
+    nodes = np.zeros((9, 1))
+    nodes[4] = np.nan
+    assert np.isnan(stepper.companion_residuals(prob, tab, nodes, 0.125)).any()
+
+
 def test_solve_companion_requires_two_stages():
     """The doubled action rejects every tableau but a two-stage one, by its label."""
     bt = models.bagley_torvik()
     prob, n, h = bt.problem, 8, 0.125
     nodes = np.zeros((n + 1, 1))
     for tab in (tableau.lobatto_iiic(3), tableau.midpoint()):
-        w = compute_weights(tab, -2 * prob.alpha, h, n)
         calls = [("solve_companion", lambda: stepper.solve_companion(
                      prob, tab, FviConfig(h=h, N=n), [0.0], [1.0])),
                  ("companion_residuals", lambda: stepper.companion_residuals(
-                     prob, tab, w, nodes, h)),
+                     prob, tab, nodes, h)),
                  ("action_variation", lambda: stepper.action_variation(
                      prob, tab, nodes, nodes, nodes, h))]
         for name, call in calls:
@@ -972,7 +963,6 @@ def test_run_rejects_a_malformed_initial_state():
     spec, tab = models.coupled_oscillator(), tableau.lobatto_iiic(3)
     prob, (x0, p0) = spec.problem, spec.default_initials
     cfg = FviConfig(h=0.1, N=4)
-    w = compute_weights(tab, -2 * prob.alpha, cfg.h, cfg.N)
     bad = [([1.0], p0, r"x0 must be 2 finite values, got \[1\.\] of shape \(1,\)"),
            (x0, [0.0], r"p0 must be 2 finite values, got \[0\.\] of shape \(1,\)"),
            ([1.0, np.nan], p0,
@@ -981,7 +971,7 @@ def test_run_rejects_a_malformed_initial_state():
         with pytest.raises(ValueError, match=message):
             stepper.run(prob, tab, cfg, x, p)
         with pytest.raises(ValueError, match=message):
-            stepper.init_step(prob, tab, w, cfg, x, p)
+            stepper.init_step(prob, tab, cfg, x, p)
 
 
 def test_solution_copies_the_callers_arrays():
@@ -1010,18 +1000,23 @@ def test_legendre_rejects_block_index_out_of_range():
     prob, tab = spec.problem, tableau.lobatto_iiic(2)
     cfg = FviConfig(h=1.0 / 16, N=16)
     traj = stepper.run(prob, tab, cfg, *spec.default_initials).trajectory
-    w = _loop_weights(prob, tab, cfg)
     for k in (-1, cfg.N):
-        with pytest.raises(IndexError, match=f"block index {k} out of range"):
-            stepper.legendre_minus(prob, tab, w, traj, k)
-    short = compute_weights(tab, -2 * prob.alpha, cfg.h, 4)
-    with pytest.raises(IndexError, match="need weights up to index 5, have 4"):
-        stepper.legendre_plus(prob, tab, short, traj, 5)
-    relabelled = StageTrajectory(values=traj.values, h=0.5)
-    for legendre in (stepper.legendre_minus, stepper.legendre_plus):
-        with pytest.raises(ValueError, match="history step size 0.5 does not match "
-                           "the weights step size 0.0625"):
-            legendre(prob, tab, w, relabelled, 3)
+        for legendre in (stepper.legendre_minus, stepper.legendre_plus):
+            with pytest.raises(IndexError, match=f"block index {k} out of range"):
+                legendre(prob, tab, traj, k)
+
+
+def test_step_and_legendre_name_a_history_of_another_stage_count():
+    # a lobatto3 history met a lobatto2 table in numpy's unnamed "shape-mismatch for sum"
+    spec, cfg = models.bagley_torvik(), FviConfig(h=1.0 / 16, N=16)
+    prob, tab = spec.problem, tableau.lobatto_iiic(2)
+    traj = stepper.run(prob, tableau.lobatto_iiic(3), cfg, *spec.default_initials).trajectory
+    calls = [lambda: stepper.step(prob, tab, cfg, StageTrajectory(traj.values[:4], cfg.h)),
+             lambda: stepper.legendre_minus(prob, tab, traj, 3),
+             lambda: stepper.legendre_plus(prob, tab, traj, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^history has 3 stages, tableau 'lobatto_iiic_2' has 2$"):
+            call()
 
 
 @pytest.mark.parametrize("scale", [1e4, 1e6])
@@ -1032,6 +1027,5 @@ def test_solve_companion_stops_relative_to_the_size_of_its_terms(scale):
     cfg = FviConfig(h=1.0 / 8, N=8)
     y = stepper.solve_companion(spec.problem, tab, cfg, [0.3 * scale], [-0.7 * scale])
     assert y[0, 0] == 0.3 * scale and y[-1, 0] == -0.7 * scale
-    w = compute_weights(tab, -2 * spec.problem.alpha, cfg.h, cfg.N)
-    resid = stepper.companion_residuals(spec.problem, tab, w, y, cfg.h)
+    resid = stepper.companion_residuals(spec.problem, tab, y, cfg.h)
     assert np.abs(resid).max() <= stepper._NEWTON_TOL * np.abs(y).max() / cfg.h
