@@ -266,16 +266,16 @@ def _compute_weights(tab, exponent, h, N, M):
                           tableau_label=tab.label, radius=lam, contour_points=M)
 
 
-def _check_step(w: WeightSequence, f: StageTrajectory) -> None:
-    """Reject a trajectory whose step size is not the table's."""
-    if f.h != w.h:
+def _check_step(h: float, f: StageTrajectory) -> None:
+    """Reject a trajectory whose step size is not the weights' step size h."""
+    if f.h != h:
         raise ValueError(f"history step size {f.h!r} does not match the "
-                         f"weights step size {w.h!r}")
+                         f"weights step size {h!r}")
 
 
 def _check_operator(w: WeightSequence, f: StageTrajectory) -> None:
     """Reject a table too short for the trajectory, of another step size or stage count."""
-    _check_step(w, f)
+    _check_step(w.h, f)
     if f.nblocks > w.count:
         raise IndexError(f"need weights up to index {f.nblocks - 1}, have {w.count - 1}")
     if w.r != f.r:

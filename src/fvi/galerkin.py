@@ -153,8 +153,9 @@ def _conform(value, name: str, shape: tuple, point: int = 0) -> np.ndarray:
     return np.broadcast_to(value, shape)
 
 
-def _checked_stages(prob, basis, stages, h) -> np.ndarray:
-    """The stages as a float array, once h and their shape are checked."""
+def _checked_stages(prob, basis, stages, t_k, h) -> np.ndarray:
+    """The stages as a float array, once t_k, h and their shape are checked."""
+    _checks.real("t_k", t_k)
     _checks.real("h", h, 0.0)
     stages = np.asarray(stages, dtype=float)
     if stages.shape != (basis.control_count, prob.d):
@@ -163,7 +164,7 @@ def _checked_stages(prob, basis, stages, h) -> np.ndarray:
 
 
 def _nodes(prob, tab, basis, stages, t_k, h):
-    stages = _checked_stages(prob, basis, stages, h)
+    stages = _checked_stages(prob, basis, stages, t_k, h)
     q = basis.eval_matrix.T @ stages
     v = basis.deriv_matrix.T @ stages / h
     return q, v, _quadrature_times(tab, t_k, h)
@@ -216,7 +217,7 @@ def d_all_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
 
     Checks h and the stages' shape and evaluates stage_gradient(prob, tab, basis, h).
     """
-    stages = _checked_stages(prob, basis, stages, h)
+    stages = _checked_stages(prob, basis, stages, t_k, h)
     return stage_gradient(prob, tab, basis, h)(stages, _quadrature_times(tab, t_k, h))
 
 

@@ -112,7 +112,7 @@ def fit_slope(h: np.ndarray, err: np.ndarray,
         _checks.real(f"err[{i}]", e)
     if np.any(np.diff(h) >= 0):
         raise ValueError("step sizes must be strictly decreasing")
-    floor = 100.0 * np.finfo(float).eps * float(magnitude)
+    floor = 100.0 * np.finfo(float).eps * _checks.real("magnitude", magnitude, 0.0)
     kept = [i for i in range(h.size) if err[i] > 0.0 and err[i] >= floor]
     if kept:
         peak = max(err[i] for i in kept)

@@ -25,9 +25,10 @@ leading w-block corner of the inverse of a block lower-triangular matrix is
 the inverse of its leading corner, so one inverse at the cap serves every
 group size.  The solution agrees with a block-by-block solve to the Newton
 tolerance, not bitwise.  `run` is the way into the loop; `init_step` and
-`step` run it on one Lobatto block from an outside history.  They, the
-Legendre momenta and the companion residuals take run's table from
-_run_weights: of cfg.N steps, of history.nblocks and of len(y_nodes) - 1.
+`step` run it on one block from an outside history, and the Legendre momenta
+read block k's closure R_k.  All four take the V_n of _loop_weights, the
+companion residuals the W_n of _run_weights: of cfg.N steps, of
+history.nblocks and of len(y_nodes) - 1.
 
 Per run the loop sets up its buffers, _History's reversed table and
 far-field schedule, and the window Jacobian's inverse, which _inverses keys
@@ -175,13 +176,6 @@ def _fd_jacobian(residual, u):
     return J
 
 
-def _require_two_stages(tab, name):
-    # these apply diag(b) W_n to the block's control points, which needs E = I
-    if tab.r < 2:
-        raise ValueError(f"{name} needs at least two stages, got one-stage "
-                         f"tableau {tab.label!r}")
-
-
 def _lower_toeplitz(blocks):
     """The block lower-triangular Toeplitz matrix with blocks[m] at block (i, i-m)."""
     cap, p, q = blocks.shape
@@ -215,16 +209,15 @@ def _window_jacobian(hess, V, rho_h):
 
 def init_step(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
               x0, p0) -> np.ndarray:
-    """First-step stages from the momentum boundary condition at t=0.
+    """First-step control points from the momentum boundary condition at t=0.
 
-    Solves p0 = -D_1 L_d + rho h b_1 [CQ x]^1 together with the inner stage
-    equations i = 2..s for the unknowns x_0^2..x_0^{s+1}; x_0^1 = x0 is fixed.
-    This is the stepping loop of `run` on block 0 alone, with run's table.
+    Solves p0 = -R_0[0] together with R_0[i] = 0 at the inner points for
+    points 2..n of block 0; its first point is x0.  This is the stepping
+    loop of `run` on block 0 alone, with run's table.
     """
-    _require_two_stages(tab, "init_step")
     x0, p0 = _checks.state("x0", x0, prob.d), _checks.state("p0", p0, prob.d)
-    V0 = tab.b[:, None] * _run_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N).W[0]
-    return _integrate(prob, tab, cfg.h, V0[None], x0, p0)[0][0]
+    V = _loop_weights(prob, tab, cfg.h, cfg.N)
+    return _integrate(prob, tab, cfg.h, V[:1], x0, p0)[0][0]
 
 
 def step(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
@@ -236,38 +229,34 @@ def step(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
     which the stepping loop of `run` carries along, is recomputed here from
     the history, and the block is that loop run on block k alone after it.
     """
-    _require_two_stages(tab, "step")
     k, vals = history.nblocks, history.values
     if not 1 <= k <= cfg.N:
         raise ValueError(f"history must hold 1 to N = {cfg.N} blocks, got {k}")
-    weights = _run_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N)
-    _check_step(weights, history)
-    p_in = _node_momentum(prob, tab, history, k - 1, plus=True, weights=weights)
-    V = tab.b[:, None] * weights.W[:k + 1]
-    return _integrate(prob, tab, cfg.h, V, vals[0, 0], p_in, vals)[0][0]
+    _check_step(cfg.h, history)
+    V = _loop_weights(prob, tab, cfg.h, cfg.N)
+    p_in = _node_momentum(prob, tab, history, k - 1, plus=True, V=V)
+    return _integrate(prob, tab, cfg.h, V[:k + 1], vals[0, 0], p_in, vals)[0][0]
 
 
-def _node_momentum(prob, tab, history, k, plus, weights=None):
-    _require_two_stages(tab, "legendre_plus" if plus else "legendre_minus")
-    if not 0 <= k < history.nblocks:
+def _node_momentum(prob, tab, history, k, plus, V=None):
+    basis = basis_for(tab)
+    if _checks.integer("k", k, 0) >= history.nblocks:
         raise IndexError(f"block index {k} out of range")
-    if history.r != tab.r:
-        raise ValueError(f"history has {history.r} stages, tableau {tab.label!r} has {tab.r}")
-    if weights is None:  # the table of a run over the history's blocks
-        weights = _run_weights(tab, -2.0 * prob.alpha, history.h, history.nblocks)
-    vals = history.values
-    # block k of apply_retarded(weights, blocks 0..k - x0), without the others
-    dcq = np.tensordot(weights.W[k::-1], vals[:k + 1] - vals[0, 0], axes=([0, 2], [0, 1]))
-    dL = d_all_lagrangian(prob, tab, basis_for(tab), vals[k], k * history.h, history.h)
-    rho_h = prob.rho * history.h
-    if plus:
-        return dL[-1] - rho_h * tab.b[-1] * dcq[-1]
-    return -dL[0] + rho_h * tab.b[0] * dcq[0]
+    if history.r != basis.control_count:
+        raise ValueError(f"history has {history.r} points per block, tableau {tab.label!r} "
+                         f"has {basis.control_count}")
+    if V is None:  # the table of a run over the history's blocks
+        V = _loop_weights(prob, tab, history.h, history.nblocks)
+    vals, h = history.values, history.h
+    # the loop's closure R_k = D L_d(block k) - rho h sum_{j<=k} V_{k-j} (block_j - x0)
+    R = (d_all_lagrangian(prob, tab, basis, vals[k], k * h, h)
+         - prob.rho * h * np.tensordot(V[k::-1], vals[:k + 1] - vals[0, 0], axes=([0, 2], [0, 1])))
+    return R[-1] if plus else -R[0]
 
 
 def legendre_minus(prob: LagrangianProblem, tab: ButcherTableau,
                    history: StageTrajectory, k: int) -> np.ndarray:
-    """Pre-node momentum p_k^- = -D_1 L_d(block k) + rho h b_1 [CQ x]_k^1.
+    """Pre-node momentum p_k^- = -R_k[0], R_k block k's closure in the stepping loop.
 
     The stepping loop keeps these as it goes; this is the post-hoc reference.
     """
@@ -276,7 +265,7 @@ def legendre_minus(prob: LagrangianProblem, tab: ButcherTableau,
 
 def legendre_plus(prob: LagrangianProblem, tab: ButcherTableau,
                   history: StageTrajectory, k: int) -> np.ndarray:
-    """Post-node momentum p_{k+1}^+ = D_{s+1} L_d(block k) - rho h b_{s+1} [CQ x]_k^{s+1}."""
+    """Post-node momentum p_{k+1}^+ = R_k[-1], R_k block k's closure in the stepping loop."""
     return _node_momentum(prob, tab, history, k, plus=True)
 
 
@@ -292,6 +281,7 @@ def qp_closed_form(prob: LagrangianProblem, h: float, x_k, p_k,
     if not np.array_equal(prob.mass_matrix, np.eye(prob.d)):
         raise ValueError("closed-form map requires identity mass")
     _checks.real("h", h, 0.0)
+    _checks.real("t_k", t_k)
     x_k, p_k = _checks.state("x_k", x_k, prob.d), _checks.state("p_k", p_k, prob.d)
     rho = prob.rho
     impulse = p_k - 0.5 * h * prob.grad_potential(t_k, x_k)
@@ -527,6 +517,13 @@ def _run_weights(tab: ButcherTableau, exponent: float, h: float, N: int) -> Weig
     return compute_weights(tab, exponent, h, N)
 
 
+def _loop_weights(prob, tab, h, N):
+    """The loop's V_0..V_N = E diag(b) W_n E^T, W_n of _run_weights(tab, -2 alpha, h, N)."""
+    E = basis_for(tab).eval_matrix
+    V = tab.b[:, None] * _run_weights(tab, -2.0 * prob.alpha, h, N).W
+    return V if np.array_equal(E, np.eye(*E.shape)) else E @ V @ E.T  # I @ V @ I is V
+
+
 def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
         x0, p0) -> FviSolution:
     """Integrate over N steps: the stepping loop with V_n = E diag(b) W_n E^T.
@@ -540,10 +537,7 @@ def run(prob: LagrangianProblem, tab: ButcherTableau, cfg: FviConfig,
     rho h weight would give the initial velocity an O(h) bias and drop the
     scheme to first order at damping order one.
     """
-    E = basis_for(tab).eval_matrix
-    V = tab.b[:, None] * _run_weights(tab, -2.0 * prob.alpha, cfg.h, cfg.N).W[:cfg.N]
-    if not np.array_equal(E, np.eye(*E.shape)):  # I @ V @ I is V
-        V = E @ V @ E.T
+    V = _loop_weights(prob, tab, cfg.h, cfg.N)[:cfg.N]
     x0, p0 = _checks.state("x0", x0, prob.d), _checks.state("p0", p0, prob.d)
     blocks, R, stats = _integrate(prob, tab, cfg.h, V, x0, p0)
     trajectory = StageTrajectory(values=blocks, h=cfg.h, continuity_flag=True)
@@ -635,6 +629,7 @@ def action_variation(prob: LagrangianProblem, tab: ButcherTableau,
     and companion equations when the forward series starts at the origin.
     """
     _require_exactly_two_stages(tab, "action_variation")
+    _checks.real("h", h, 0.0)
     x = _two_stage_blocks("x_nodes", x_nodes, prob.d)
     y, delta = (_two_stage_blocks(name, v, prob.d, x.shape[0]) for name, v in
                 (("y_nodes", y_nodes), ("delta_nodes", delta_nodes)))

@@ -62,6 +62,7 @@ def lobatto_iiic(r: int) -> ButcherTableau:
     These methods are L-stable and stiffly accurate with c_1 = 0, c_r = 1,
     classical order p = 2r - 2 and stage order q = r - 1.
     """
+    r = _checks.integer("r", r, 2)
     if r == 2:
         A = [[1 / 2, -1 / 2], [1 / 2, 1 / 2]]
         b = [1 / 2, 1 / 2]

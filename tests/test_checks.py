@@ -4,6 +4,7 @@ import inspect
 import math
 import re
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import fvi
 from fvi import harness, models, stepper
 from fvi.cq import StageTrajectory, WeightSequence, compute_weights, midcq_weights
-from fvi.galerkin import LagrangianProblem, basis_for, d_all_lagrangian
+from fvi.galerkin import LagrangianProblem, basis_for, d_all_lagrangian, discrete_lagrangian
 from fvi.stepper import FviConfig
 from fvi.tableau import lobatto_iiic
 
@@ -25,6 +26,9 @@ _HORIZON = [0.0, -1.0, _NAN, _INF, True]
 _N1 = [0, -3, 2.5, 4.0, _NAN, True]  # bad for a step count >= 1
 _N0 = [-1, 2.5, 4.0, True]  # bad for a weight count >= 0
 _ORDER = [0, 2, 0.0, 2.0, _NAN, True]
+_T = [_NAN, _INF, True]  # bad for a start time
+_NODES = np.zeros((5, 1))  # main nodes x_0..x_4 of a d = 1 series
+_TRAJ = fvi.run(_OSC.problem, _TAB, _CFG, [1.0], [0.0]).trajectory
 
 
 def _problem(d=1, **kw):
@@ -42,6 +46,15 @@ _SCALARS = [
     ("FviConfig-N", lambda v, out: FviConfig(h=0.1, N=v), "N", _N1, 4),
     ("qp_closed_form-h", lambda v, out: stepper.qp_closed_form(_OSC.problem, v, [1.0], [0.0]),
      "h", _H, 0.1),
+    ("qp_closed_form-t_k", lambda v, out: stepper.qp_closed_form(
+        _OSC.problem, 0.1, [1.0], [0.0], v), "t_k", _T, 0.0),
+    ("action_variation-h", lambda v, out: stepper.action_variation(
+        _OSC.problem, _TAB, _NODES, _NODES, _NODES, v), "h", _H, 0.1),
+    ("legendre_minus-k", lambda v, out: stepper.legendre_minus(_OSC.problem, _TAB, _TRAJ, v),
+     "k", [-1, 2.5, 1.0, True], 0),
+    ("legendre_plus-k", lambda v, out: stepper.legendre_plus(_OSC.problem, _TAB, _TRAJ, v),
+     "k", [-1, 2.5, 1.0, True], 0),
+    ("lobatto_iiic-r", lambda v, out: lobatto_iiic(v), "r", [1, 2.0, _NAN, True], 2),
     ("compute_weights-h", lambda v, out: compute_weights(_TAB, -0.5, v, 4), "h", _H, 0.1),
     ("compute_weights-exponent", lambda v, out: compute_weights(_TAB, v, 0.1, 4), "exponent",
      [_NAN, -_INF, False], -0.5),
@@ -58,6 +71,19 @@ _SCALARS = [
      "contour_points", [-3, 2.5, 4.0, _NAN, True], 6),
     ("d_all_lagrangian-h", lambda v, out: d_all_lagrangian(
         _OSC.problem, _TAB, basis_for(_TAB), np.zeros((2, 1)), 0.0, v), "h", _H, 0.1),
+    ("discrete_lagrangian-h", lambda v, out: discrete_lagrangian(
+        _OSC.problem, _TAB, basis_for(_TAB), np.zeros((2, 1)), 0.0, v), "h", _H, 0.1),
+    ("discrete_lagrangian-t_k", lambda v, out: discrete_lagrangian(
+        _OSC.problem, _TAB, basis_for(_TAB), np.zeros((2, 1)), v, 0.1), "t_k", _T, 0.0),
+    ("export_weights-exponent", lambda v, out: harness.export_weights(
+        "lobatto2", v, 0.1, 4, out / "w.csv"), "exponent", [_NAN, -_INF, False], -0.5),
+    ("export_weights-h", lambda v, out: harness.export_weights(
+        "lobatto2", -0.5, v, 4, out / "w.csv"), "h", _H, 0.1),
+    ("export_weights-n_weights", lambda v, out: harness.export_weights(
+        "lobatto2", -0.5, 0.1, v, out / "w.csv"), "N", _N0, 4),
+    ("fit_slope-magnitude", lambda v, out: harness.fit_slope(
+        [0.4, 0.2, 0.1, 0.05], [1e-2, 2.5e-3, 6.25e-4, 1.5625e-4], v), "magnitude",
+     [0.0, -1.0, _NAN, _INF, True], 1.0),
     ("LagrangianProblem-d", lambda v, out: _problem(d=v), "state dimension", [0, 2.5, True], 1),
     ("LagrangianProblem-rho", lambda v, out: _problem(rho=v), "rho",
      [-0.1, _NAN, _INF, True], 0.25),
@@ -86,6 +112,24 @@ _SCALARS = [
 # None picks the default of these arguments
 _OPTIONAL = {"run_benchmark-horizon", "simulate-horizon", "simulate-derivative_order",
              "converge-horizon"}
+
+
+# three rows keep the ids they had before every row was named <function>-<parameter>,
+# so their test ids stay as they were
+_OLD_IDS = {"run_benchmark-n_steps": "run_benchmark-N", "simulate-n_steps": "simulate-N",
+            "with_derivative_order-order": "with_derivative_order"}
+
+
+def test_every_scalar_parameter_has_a_row():
+    # an int or float parameter of an exported function without a row here is a value
+    # no test hands a bad number
+    kinds = (int, float, Optional[int], Optional[float])
+    pairs = {f"{name}-{p.name}" for name in fvi.__all__ if inspect.isfunction(getattr(fvi, name))
+             for p in inspect.signature(getattr(fvi, name)).parameters.values()
+             if p.annotation in kinds}
+    rows = {row[0] for row in _SCALARS}
+    missing = sorted(pair for pair in pairs if _OLD_IDS.get(pair, pair) not in rows)
+    assert not missing, missing
 
 
 def _rows(table):

@@ -79,19 +79,21 @@ def test_init_recovers_momentum():
 def test_single_block_steps_reproduce_run():
     # at N = 64 run solves groups of 1, 2, 4, 8, 16, 16, 16 and 1 blocks; at
     # N = 300 _History's far field is active, and steps k >= 160 reach the
-    # far-field catch-up of its past blocks
-    spec = models.bagley_torvik()
-    prob = spec.problem
-    x0, p0 = spec.default_initials
-    for r, N in ((2, 64), (3, 64), (4, 64), (2, 300)):
-        cfg = FviConfig(h=1.0 / N, N=N)
-        tab = tableau.lobatto_iiic(r)
+    # far-field catch-up of its past blocks; the damped oscillator's midpoint
+    # table has no zero lag
+    bt, osc, mid = models.bagley_torvik(), models.damped_oscillator_1d(), tableau.midpoint()
+    cases = [(bt, tableau.lobatto_iiic(r), N, 1.0)
+             for r, N in ((2, 64), (3, 64), (4, 64), (2, 300))]
+    cases += [(bt, mid, 64, 1.0), (bt, mid, 300, 1.0), (osc, mid, 300, 16.0)]
+    for spec, tab, N, horizon in cases:
+        prob, (x0, p0) = spec.problem, spec.default_initials
+        cfg = FviConfig(h=horizon / N, N=N)
         blocks = [stepper.init_step(prob, tab, cfg, x0, p0)]
         for _ in range(1, cfg.N):
             hist = StageTrajectory(values=np.array(blocks), h=cfg.h)
             blocks.append(stepper.step(prob, tab, cfg, hist))
         ref = stepper.run(prob, tab, cfg, x0, p0).trajectory.values
-        assert np.abs(np.array(blocks) - ref).max() < 1e-12, (r, N)
+        assert np.abs(np.array(blocks) - ref).max() < 1e-12, (spec.name, tab.label, N)
 
 
 def test_qp_closed_form_frozen_values():
@@ -166,21 +168,22 @@ def test_momentum_matching_at_interior_nodes():
     prob = spec.problem
     x0, p0 = spec.default_initials
     cfg = FviConfig(h=0.2, N=30)
-    tab = tableau.lobatto_iiic(3)
-    sol = stepper.run(prob, tab, cfg, x0, p0)
-    for k in range(1, cfg.N):
-        plus = stepper.legendre_plus(prob, tab, sol.trajectory, k - 1)
-        minus = stepper.legendre_minus(prob, tab, sol.trajectory, k)
-        assert np.abs(plus - minus).max() < 1e-10
+    for tab in (tableau.lobatto_iiic(3), tableau.midpoint()):
+        sol = stepper.run(prob, tab, cfg, x0, p0)
+        for k in range(1, cfg.N):
+            plus = stepper.legendre_plus(prob, tab, sol.trajectory, k - 1)
+            minus = stepper.legendre_minus(prob, tab, sol.trajectory, k)
+            assert np.abs(plus - minus).max() < 1e-10, (tab.label, k)
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
-def test_loop_momenta_match_reference_formula(r):
+@pytest.mark.parametrize("tab", [pytest.param(tableau.lobatto_iiic(r), id=str(r))
+                                 for r in (2, 3, 4)]
+                         + [pytest.param(tableau.midpoint(), id="midpoint")])
+def test_loop_momenta_match_reference_formula(tab):
     spec = models.bagley_torvik()
     prob = spec.problem
     x0, p0 = spec.default_initials
     cfg = FviConfig(h=1.0 / 64, N=64)
-    tab = tableau.lobatto_iiic(r)
     sol = stepper.run(prob, tab, cfg, x0, p0)
     assert np.array_equal(sol.momenta[0], p0)
     # block 0 was solved so that its Legendre momentum is p0
@@ -536,23 +539,6 @@ def test_legendre_momenta_read_block_k_of_apply_retarded():
                               -dL[0] + rho_h * tab.b[0] * dcq[k, 0])
         assert np.array_equal(stepper.legendre_plus(prob, tab, traj, k),
                               dL[-1] - rho_h * tab.b[-1] * dcq[k, -1])
-
-
-def test_step_and_legendre_reject_one_stage_tableau():
-    spec = models.bagley_torvik()
-    prob, tab = spec.problem, tableau.midpoint()
-    cfg = FviConfig(h=1.0 / 16, N=16)
-    traj = stepper.run(prob, tab, cfg, *spec.default_initials).trajectory
-    head = StageTrajectory(values=traj.values[:3], h=cfg.h)
-    calls = [("step", lambda: stepper.step(prob, tab, cfg, head)),
-             ("legendre_minus",
-              lambda: stepper.legendre_minus(prob, tab, traj, 3)),
-             ("legendre_plus",
-              lambda: stepper.legendre_plus(prob, tab, traj, 3))]
-    for name, call in calls:
-        with pytest.raises(ValueError, match=f"{name} needs at least two "
-                           "stages, got one-stage tableau 'midpoint'"):
-            call()
 
 
 @pytest.mark.parametrize("r,order", [(2, 2.0), (3, 4.0), (4, 6.0)])
@@ -1000,10 +986,10 @@ def test_legendre_rejects_block_index_out_of_range():
     prob, tab = spec.problem, tableau.lobatto_iiic(2)
     cfg = FviConfig(h=1.0 / 16, N=16)
     traj = stepper.run(prob, tab, cfg, *spec.default_initials).trajectory
-    for k in (-1, cfg.N):
-        for legendre in (stepper.legendre_minus, stepper.legendre_plus):
-            with pytest.raises(IndexError, match=f"block index {k} out of range"):
-                legendre(prob, tab, traj, k)
+    # k = -1 and k that are not integers are rows of tests/test_checks.py's _SCALARS
+    for legendre in (stepper.legendre_minus, stepper.legendre_plus):
+        with pytest.raises(IndexError, match=f"^block index {cfg.N} out of range$"):
+            legendre(prob, tab, traj, cfg.N)
 
 
 def test_step_and_legendre_name_a_history_of_another_stage_count():
@@ -1015,7 +1001,8 @@ def test_step_and_legendre_name_a_history_of_another_stage_count():
              lambda: stepper.legendre_minus(prob, tab, traj, 3),
              lambda: stepper.legendre_plus(prob, tab, traj, 3)]
     for call in calls:
-        with pytest.raises(ValueError, match="^history has 3 stages, tableau 'lobatto_iiic_2' has 2$"):
+        with pytest.raises(ValueError, match="^history has 3 points per block, "
+                           "tableau 'lobatto_iiic_2' has 2$"):
             call()
 
 
