@@ -215,7 +215,7 @@ def d_all_lagrangian(prob: LagrangianProblem, tab: ButcherTableau,
                      basis: LagrangeBasis, stages, t_k: float, h: float) -> np.ndarray:
     """Analytic partials of the discrete Lagrangian w.r.t. all stages, shape (s+1, d).
 
-    Checks h and the stages' shape and evaluates stage_gradient(prob, tab, basis, h).
+    Checks t_k, h and the stages' shape and evaluates stage_gradient(prob, tab, basis, h).
     """
     stages = _checked_stages(prob, basis, stages, t_k, h)
     return stage_gradient(prob, tab, basis, h)(stages, _quadrature_times(tab, t_k, h))
